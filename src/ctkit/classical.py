@@ -27,10 +27,9 @@ BACKEND = "classical"
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """Finite classical substrate plus an ancilla allowance."""
+    """Finite classical substrate plus the choice-function search guard."""
 
     substrate: SubstrateSpec
-    ancilla_budget: int = 8
     assignment_guard: int = 10**6
 
     kind = CLASSICAL

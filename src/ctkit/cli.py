@@ -23,6 +23,7 @@ from .games import check_decision_support, derive_value_mn, exact_game_value, re
 from .kernel import QUANTUM, extensional_attribute, is_task_possible
 from .modelspec import parse_model_spec, sqrt_radicand
 from .predicates import detect_superinformation, is_information_variable, is_observable
+from .tolerance import tol
 from .unpredictability import unpredictability_certificate
 
 CSV_HEADER = "N,epsilon,deviant_weight_exact,deviant_weight_float"
@@ -263,6 +264,7 @@ def _parser() -> argparse.ArgumentParser:
 def run_command(argv) -> RunReport:
     argv = list(argv)
     args = _parser().parse_args(argv)
+    tol()  # a bad CT_TOL is refused here, before any document names it
     started = time.perf_counter()
     verdicts = tuple(args.func(args))
     return RunReport(

@@ -7,30 +7,38 @@ the fallback and is flagged on the row that used it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RepresentationError, SizeLimitError
+from .errors import DomainError, NotMeasurableError, RepresentationError, SizeLimitError
 from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
     attribute_projector,
     attribute_span,
-    quantum_substrate,
-    subspace_attribute,
-    variable,
 )
 from .predicates import PredicateReport
-from .quantum import MeasurerSpec, apply_measurer, build_measurer, intrinsic_part
-from .states import MixedState, PureState, expectation, tensor
+from .quantum import (
+    ControlledMap,
+    MeasurerSpec,
+    apply_measurer,
+    basis_swap,
+    build_measurer,
+    completed_basis,
+    intrinsic_part,
+)
+from .states import MixedState, PureState, basis_state, expectation, tensor
 from .tolerance import PARTITION_SUM_TOL, tol
 
 ENUMERATION_GUARD = 10_000_000
+# One complex128 joint vector of the counting constructor (d**n source states
+# times n+1 flags) plus its n+1 dense flag maps must fit in this many bytes;
+# applying the measurer holds a few such vectors at once.
+COUNTING_JOINT_BYTES = 64 * 2 ** 20
 EXACT_DENOMINATOR_BOUND = 10 ** 6
 RENDER_DENOMINATOR_BOUND = 10 ** 18
 
@@ -53,7 +61,11 @@ def build_counting_constructor(x, n: int, basis: Variable,
 
     basis is the per-replica observable: one single-state member per label.
     The returned measurer acts on the n-replica product space (one source
-    factor of dimension d**n) with n+1 outcome flags labeled i/n.
+    factor of dimension d**n) with n+1 outcome flags labeled i/n.  A product
+    basis state's class is its count of x, built by a broadcast recurrence;
+    product states touching the rest of a replica's space act trivially.
+    Flag k is the target basis state k.  Both d**n <= guard and the byte
+    budget COUNTING_JOINT_BYTES are checked before anything is allocated.
     """
     if basis.substrate.kind != QUANTUM:
         raise RepresentationError("the counting constructor is a quantum device")
@@ -62,29 +74,40 @@ def build_counting_constructor(x, n: int, basis: Variable,
     d = basis.substrate.dim
     if d ** n > guard:
         raise SizeLimitError(f"{d}**{n} product states exceed the enumeration guard")
-    vectors = []
+    needed = 16 * (d ** n * (n + 1) + (n + 1) ** 3)
+    if needed > COUNTING_JOINT_BYTES:
+        raise SizeLimitError(
+            f"a {d}**{n} x {n + 1} joint state needs {needed} bytes, over the "
+            f"counting constructor's budget of {COUNTING_JOINT_BYTES}"
+        )
+    spans = []
     for label, attr in basis.members:
         span = attribute_span(attr)
         if span.shape[0] != 1:
             raise RepresentationError("counted members must be single states")
-        vectors.append(span[0])
-    target_index = basis.labels.index(x)
-    by_count: dict[int, list[PureState]] = {}
-    for digits in itertools.product(range(len(vectors)), repeat=n):
-        vec = vectors[digits[0]]
-        for idx in digits[1:]:
-            vec = np.kron(vec, vectors[idx])
-        count = sum(1 for idx in digits if idx == target_index)
-        by_count.setdefault(count, []).append(PureState(vec))
-    ensemble = quantum_substrate(f"{basis.substrate.id}^{n}", d ** n)
-    members = [
-        (Fraction(count, n), subspace_attribute(ensemble, tuple(states)))
-        for count, states in sorted(by_count.items())
-    ]
-    counts = sorted(by_count)
-    labeling = {Fraction(count, n): count for count in counts}
-    return build_measurer(variable(ensemble, members),
-                          target_dim=n + 1, labeling=labeling)
+        spans.append(span)
+    replica, member = completed_basis(spans, d, NotMeasurableError, "counting constructor")
+    # per basis row: 1 for x, 0 for the other members, n+1 (saturating) for the rest
+    rest = n + 1
+    dtype = np.min_scalar_type(2 * rest)
+    step = np.where(member == len(spans), rest, member == basis.labels.index(x)).astype(dtype)
+    counts = np.zeros(1, dtype=dtype)
+    for _ in range(n):
+        counts = np.minimum(counts[:, None] + step, rest).reshape(-1)
+    present = np.flatnonzero(np.bincount(counts, minlength=rest + 1)[:rest])
+    lookup = np.full(rest + 1, present.size)
+    lookup[present] = np.arange(present.size)
+    control = ControlledMap(
+        bases=(replica,) * n,
+        classes=lookup[counts],
+        maps=tuple(basis_swap(n + 1, 0, int(c)) for c in present),
+        target_dim=n + 1,
+    )
+    return MeasurerSpec(
+        labels=tuple(Fraction(int(c), n) for c in present),
+        flags=tuple(basis_state(n + 1, int(c)).vector for c in present),
+        control=control,
+    )
 
 
 # ---------------------------------------------------------------------------

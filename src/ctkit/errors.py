@@ -76,3 +76,7 @@ class MeasurerConformanceError(CtError):
 
 class ModelSpecError(CtError):
     """A model description file is malformed or violates an invariant."""
+
+
+class ToleranceError(CtError):
+    """The CT_TOL override is not a finite number in (0, MAX_TOL]."""

@@ -46,8 +46,10 @@ from .predicates import (
     product_variable,
 )
 from .quantum import (
+    ControlledMap,
     apply_measurer,
     build_measurer,
+    controlled_map,
     intrinsic_part,
     negation_map,
     permutation_computation,
@@ -208,11 +210,17 @@ def _game_state(g: Game):
 
 @dataclass(frozen=True)
 class AdderSpec:
-    """Unitary realizing |x>|p> -> |x>|p+x> on a finite payoff register."""
+    """|x>|p> -> |x>|p+x> on a finite payoff register, as a controlled map:
+    each payoff label's span controls a shift of the register."""
 
     source: Variable
     payoff_labels: tuple
-    unitary: np.ndarray
+    control: ControlledMap
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense adder unitary; built on request."""
+        return self.control.unitary
 
     def payoff_index(self, label) -> int:
         return self.payoff_labels.index(label)
@@ -226,13 +234,9 @@ def build_adder(x: Variable, payoff_labels) -> AdderSpec:
     if len(set(payoff_labels)) != len(payoff_labels):
         raise LabelArithmeticError("payoff register labels must be distinct")
     d_p = len(payoff_labels)
-    d_s = x.substrate.dim
     index = {l: i for i, l in enumerate(payoff_labels)}
-    unitary = np.zeros((d_s * d_p, d_s * d_p), dtype=complex)
-    covered = np.zeros((d_s, d_s), dtype=complex)
-    for label, attr in x.members:
-        p_x = attribute_projector(attr)
-        covered += p_x
+    shifts = []
+    for label in x.labels:
         shift = np.zeros((d_p, d_p))
         used_out = set()
         pending = []
@@ -246,18 +250,16 @@ def build_adder(x: Variable, payoff_labels) -> AdderSpec:
         free_out = [j for j in range(d_p) if j not in used_out]
         for i, j in zip(pending, free_out):
             shift[j, i] = 1.0
-        unitary += np.kron(p_x, shift)
-    rest = np.eye(d_s) - covered
-    if float(np.abs(rest).max()) > 1e-12:
-        unitary += np.kron(rest, np.eye(d_p))
-    dev = float(np.abs(unitary.conj().T @ unitary - np.eye(d_s * d_p)).max())
-    if dev > 1e-9:
-        raise PreconditionError(f"adder construction lost unitarity ({dev:.3g})")
-    return AdderSpec(source=x, payoff_labels=payoff_labels, unitary=unitary)
+        shifts.append(shift)
+    spans = [attribute_span(a) for a in x.attributes]
+    control = controlled_map(spans, shifts, x.substrate.dim, PreconditionError, "adder")
+    return AdderSpec(source=x, payoff_labels=payoff_labels, control=control)
 
 
 def apply_adder(adder: AdderSpec, joint) -> PureState | MixedState:
-    return apply_unitary(joint, adder.unitary)
+    """Run the adder on a source (x) payoff-register joint state."""
+    dims = (adder.control.control_dim, adder.control.target_dim)
+    return adder.control.apply(joint, (0, 1), dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +319,16 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
         partition_of_unity(intrinsic_part(measured, 0), h)
     except DomainError:
         mixture_kept = False
+    # flag k of the record controls the swap of member k with the first
     members = tuple((l, _member_state(a)) for l, a in h.members)
     first = h.labels[0]
-    d_s = h.substrate.dim
-    d_t = measurer.target_dim
-    u_rep = np.zeros((d_s * d_t, d_s * d_t), dtype=complex)
-    controlled = np.zeros((d_t, d_t), dtype=complex)
-    for label in h.labels[1:]:
-        swap = permutation_computation(transposition_map(h.labels, first, label), members)
-        f_k = measurer.flag_projector(label)
-        u_rep += np.kron(swap, f_k)
-        controlled += f_k
-    u_rep += np.kron(np.eye(d_s), np.eye(d_t) - controlled)
-    final = apply_unitary(measured, u_rep)
+    swaps = [np.eye(h.substrate.dim)] + [
+        permutation_computation(transposition_map(h.labels, first, label), members)
+        for label in h.labels[1:]
+    ]
+    flags = [measurer.flag_state(label).vector for label in h.labels]
+    u_rep = controlled_map(flags, swaps, measurer.target_dim, PreconditionError, "replacement")
+    final = u_rep.apply(measured, factors=(1, 0))
     rho_src = intrinsic_part(final, 0)
     p_first = attribute_projector(h.attribute(first))
     sharp_ok = expectation(rho_src, p_first) >= 1.0 - atol

@@ -224,8 +224,9 @@ def attribute_span(attr: Attribute) -> np.ndarray:
 
 
 def attribute_projector(attr: Attribute) -> np.ndarray:
+    """Orthogonal projector sum_i |b_i><b_i| onto the attribute's span."""
     basis = attribute_span(attr)
-    return basis.conj().T @ basis
+    return basis.T @ basis.conj()
 
 
 def contains_state(attr: Attribute, state: State, atol: float | None = None) -> bool:

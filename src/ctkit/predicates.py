@@ -263,7 +263,7 @@ def bar(x: Attribute, model) -> Attribute:
     if span.shape[0] == 0:
         return subspace_attribute(x.substrate, tuple(basis_state(d, k) for k in range(d)))
     # rows of vh beyond the rank span the kernel of the projector
-    proj = np.eye(d) - span.conj().T @ span
+    proj = np.eye(d) - span.T @ span.conj()
     vals, vecs = np.linalg.eigh(proj)
     basis = [PureState(vecs[:, k]) for k in range(d) if vals[k] > 0.5]
     return subspace_attribute(x.substrate, tuple(basis))
@@ -473,7 +473,7 @@ def _normalize_cover(z: Variable, impl: MeasurerSpec, cover: dict | None) -> dic
     """Map each label of z to the implementation labels refining it.
 
     Without an explicit cover the assignment is derived semantically: an
-    implementation projector must sit inside exactly one member span.  An
+    implementation outcome's span must sit inside exactly one member span.  An
     explicit cover is taken on faith structurally; probing decides whether
     it was honest.
     """
@@ -492,23 +492,24 @@ def _normalize_cover(z: Variable, impl: MeasurerSpec, cover: dict | None) -> dic
                 seen.append(il)
         return {zl: tuple(impl_labels) for zl, impl_labels in cover.items()}
     atol = tol()
-    member_projs = {label: attribute_projector(attr) for label, attr in z.members}
+    member_spans = [(label, attribute_span(attr)) for label, attr in z.members]
+    member_spans = [(label, span) for label, span in member_spans if span.size]
     derived: dict = {label: [] for label in z.labels}
-    for il, p_impl in zip(impl.labels, impl.projectors):
-        rank = float(np.trace(p_impl).real)
-        if rank < 0.5:
+    for il in impl.labels:
+        rows = impl.span(il)
+        if rows.shape[0] == 0:
             continue
         home = None
-        for zl, p_z in member_projs.items():
-            # containment: P_z P_impl = P_impl
-            if float(np.abs(p_z @ p_impl - p_impl).max()) <= 1e-7:
+        overlaps = []
+        for zl, span in member_spans:
+            overlap = span.conj() @ rows.T  # <z_a|s_b>
+            overlaps.append(overlap)
+            # containment: every s_b equals its projection onto span(z)
+            if float(np.abs(rows.T - span.T @ overlap).max()) <= 1e-7:
                 home = zl
                 break
         if home is None:
-            inside_span = any(
-                float(np.abs(p_z @ p_impl).max()) > atol for p_z in member_projs.values()
-            )
-            if inside_span:
+            if any(float(np.abs(o).max()) > atol for o in overlaps):
                 raise MeasurerConformanceError(
                     f"implementation outcome {il!r} straddles members of the variable"
                 )

@@ -44,11 +44,9 @@ from .states import (
     MixedState,
     PureState,
     State,
-    apply_unitary,
     basis_state,
     expectation,
     partial_trace,
-    tensor,
 )
 from .tolerance import tol
 
@@ -228,31 +226,150 @@ def _witness_ok(task: Task, witness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Measurers
+# Projector-controlled target maps and measurers
 
 
-def _completion_unitary(first_col: np.ndarray, dim: int, recv: int) -> np.ndarray:
-    """Deterministic unitary with column `recv` equal to first_col; the rest
-    is filled by Gram-Schmidt over the standard basis in index order."""
-    cols: list = [None] * dim
-    cols[recv] = first_col
-    basis = [first_col]
-    slots = [j for j in range(dim) if j != recv]
-    filled = 0
-    for cand in range(dim):
-        if filled >= len(slots):
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[cand] = 1.0
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9:
-            v = v / norm
-            basis.append(v)
-            cols[slots[filled]] = v
-            filled += 1
-    return np.column_stack(cols)
+@dataclass(frozen=True)
+class ControlledMap:
+    """U = sum_k P_k (x) T_k + P_rest (x) I on control (x) target.
+
+    The control space carries the orthonormal basis kron(*bases), one ket
+    per row.  classes gives each basis row's class: P_k is the projector onto
+    the rows of class k and T_k = maps[k] is a target_dim x target_dim
+    unitary; rows of class len(maps) complete the basis and act as the
+    identity.  A control that is a product of small factors (the n replicas
+    of the counting constructor) keeps one basis per factor, so nothing of
+    size control_dim**2 is ever held.  apply contracts the basis change and
+    the per-class maps on the factor axes; `unitary` builds the dense
+    operator only on request.
+    """
+
+    bases: tuple
+    classes: np.ndarray
+    maps: tuple
+    target_dim: int
+
+    @property
+    def control_dim(self) -> int:
+        return prod(b.shape[0] for b in self.bases)
+
+    def rows(self, k: int) -> np.ndarray:
+        """The basis kets (rows) of class k."""
+        idx = np.flatnonzero(self.classes == k)
+        digits = np.unravel_index(idx, tuple(b.shape[0] for b in self.bases))
+        out = np.ones((idx.size, 1), dtype=complex)
+        for b, digit in zip(self.bases, digits):
+            width = out.shape[1] * b.shape[1]
+            out = np.einsum("ri,rj->rij", out, b[digit]).reshape(idx.size, width)
+        return out
+
+    def projector(self, k: int) -> np.ndarray:
+        rows = self.rows(k)
+        return rows.T @ rows.conj()
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense operator; its size is (control_dim * target_dim)**2."""
+        out = np.kron(self.projector(len(self.maps)), np.eye(self.target_dim))
+        for k, t_map in enumerate(self.maps):
+            out = out + np.kron(self.projector(k), t_map)
+        return out
+
+    def _per_factor(self, mats, x: np.ndarray) -> np.ndarray:
+        """mats[f] applied to control sub-axis f of x, shaped (target, control, m)."""
+        left, right = x.shape[0], x.size // x.shape[0]
+        for mat in mats:
+            d = mat.shape[0]
+            right //= d
+            if not np.array_equal(mat, np.eye(d)):
+                x = np.matmul(mat, x.reshape(left, d, right))
+            left *= d
+        return x.reshape(self.target_dim, self.control_dim, -1)
+
+    def _on_rows(self, mat: np.ndarray, dims, factors) -> np.ndarray:
+        """(U on factors) @ mat, for mat of shape (prod(dims), m)."""
+        c, t = factors
+        x = np.moveaxis(mat.reshape(*dims, -1), (t, c), (0, 1))
+        moved = x.shape
+        # coordinates <b_i|.> of the control, then T_k on each class's rows
+        x = self._per_factor([b.conj() for b in self.bases],
+                             x.reshape(self.target_dim, self.control_dim, -1))
+        out = x.copy()
+        for k, t_map in enumerate(self.maps):
+            rows = np.flatnonzero(self.classes == k)
+            if rows.size:
+                block = x[:, rows]
+                out[:, rows] = (t_map @ block.reshape(self.target_dim, -1)).reshape(block.shape)
+        out = self._per_factor([b.T for b in self.bases], out)
+        return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
+
+    def apply(self, state: State, factors=(0, 1), dims=None) -> State:
+        """U on the (control, target) factor pair of a joint state.
+
+        dims overrides the factor split of the state (its own dims are kept
+        on the result)."""
+        dims = state.dims if dims is None else tuple(dims)
+        if isinstance(state, PureState):
+            vec = self._on_rows(state.vector.reshape(-1, 1), dims, factors)
+            return PureState(vec.reshape(-1), state.dims)
+        half = self._on_rows(state.matrix, dims, factors)  # U rho
+        full = self._on_rows(half.conj().T, dims, factors).conj().T  # (U (U rho)^dag)^dag
+        return MixedState(full, state.dims)
+
+
+def completed_basis(spans, dim: int, error, what: str):
+    """Stack the span rows and complete them to an orthonormal basis.
+
+    Returns (basis, classes): span k's rows get class k, the completing rows
+    class len(spans).  Unitarity is checked on this dim x dim basis only.
+    """
+    spans = [np.asarray(s, dtype=complex).reshape(-1, dim) for s in spans]
+    stacked = np.vstack(spans) if spans else np.zeros((0, dim), dtype=complex)
+    # the rows of vh past the rank are orthogonal to every span row
+    rest = np.linalg.svd(stacked)[2][stacked.shape[0]:]
+    basis = np.vstack([stacked, rest])
+    # |b><b| ignores phases: make each row's largest entry real positive, so
+    # a basis of standard kets is exactly the identity and costs nothing
+    lead = basis[np.arange(basis.shape[0]), np.abs(basis).argmax(axis=1)]
+    basis = basis / (lead / np.abs(lead))[:, None]
+    dev = float(np.abs(basis @ basis.conj().T - np.eye(basis.shape[0])).max())
+    if basis.shape[0] != dim or dev > 1e-9:
+        raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
+    classes = np.repeat(np.arange(len(spans) + 1), [s.shape[0] for s in spans] + [rest.shape[0]])
+    return basis, classes
+
+
+def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
+                   what: str = "measurer") -> ControlledMap:
+    """sum_k P_k (x) maps[k] + P_rest (x) I, for pairwise orthogonal spans.
+
+    spans[k] holds orthonormal kets (rows) spanning the range of P_k; the
+    orthogonal rest of the control space acts as the identity.  Raises
+    `error` when the spans or any map are not unitary building blocks.
+    """
+    basis, classes = completed_basis(spans, dim, error, what)
+    maps = tuple(np.asarray(t, dtype=complex) for t in maps)
+    target_dim = maps[0].shape[0]
+    for t_map in maps:
+        if t_map.shape != (target_dim, target_dim) or float(
+                np.abs(t_map.conj().T @ t_map - np.eye(target_dim)).max()) > 1e-9:
+            raise error(f"{what} construction lost unitarity (a target map is not unitary)")
+    return ControlledMap((basis,), classes, maps, target_dim)
+
+
+def basis_swap(dim: int, a: int, b: int) -> np.ndarray:
+    """The permutation matrix exchanging basis states a and b."""
+    perm = np.arange(dim)
+    perm[[a, b]] = perm[[b, a]]
+    return np.eye(dim, dtype=complex)[perm]
+
+
+def _unitary_with_first_column(flag: np.ndarray) -> np.ndarray:
+    """A matrix whose first column is flag, unitary when flag is a unit vector:
+    QR against the standard basis, with the first column's phase put back."""
+    q, r = np.linalg.qr(np.column_stack([flag, np.eye(flag.size)]))
+    q[:, 0] *= r[0, 0]
+    return q
 
 
 @dataclass(frozen=True)
@@ -260,18 +377,39 @@ class MeasurerSpec:
     """A measurement interaction: source states tagged onto a fresh target.
 
     The unitary acts on source (x) target and sends |v>|recv> to |v>|flag_k>
-    for any v in the k-th attribute's span.  Off the measured subspace and
-    off the receptive target state the action is an arbitrary but fixed
-    deterministic completion.
+    for any v in the k-th attribute's span.  It is stored as a controlled
+    map: the source basis completed from the attribute spans, one class per
+    label, and per label a target unitary taking recv to the flag (the
+    permutation exchanging them when the flag is a basis state).  The
+    completing rest of the source space leaves the target alone.
     """
 
-    source_dim: int
-    target_dim: int
     labels: tuple
-    projectors: tuple          # span projector per label, on the source
     flags: tuple               # flag vector per label, on the target
-    unitary: np.ndarray
+    control: ControlledMap
     receptive_index: int = 0
+
+    @property
+    def source_dim(self) -> int:
+        return self.control.control_dim
+
+    @property
+    def target_dim(self) -> int:
+        return self.control.target_dim
+
+    def span(self, label) -> np.ndarray:
+        """Orthonormal kets (rows) of the source span flagged as label."""
+        return self.control.rows(self.labels.index(label))
+
+    @property
+    def projectors(self) -> tuple:
+        """Span projector per label, on the source; built on request."""
+        return tuple(self.control.projector(k) for k in range(len(self.labels)))
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense measurement unitary; built on request."""
+        return self.control.unitary
 
     def flag_state(self, label) -> PureState:
         return PureState(self.flags[self.labels.index(label)])
@@ -310,6 +448,7 @@ def build_measurer(
                         f"non-orthogonal spans (overlap {overlap:.6g})"
                     )
     n = len(x.members)
+    recv = 0
     if target_dim is None:
         if flag_states is None:
             target_dim = n
@@ -325,6 +464,7 @@ def build_measurer(
             for j in range(i + 1, len(flags)):
                 if abs(np.vdot(u, flags[j])) > atol:
                     raise NotMeasurableError("flag states must be pairwise orthogonal")
+        maps = [_unitary_with_first_column(f) for f in flags]
     else:
         if target_dim < n:
             raise PreconditionError(
@@ -335,34 +475,25 @@ def build_measurer(
         if len(set(indices)) != n or any(k < 0 or k >= target_dim for k in indices):
             raise PreconditionError("labeling must assign distinct in-range flags")
         flags = [basis_state(target_dim, k).vector for k in indices]
-
-    source_dim = x.substrate.dim
-    recv = 0
-    projectors = []
-    total = np.zeros((source_dim, source_dim), dtype=complex)
-    for span in spans:
-        p = span.conj().T @ span
-        projectors.append(p)
-        total = total + p
-    unitary = np.zeros((source_dim * target_dim,) * 2, dtype=complex)
-    for p, flag in zip(projectors, flags):
-        t_k = _completion_unitary(np.asarray(flag), target_dim, recv)
-        unitary += np.kron(p, t_k)
-    rest = np.eye(source_dim) - total
-    if float(np.abs(rest).max()) > 1e-12:
-        unitary += np.kron(rest, np.eye(target_dim))
-    dev = float(np.abs(unitary.conj().T @ unitary - np.eye(source_dim * target_dim)).max())
-    if dev > 1e-9:
-        raise NotMeasurableError(f"measurer construction lost unitarity (deviation {dev:.3g})")
+        maps = [basis_swap(target_dim, recv, k) for k in indices]
     return MeasurerSpec(
-        source_dim=source_dim,
-        target_dim=target_dim,
         labels=x.labels,
-        projectors=tuple(projectors),
         flags=tuple(np.asarray(f) for f in flags),
-        unitary=unitary,
+        control=controlled_map(spans, maps, x.substrate.dim),
         receptive_index=recv,
     )
+
+
+def _receptive_weight(joint: State, factor: int, index: int) -> float:
+    """Weight of the joint state on basis state `index` of one factor."""
+    dims = joint.dims
+    if isinstance(joint, PureState):
+        amps = np.moveaxis(joint.vector.reshape(dims), factor, 0)[index]
+        return float(np.vdot(amps, amps).real)
+    n = len(dims)
+    block = np.moveaxis(joint.matrix.reshape(dims + dims), (factor, n + factor), (0, 1))
+    rest = joint.dim // dims[factor]
+    return float(np.trace(block[index, index].reshape(rest, rest)).real)
 
 
 def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0, 1)) -> State:
@@ -374,11 +505,9 @@ def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0,
             f"joint dims {dims} do not expose a ({m.source_dim},{m.target_dim}) "
             f"pair at factors {factors}"
         )
-    rho_t = partial_trace(joint, tgt_f)
-    recv = m.receptive_state()
-    if expectation(rho_t, np.outer(recv.vector, recv.vector.conj())) < 1.0 - tol():
+    if _receptive_weight(joint, tgt_f, m.receptive_index) < 1.0 - tol():
         raise ReceptiveStateError("target factor is not in the receptive state")
-    return apply_unitary(joint, m.unitary, factors=factors)
+    return m.control.apply(joint, factors)
 
 
 def intrinsic_part(joint: State, factor) -> MixedState:

@@ -142,22 +142,28 @@ def expectation(state: State, operator: np.ndarray) -> float:
 
 
 def partial_trace(state: State, keep, dims: tuple[int, ...] | None = None) -> MixedState:
-    """Reduced density matrix over the kept factors, in their given order."""
-    rho = state.density()
-    dims = tuple(dims) if dims is not None else rho.dims
-    if prod(dims) != rho.dim:
-        raise StateError(f"dims {dims} do not match state size {rho.dim}")
+    """Reduced density matrix over the kept factors, in their given order.
+
+    A pure state is contracted as psi psi* over the traced axes; its full
+    density matrix is never formed."""
+    dims = tuple(dims) if dims is not None else state.dims
+    if prod(dims) != state.dim:
+        raise StateError(f"dims {dims} do not match state size {state.dim}")
     keep = (keep,) if isinstance(keep, int) else tuple(keep)
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise StateError(f"keep={keep} out of range for {n} factors")
+    kept_dim = prod(dims[k] for k in keep)
+    if isinstance(state, PureState):
+        order = list(keep) + [k for k in range(n) if k not in keep]
+        psi = np.transpose(state.vector.reshape(dims), order).reshape(kept_dim, -1)
+        return MixedState(psi @ psi.conj().T, tuple(dims[k] for k in keep))
     letters = "abcdefghijklm"
     row = list(letters[:n])
     col = [letters[n + k] if k in keep else row[k] for k in range(n)]
     out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
     sub = "".join(row) + "".join(col) + "->" + out
-    tensor_form = rho.matrix.reshape(*dims, *dims)
-    kept_dim = prod(dims[k] for k in keep)
+    tensor_form = state.matrix.reshape(*dims, *dims)
     reduced = np.einsum(sub, tensor_form).reshape(kept_dim, kept_dim)
     return MixedState(reduced, tuple(dims[k] for k in keep))
 

@@ -1,8 +1,12 @@
 """Command line contract: printed bytes, exit codes, CSV determinism."""
 
+import json
+import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ctkit.cli import CSV_HEADER, RunReport, main, run_command
@@ -93,6 +97,49 @@ def test_predict_unknown_state_exits_two(capsys):
     code = main(["predict", QUBIT, "--observable", "X", "--state", "ghost"])
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def test_predict_counts_z_in_a_complex_basis(tmp_path, capsys):
+    # b0, b1, b2 is orthonormal but not closed under complex conjugation, so
+    # reading weights off the conjugate span would count the wrong members
+    b0 = np.array([1, 1j, 0]) / math.sqrt(2)
+    b1 = np.array([1, -1j, 1]) / math.sqrt(3)
+    b2 = np.array([1, -1j, -2]) / math.sqrt(6)
+    s = (b0 + b1) / math.sqrt(2)
+
+    def pairs(v):
+        return [[float(a.real), float(a.imag)] for a in v]
+
+    doc = {
+        "kind": "quantum", "id": "qutrit", "dimension": 3,
+        "states": {"b0": pairs(b0), "b1": pairs(b1), "b2": pairs(b2), "s": pairs(s)},
+        "attributes": {f"a{k}": {"kind": "set", "states": [f"b{k}"]} for k in range(3)},
+        "variables": {"X": [[k, f"a{k}"] for k in range(3)]},
+    }
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    report = run_command(["predict", str(path), "--observable", "X", "--state", "s"])
+    assert capsys.readouterr().out == (
+        "observable: X\nstate: s\nmembers of Z: 3\ncloning: impossible\n"
+        "predictor: impossible\nunpredictable: true\n")
+    assert report.exit_code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0.5", "nan", "inf", "0"])
+def test_bad_ct_tol_exits_two_without_a_traceback(value):
+    env = dict(os.environ, CT_TOL=value)
+    done = subprocess.run([sys.executable, "-m", "ctkit", "check-model", QUBIT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: CT_TOL=")
+    assert "Traceback" not in done.stderr
+
+
+def test_ct_tol_at_the_ceiling_is_accepted(monkeypatch, capsys):
+    monkeypatch.setenv("CT_TOL", "1e-3")
+    assert main(["check-model", QUBIT]) == 0
+    assert "superinformation: true" in capsys.readouterr().out
 
 
 def test_run_report_exit_code_tracks_verdicts():

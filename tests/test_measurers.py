@@ -1,0 +1,189 @@
+"""Structured measurers against dense reference operators, and the counting
+constructor at ensemble sizes a dense unitary could not reach."""
+
+import time
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ctkit import (
+    MixedState,
+    PureState,
+    SizeLimitError,
+    apply_measurer,
+    build_adder,
+    build_counting_constructor,
+    build_measurer,
+    extensional_attribute,
+    intrinsic_part,
+    quantum_substrate,
+    subspace_attribute,
+    tensor,
+    variable,
+)
+from ctkit.ensembles import COUNTING_JOINT_BYTES
+
+import measurer_oracle as oracle
+from conftest import basis_variable, state_variable
+
+RNG_SEED = 20150711
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def complex_basis_variable(rng, d, labels=None):
+    sub = quantum_substrate(f"c{d}", d)
+    u = random_unitary(rng, d)
+    labels = list(range(d)) if labels is None else labels
+    return state_variable(sub, [(label, PureState(u[:, k])) for k, label in enumerate(labels)])
+
+
+def basis_measurer(rng):
+    return build_measurer(complex_basis_variable(rng, 3))
+
+
+def partial_measurer(rng):
+    """Two labels in dimension 4: spans of rank 2 and 1 leave a one-dimensional rest."""
+    sub = quantum_substrate("q4", 4)
+    u = random_unitary(rng, 4)
+    pair = subspace_attribute(sub, (PureState(u[:, 0]), PureState(u[:, 1])))
+    single = extensional_attribute(sub, (PureState(u[:, 2]),))
+    return build_measurer(variable(sub, [("pair", pair), ("single", single)]))
+
+
+def flag_measurer(rng):
+    x = complex_basis_variable(rng, 2, labels=["a", "b"])
+    flags = random_unitary(rng, 4)
+    return build_measurer(x, flag_states={"a": PureState(flags[:, 1]),
+                                          "b": PureState(flags[:, 3])})
+
+
+def counting_measurer(rng):
+    x = complex_basis_variable(rng, 2, labels=["u", "v"])
+    return build_counting_constructor("v", 3, x)
+
+
+BUILDERS = {
+    "basis": basis_measurer,
+    "partial": partial_measurer,
+    "flags": flag_measurer,
+    "counting": counting_measurer,
+}
+
+
+def receptive_vector(rng, m, dims, factors):
+    """A random joint vector, entangled across every factor but the target,
+    whose target factor sits in the receptive state."""
+    psi = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    target = np.moveaxis(psi, factors[1], 0)
+    keep = target[m.receptive_index].copy()
+    target[...] = 0
+    target[m.receptive_index] = keep
+    return psi.reshape(-1) / np.linalg.norm(psi)
+
+
+def random_density(rng, vectors):
+    weights = rng.random(len(vectors))
+    weights /= weights.sum()
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors))
+
+
+def layouts(m):
+    """(dims, factors) placements: plain, reversed, and with a spectator."""
+    s, t = m.source_dim, m.target_dim
+    return [((s, t), (0, 1)), ((t, s), (1, 0)), ((s, 2, t), (0, 2))]
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_oracle_operator_is_unitary_and_matches_the_dense_view(kind):
+    m = BUILDERS[kind](np.random.default_rng(RNG_SEED))
+    dense = oracle.local_operator(m.control)
+    assert np.allclose(dense.conj().T @ dense, np.eye(dense.shape[0]), atol=1e-9)
+    assert np.allclose(m.unitary, dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_apply_agrees_with_the_oracle_on_pure_and_mixed_joints(kind):
+    rng = np.random.default_rng(RNG_SEED)
+    m = BUILDERS[kind](rng)
+    for dims, factors in layouts(m):
+        full = oracle.joint_operator(m.control, dims, factors)
+        vectors = [receptive_vector(rng, m, dims, factors) for _ in range(3)]
+        for vec in vectors:
+            out = apply_measurer(m, PureState(vec, dims), factors=factors)
+            assert out.dims == dims
+            assert np.allclose(out.vector, full @ vec, atol=1e-12)
+        rho = random_density(rng, vectors)
+        out = apply_measurer(m, MixedState(rho, dims), factors=factors)
+        assert np.allclose(out.matrix, full @ rho @ full.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_controlled_map_agrees_off_the_receptive_subspace(kind):
+    """The whole operator, not just its action on receptive targets."""
+    rng = np.random.default_rng(RNG_SEED + 1)
+    m = BUILDERS[kind](rng)
+    dims, factors = (m.source_dim, 2, m.target_dim), (0, 2)
+    full = oracle.joint_operator(m.control, dims, factors)
+    size = full.shape[0]
+    vectors = [v / np.linalg.norm(v) for v in
+               rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))]
+    out = m.control.apply(PureState(vectors[0], dims), factors)
+    assert np.allclose(out.vector, full @ vectors[0], atol=1e-12)
+    rho = random_density(rng, vectors)
+    out = m.control.apply(MixedState(rho, dims), factors)
+    assert np.allclose(out.matrix, full @ rho @ full.conj().T, atol=1e-12)
+
+
+def test_adder_dense_view_matches_the_oracle(qubit):
+    x = variable(qubit, [(0, extensional_attribute(qubit, (PureState([1, 0]),))),
+                         (1, extensional_attribute(qubit, (PureState([0, 1]),)))])
+    adder = build_adder(x, (0, 1, 2))
+    assert np.allclose(adder.unitary, oracle.local_operator(adder.control), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The counting constructor at scale
+
+
+def zero_counts(n):
+    """Number of 0 digits of each n-bit index, first replica most significant."""
+    return np.array([n - bin(s).count("1") for s in range(2 ** n)])
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_counting_constructor_flags_every_product_state(qubit, n):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    psi /= np.linalg.norm(psi)
+    started = time.perf_counter()
+    m = build_counting_constructor(0, n, basis_variable(qubit))
+    out = apply_measurer(m, tensor(PureState(psi), m.receptive_state()))
+    elapsed = time.perf_counter() - started
+    assert m.labels == tuple(Fraction(c, n) for c in range(n + 1))
+    expected = np.zeros((2 ** n, n + 1), dtype=complex)
+    expected[np.arange(2 ** n), zero_counts(n)] = psi
+    assert np.allclose(out.vector.reshape(2 ** n, n + 1), expected, atol=1e-12)
+    if n == 14:
+        assert elapsed < 1.0
+    weights = np.real(np.diag(intrinsic_part(out, 1).matrix))
+    assert weights.sum() == pytest.approx(1.0)
+
+
+def test_counting_guard_refuses_before_allocating(qubit):
+    x = basis_variable(qubit)
+    tracemalloc.start()
+    try:
+        for n in (18, 40):  # over the byte budget; over the product-state guard too
+            with pytest.raises(SizeLimitError):
+                build_counting_constructor(0, n, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert 16 * 2 ** 18 * 19 > COUNTING_JOINT_BYTES

@@ -300,6 +300,22 @@ def test_state_outside_the_span_is_no_mixture(qutrit, qutrit_model):
     assert report.evidence["span_sharpness_gap"] == pytest.approx(1.0)
 
 
+def test_complex_subspace_mixture_is_read_against_the_span_itself(qutrit, qutrit_model):
+    # span closure of h is span{(1, i, 0), e2}; its complex conjugate is not
+    a, b = normalized([1, 1j, 0]), basis_state(3, 2)
+    h = state_variable(qutrit, [("a", a), ("b", b)])
+    z = subspace_attribute(qutrit, (normalized(a.vector + b.vector),))
+    report = is_generalised_mixture(z, h, qutrit_model)
+    assert report.verdict
+    assert report.evidence["span_sharpness_gap"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bar_of_a_complex_state_is_its_orthogonal_complement(qubit, qubit_model):
+    y = extensional_attribute(qubit, [normalized([1, 1j])])
+    (rest,) = bar(y, qubit_model).basis
+    assert abs(np.vdot(normalized([1, -1j]).vector, rest.vector)) == pytest.approx(1.0)
+
+
 def test_classical_mixtures_are_only_trivial(bit, bit_model):
     x = basis_variable(bit)
     assert is_generalised_mixture(extensional_attribute(bit, [0]), x, bit_model).verdict

@@ -209,6 +209,17 @@ def test_measurer_in_rotated_basis(qubit):
     assert np.allclose(target.matrix, np.eye(2) / 2)
 
 
+def test_complex_basis_state_is_sharp_in_its_own_basis(qubit):
+    b0, b1 = ket(1, 1j), ket(1, -1j)
+    x = state_variable(qubit, [(0, b0), (1, b1)])
+    assert sharp_value(b0, x) == 0
+    assert sharp_value(b1, x) == 1
+    m = build_measurer(x)
+    for label, state in ((0, b0), (1, b1)):
+        out = apply_measurer(m, tensor(state, m.receptive_state()))
+        assert states_equal(out, tensor(state, m.flag_state(label)))
+
+
 def test_measurer_requires_orthogonal_spans(qubit):
     skewed = state_variable(qubit, [(0, basis_state(2, 0)), ("p", plus())])
     with pytest.raises(NotMeasurableError):
