@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
-import math
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ensembles import EXACT_DENOMINATOR_BOUND, deviant_weight
+from .ensembles import deviant_weight, exact_probabilities
 from .errors import CtError, DomainError, ModelSpecError
 from .games import check_decision_support, derive_value_mn, exact_game_value, render_trace
 from .kernel import QUANTUM, extensional_attribute, is_task_possible
@@ -160,12 +159,7 @@ def cmd_converge(args) -> tuple:
         raise DomainError(
             f"--amplitudes: squares sum to {float(total):.8f}, not 1"
         )
-    probs = [q / total for q in squared]
-    lcm = math.lcm(*(p.denominator for p in probs))
-    if lcm > EXACT_DENOMINATOR_BOUND:
-        probabilities: list = [float(p) for p in probs]
-    else:
-        probabilities = probs
+    probabilities = exact_probabilities(squared) or [float(q / total) for q in squared]
     lines = [CSV_HEADER]
     for n in sweep:
         row = deviant_weight(None, n, eps, probabilities=probabilities)

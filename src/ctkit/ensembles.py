@@ -1,9 +1,15 @@
 """Ensemble frequencies, exact deviant weights, and partitions of unity.
 
-The convergence computations run in exact rational arithmetic whenever the
-squared amplitudes are rational with reasonable denominators; only then do
-statements like "weight 352/1024 exactly" make sense.  Double precision is
-the fallback and is flagged on the row that used it.
+The convergence computations run in exact arithmetic whenever the squared
+amplitudes are rational and the lcm L of their denominators stays within
+EXACT_DENOMINATOR_BOUND (`exact_probabilities` makes that one decision for
+the CLI, the amplitude route and verify_E1_E2); only then do statements like
+"weight 352/1024 exactly" make sense.  An exact row is an integer numerator
+over the natural denominator L**N, computed in integers throughout.  Double
+precision is the fallback and is flagged on the row that used it; it sums
+weights in log space (lgamma), so it has no ceiling on N and never
+overflows.  Either way the walk visits every count vector once, and
+ENUMERATION_GUARD bounds how many there are.
 """
 from __future__ import annotations
 
@@ -111,28 +117,38 @@ def build_counting_constructor(x, n: int, basis: Variable,
 
 
 # ---------------------------------------------------------------------------
-# Exact deviant weights
+# Deviant weights
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One N of a convergence sweep; exact is None on the double fallback."""
+    """One N of a convergence sweep.
+
+    An exact row holds its deviant weight as numerator / natural_denominator,
+    where natural_denominator = L**N and L is the lcm of the probabilities'
+    denominators; both are None on the double fallback.
+    """
 
     n: int
     epsilon: Fraction
-    exact: Fraction | None
+    numerator: int | None
     approx: float
     natural_denominator: int | None = None
 
+    @property
+    def exact(self) -> Fraction | None:
+        if self.numerator is None:
+            return None
+        return Fraction(self.numerator, self.natural_denominator)
+
     def render_exact(self) -> str:
         """p/q over the natural denominator (unreduced) where it stays printable."""
-        if self.exact is None:
+        if self.numerator is None:
             return ""
-        dn = self.natural_denominator
-        if dn is not None and dn <= RENDER_DENOMINATOR_BOUND and dn % self.exact.denominator == 0:
-            num = self.exact.numerator * (dn // self.exact.denominator)
-            return f"{num}/{dn}"
-        return f"{self.exact.numerator}/{self.exact.denominator}"
+        if self.natural_denominator <= RENDER_DENOMINATOR_BOUND:
+            return f"{self.numerator}/{self.natural_denominator}"
+        exact = self.exact
+        return f"{exact.numerator}/{exact.denominator}"
 
 
 def _as_fraction(value) -> Fraction:
@@ -147,46 +163,61 @@ def _as_fraction(value) -> Fraction:
     raise DomainError(f"cannot read {value!r} as an exact number")
 
 
-def _normalized_probabilities(c) -> tuple[list[float], list[Fraction] | None]:
-    """Squared amplitudes, normalized; exact list only when denominators stay small."""
+def exact_probabilities(weights) -> list[Fraction] | None:
+    """Exact non-negative weights normalized to sum 1, or None for the double fallback.
+
+    This is the one exact-or-float decision of the convergence code: a sweep
+    stays exact while the lcm of the normalized denominators is at most
+    EXACT_DENOMINATOR_BOUND.
+    """
+    total = sum(weights)
+    probs = [Fraction(w) / total for w in weights]
+    if math.lcm(*(p.denominator for p in probs)) > EXACT_DENOMINATOR_BOUND:
+        return None
+    return probs
+
+
+def _normalized_probabilities(c) -> list:
+    """Squared amplitudes, normalized: exact Fractions when exact_probabilities
+    keeps them, floats otherwise (complex amplitudes are always floats)."""
     amps = list(c)
     if not amps:
         raise DomainError("need at least one amplitude")
-    exact_q: list[Fraction] | None = []
-    for a in amps:
-        if isinstance(a, complex):
-            exact_q = None
-            break
-        try:
-            exact_q.append(_as_fraction(a) ** 2)
-        except DomainError:
-            exact_q = None
-            break
     float_q = [abs(complex(a)) ** 2 for a in amps]
     total_f = sum(float_q)
     if abs(total_f - 1.0) > 1e-6:
         raise DomainError(f"amplitudes are not normalized (sum of squares {total_f:.8f})")
-    if exact_q is not None:
-        total = sum(exact_q)
-        probs = [q / total for q in exact_q]
-        lcm = 1
-        for p in probs:
-            lcm = lcm * p.denominator // math.gcd(lcm, p.denominator)
-            if lcm > EXACT_DENOMINATOR_BOUND:
-                exact_q = None
-                break
-        else:
-            return [float(p) for p in probs], probs
-    return [q / total_f for q in float_q], None
+    try:
+        probs = exact_probabilities([_as_fraction(a) ** 2 for a in amps])
+    except DomainError:
+        probs = None
+    return probs if probs is not None else [q / total_f for q in float_q]
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """Count vectors of `parts` entries summing to `total`, in lexicographic order.
+
+    Yields (level, counts), with counts one list updated in place.  The first
+    vector is (0, ..., 0, total), with level -1.  Every later one moves a
+    single unit from the last entry into entry `level`, starting from the
+    vector produced by the latest move into `level` or any entry before it
+    (the first vector if there was none); the entries strictly between
+    `level` and the last are zero at both ends of the move.
+    """
+    last = parts - 1
+    counts = [0] * parts
+    counts[last] = total
+    yield -1, counts
+    while True:
+        level = last - 1
+        while level >= 0 and counts[last] == 0:
+            counts[last], counts[level] = counts[level], 0
+            level -= 1
+        if level < 0:
+            return
+        counts[level] += 1
+        counts[last] -= 1
+        yield level, counts
 
 
 def deviant_weight(c, n: int, epsilon, probabilities=None,
@@ -197,61 +228,67 @@ def deviant_weight(c, n: int, epsilon, probabilities=None,
     weight of a count vector is the multinomial coefficient times the product
     of p_x^k_x.  probabilities may be passed directly (exact Fractions or
     floats), bypassing the amplitude route.
+
+    One walk over the count vectors serves both arithmetics.  Outcomes of
+    probability zero never occur and are dropped first.  Exact rows work in
+    integers over L**n with a_x = p_x*L: a count vector deviates when
+    eps.den * sum_x (k_x*L - n*a_x)^2 > eps.num * n^2 * L^2, and each weight
+    numerator follows from an earlier one by the multinomial recurrence, so
+    only O(d) big integers are live.  Double rows sum
+    exp(lgamma(n+1) - sum_x lgamma(k_x+1) + sum_x k_x log p_x), which stays
+    finite for every n.
     """
     eps = _as_fraction(epsilon)
-    if probabilities is not None:
-        probs = list(probabilities)
-        if all(isinstance(p, Fraction) for p in probs):
-            if sum(probs) != 1:
-                raise DomainError("exact probabilities must sum to 1")
-            exact_p: list[Fraction] | None = probs
-            float_p = [float(p) for p in probs]
-        else:
-            float_p = [float(p) for p in probs]
-            if abs(sum(float_p) - 1.0) > 1e-6:
-                raise DomainError("probabilities must sum to 1")
-            exact_p = None
+    probs = list(probabilities) if probabilities is not None else _normalized_probabilities(c)
+    exact = all(isinstance(p, Fraction) for p in probs)
+    if exact:
+        if sum(probs) != 1:
+            raise DomainError("exact probabilities must sum to 1")
     else:
-        float_p, exact_p = _normalized_probabilities(c)
-    d = len(float_p)
+        probs = [float(p) for p in probs]
+        if abs(sum(probs) - 1.0) > 1e-6:
+            raise DomainError("probabilities must sum to 1")
+    if any(p < 0 for p in probs):
+        raise DomainError("probabilities must be non-negative")
     if n < 1:
         raise DomainError("the ensemble must contain at least one replica")
-    if math.comb(n + d - 1, d - 1) > guard:
+    kept = [p for p in probs if p != 0]
+    last = len(kept) - 1
+    if math.comb(n + last, last) > guard:
         raise SizeLimitError("frequency-vector enumeration exceeds the guard")
 
-    if exact_p is not None:
-        deviant = Fraction(0)
-        total = Fraction(0)
-        for counts in _compositions(n, d):
-            coeff = math.factorial(n)
-            for k in counts:
-                coeff //= math.factorial(k)
-            weight = Fraction(coeff)
-            for k, p in zip(counts, exact_p):
-                weight *= p ** k
-            total += weight
-            delta = sum((Fraction(k, n) - p) ** 2 for k, p in zip(counts, exact_p))
-            if delta > eps:
-                deviant += weight
-        if total != 1:
-            raise DomainError("exact multinomial weights failed to sum to 1")
-        lcm = 1
-        for p in exact_p:
-            lcm = lcm * p.denominator // math.gcd(lcm, p.denominator)
-        return ConvergenceRow(n=n, epsilon=eps, exact=deviant,
-                              approx=float(deviant), natural_denominator=lcm ** n)
-
-    eps_f = float(eps)
-    deviant_f = 0.0
-    for counts in _compositions(n, d):
-        coeff = math.factorial(n)
-        for k in counts:
-            coeff //= math.factorial(k)
-        weight = coeff * math.prod(p ** k for k, p in zip(counts, float_p))
-        delta = sum((k / n - p) ** 2 for k, p in zip(counts, float_p))
-        if delta > eps_f:
-            deviant_f += weight
-    return ConvergenceRow(n=n, epsilon=eps, exact=None, approx=deviant_f)
+    if exact:
+        den = math.lcm(*(p.denominator for p in kept))
+        a = [p.numerator * (den // p.denominator) for p in kept]
+        bound = eps.numerator * n * n * den * den
+        weight = a[last] ** n
+        saved = [weight] * last  # the weight each level's next move starts from
+    else:
+        eps_f = float(eps)
+        logs = [math.log(p) for p in kept]
+        lg = [math.lgamma(k + 1) for k in range(n + 1)]
+    deviant = within = 0
+    for level, counts in _compositions(n, len(kept)):
+        if exact:
+            if level >= 0:
+                weight = saved[level] * (counts[last] + 1) * a[level] // (counts[level] * a[last])
+                saved[level:] = [weight] * (last - level)
+            spread = sum((k * den - n * ax) ** 2 for k, ax in zip(counts, a))
+            deviates = eps.denominator * spread > bound
+        else:
+            weight = math.exp(lg[n] + sum(k * lp - lg[k] for k, lp in zip(counts, logs)))
+            deviates = sum((k / n - p) ** 2 for k, p in zip(counts, kept)) > eps_f
+        if deviates:
+            deviant += weight
+        else:
+            within += weight
+    if not exact:
+        return ConvergenceRow(n=n, epsilon=eps, numerator=None, approx=float(deviant))
+    natural = den ** n
+    if deviant + within != natural:
+        raise DomainError("exact multinomial weights failed to sum to 1")
+    return ConvergenceRow(n=n, epsilon=eps, numerator=deviant, approx=deviant / natural,
+                          natural_denominator=natural)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +391,13 @@ def verify_E1_E2(z, x: Variable, n_sweep, epsilon,
     """Deviant weights along an N-sweep must shrink toward zero.
 
     The partition entries are snapped to small rationals when they are within
-    1e-12 of one, keeping the sweep on the exact path; ties in the sweep are
-    allowed (parity effects at small N produce plateaus).
+    1e-12 of one; the sweep is exact when exact_probabilities keeps them.
+    Ties in the sweep are allowed (parity effects at small N produce plateaus).
     """
     part = partition_of_unity(z, x)
     snapped = [_snap(float(v)) for _, v in part.items]
-    if all(s is not None for s in snapped):
-        drift = sum(snapped)
-        probabilities = list(snapped)
-        if drift != 1:
-            # distribute closure error onto the largest entry
-            probabilities[probabilities.index(max(probabilities))] += 1 - drift
-    else:
+    probabilities = exact_probabilities(snapped) if None not in snapped else None
+    if probabilities is None:
         probabilities = [float(v) for _, v in part.items]
     rows = []
     for n in sorted(int(n) for n in n_sweep):

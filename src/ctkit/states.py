@@ -13,8 +13,24 @@ from math import prod
 
 import numpy as np
 
-from .errors import StateError
+from .errors import SizeLimitError, StateError
 from .tolerance import tol
+
+# A dense density matrix (complex128, 16 bytes an entry) is refused above this
+# size; validating one holds a few such matrices at once.  256 MiB allows
+# dimension 4096.
+DENSITY_BYTES = 256 * 2 ** 20
+
+
+def _check_density_size(dim: int) -> None:
+    """Raise SizeLimitError, before anything is allocated, for a dim x dim
+    density matrix over the DENSITY_BYTES budget."""
+    needed = 16 * dim * dim
+    if needed > DENSITY_BYTES:
+        raise SizeLimitError(
+            f"a {dim} x {dim} density matrix needs {needed} bytes, over the "
+            f"budget of {DENSITY_BYTES}"
+        )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -46,6 +62,7 @@ class PureState:
         return self.vector.size
 
     def density(self) -> "MixedState":
+        _check_density_size(self.dim)
         return MixedState(np.outer(self.vector, self.vector.conj()), self.dims)
 
     def __repr__(self):
@@ -131,6 +148,7 @@ def tensor(a: State, b: State) -> State:
     dims = a.dims + b.dims
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.vector, b.vector), dims)
+    _check_density_size(a.dim * b.dim)
     return MixedState(np.kron(a.density().matrix, b.density().matrix), dims)
 
 

@@ -92,3 +92,12 @@ def multinomial_within(probabilities, n: int, epsilon) -> Fraction:
         if _squared_deviation(counts, ps, n) <= epsilon:
             total += _vector_weight(counts, ps)
     return total
+
+
+def deviation_margin(probabilities, n: int, epsilon) -> Fraction:
+    """Smallest distance between epsilon and the squared deviation of any count
+    vector; a float classifier can only be trusted where this is not tiny."""
+    ps = [Fraction(p) for p in probabilities]
+    epsilon = Fraction(epsilon)
+    return min(abs(_squared_deviation(counts, ps, n) - epsilon)
+               for counts in _count_vectors(len(ps), n))

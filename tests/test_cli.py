@@ -187,6 +187,18 @@ def test_converge_irrational_amplitudes_fall_back_to_floats(capsys):
     assert 0.0 <= float(approx) <= 1.0
 
 
+def test_converge_float_row_past_the_double_range_of_the_binomial(capsys):
+    # C(1100, 550) is past the largest double; the row used to die with OverflowError
+    code = main(["converge", "--amplitudes", "0.3,0.9539392014169456",
+                 "--N-sweep", "1100", "--epsilon", "0.02"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == CSV_HEADER
+    n, eps, exact, approx = lines[1].split(",")
+    assert (n, eps, exact) == ("1100", "0.02", "")
+    assert math.isfinite(float(approx)) and 0.0 <= float(approx) < 1e-20
+
+
 # ---------------------------------------------------------------------------
 # derive and decision-support reports
 

@@ -1,5 +1,6 @@
 """Frequencies, exact deviant weights, partitions of unity, E1/E2 sweeps."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +25,13 @@ from ctkit import (
     intrinsic_partition_preserved,
     normalized,
     partition_of_unity,
+    quantum_substrate,
     tensor,
     variable,
     verify_E1_E2,
 )
-from ctkit.ensembles import PartitionOfUnity
+from ctkit.cli import main
+from ctkit.ensembles import PartitionOfUnity, exact_probabilities
 from ctkit.quantum import apply_measurer
 
 import oracle
@@ -247,6 +250,24 @@ def test_skew_state_sweep_matches_oracle(qubit):
     assert report.rows[2].approx < report.rows[1].approx < report.rows[0].approx
 
 
+def test_one_exact_or_float_decision_for_cli_and_sweep(capsys):
+    # every denominator is at most 10**6 but their lcm 2*1009*1013 is not, so
+    # the CLI and verify_E1_E2 both fall back to doubles
+    probs = [Fraction(1, 1009), Fraction(1007, 2018), Fraction(1, 1013), Fraction(1011, 2026)]
+    assert sum(probs) == 1 and exact_probabilities(probs) is None
+    assert exact_probabilities(probs[:2] + [Fraction(1, 2)]) == probs[:2] + [Fraction(1, 2)]
+    tokens = ",".join(f"sqrt({p})" for p in probs)
+    assert main(["converge", "--amplitudes", tokens, "--N-sweep", "8,16",
+                 "--epsilon", "1/30"]) == 0
+    cli_rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    report = verify_E1_E2(ket(*(float(p) ** 0.5 for p in probs)),
+                          basis_variable(quantum_substrate("q4", 4)), [8, 16], "1/30",
+                          final_bound=1.0)
+    for (_, _, exact_text, approx_text), row in zip(cli_rows, report.rows):
+        assert exact_text == "" and row.exact is None
+        assert row.approx == pytest.approx(float(approx_text), rel=1e-9)
+
+
 def test_sweep_detects_final_bound_failure(qubit):
     report = verify_E1_E2(plus(), basis_variable(qubit), [10, 20], EPS)
     assert report.monotone
@@ -296,6 +317,48 @@ def test_deviant_and_within_partition_unity(raw, n, eps):
     if row.exact is None:
         return  # denominator bound tripped; nothing exact to check
     assert row.exact + oracle.multinomial_within(probs, n, eps) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.lists(st.integers(min_value=0, max_value=9), min_size=d, max_size=d)
+    ).filter(any),
+    st.integers(min_value=1, max_value=12),
+    epsilon_st,
+)
+def test_exact_and_float_rows_match_the_fraction_oracle(raw, n, eps):
+    # zero entries are allowed: those outcomes never occur
+    probs = [Fraction(q, sum(raw)) for q in raw]
+    deviant = oracle.multinomial_deviant(probs, n, eps)
+    row = deviant_weight(None, n, eps, probabilities=probs)
+    assert row.exact == deviant
+    assert row.exact + oracle.multinomial_within(probs, n, eps) == 1
+    assert row.natural_denominator % deviant.denominator == 0
+    # doubles cannot classify a count vector whose deviation ties with epsilon
+    if oracle.deviation_margin(probs, n, eps) > Fraction(1, 10 ** 9):
+        approx = deviant_weight(None, n, eps, probabilities=[float(p) for p in probs]).approx
+        assert approx == pytest.approx(float(deviant), rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1_000, 10_000, 100_000])
+def test_float_rows_stay_under_the_hoeffding_ceiling(n):
+    # a deviation past eps puts some |k_x/n - p_x| past sqrt(eps/d); Hoeffding
+    # (1963) bounds each such tail by 2 exp(-2 n eps/d), and there are d of them
+    d, p = 2, 1 / np.sqrt(5)
+    for eps in (0.02, 3 / n, 10 / n):  # the ceiling is 0.2 and 1.8e-4 at the last two
+        approx = deviant_weight(None, n, eps, probabilities=[p, 1 - p]).approx
+        assert math.isfinite(approx)
+        assert 0.0 <= approx <= 2 * d * math.exp(-2 * n * eps / d)
+
+
+def test_float_row_matches_the_exact_row_past_the_double_range():
+    # C(5000, 1500) is far past the largest double; the log-space weights are not
+    n, eps, probs = 5_000, Fraction(1, 47), [Fraction(3, 10), Fraction(7, 10)]
+    assert oracle.deviation_margin(probs, n, eps) > Fraction(1, 10 ** 9)
+    exact = deviant_weight(None, n, eps, probabilities=probs)
+    approx = deviant_weight(None, n, eps, probabilities=[0.3, 0.7]).approx
+    assert 0.0 < approx == pytest.approx(exact.approx, rel=1e-9)
 
 
 @given(st.integers(min_value=1, max_value=40))

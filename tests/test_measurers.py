@@ -24,6 +24,7 @@ from ctkit import (
     variable,
 )
 from ctkit.ensembles import COUNTING_JOINT_BYTES
+from ctkit.states import DENSITY_BYTES
 
 import measurer_oracle as oracle
 from conftest import basis_variable, state_variable
@@ -187,3 +188,22 @@ def test_counting_guard_refuses_before_allocating(qubit):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert 16 * 2 ** 18 * 19 > COUNTING_JOINT_BYTES
+
+
+def test_density_guard_refuses_the_counting_joint_before_allocating(qubit):
+    # 2**11 x 12 = 24576 amplitudes: the joint itself is within the counting
+    # budget, but its density matrix would take 9 GiB
+    m = build_counting_constructor(0, 11, basis_variable(qubit))
+    joint = tensor(PureState(np.full(2 ** 11, 2 ** -5.5)), m.receptive_state())
+    assert joint.dim == 24576
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="density matrix"):
+            joint.density()
+        with pytest.raises(SizeLimitError, match="density matrix"):
+            tensor(MixedState(np.eye(2) / 2), joint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert 16 * 4096 ** 2 <= DENSITY_BYTES < 16 * 24576 ** 2
