@@ -4,8 +4,11 @@ A task is treated as a demand on a choice function: every state of every
 input attribute must be sent into the matching output attribute.  Without
 side effects the chosen map must extend to a permutation of the substrate
 joined with a fixed-state ancilla, which for finite universes comes down to
-injectivity of the choice.  With side effects the ancilla may absorb the
-input as garbage, so any choice function at all will do.
+injectivity of the choice: a bipartite matching of input states to output
+states, found by augmenting paths (Hall 1935).  When none exists the failed
+search names a set of inputs with fewer outputs between them.  With side
+effects the ancilla may absorb the input as garbage, so any choice function
+at all will do.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .kernel import (
 )
 
 BACKEND = "classical"
+_DONE = object()  # end of an input's options
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ def _flat_inputs(task: Task):
 
 
 def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
-    """Decide a classical task exactly by choice-function search."""
+    """Decide a classical task exactly: by bipartite matching without side effects."""
     demands = _flat_inputs(task)
     outs = [tuple(attr_out.states) for _, attr_out in task.pairs]
 
@@ -78,32 +82,16 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
             POSSIBLE,
             witness={"assignment": assignment, "garbage": garbage, "ancilla_states": ancilla_used},
             backend=BACKEND,
+            nodes=len(demands),
         )
 
-    # Without side effects: search for an injective choice function.
-    # Order the demands by how few output options they have, then backtrack.
-    order = sorted(range(len(demands)), key=lambda k: len(outs[demands[k][1]]))
-    assignment: dict = {}
-    used: set = set()
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        state, idx = demands[order[pos]]
-        for target in outs[idx]:
-            if target in used:
-                continue
-            assignment[state] = target
-            used.add(target)
-            if backtrack(pos + 1):
-                return True
-            used.discard(target)
-            del assignment[state]
-        return False
-
-    if backtrack(0):
+    # Without side effects: an injective choice is a matching of every input.
+    owner, stuck, nodes = _match([outs[idx] for _, idx in demands])
+    if stuck is None:
+        target = {u: t for t, u in owner.items()}
+        assignment = {state: target[u] for u, (state, _) in enumerate(demands)}
         return PossibilityVerdict(
-            POSSIBLE, witness={"assignment": dict(assignment)}, backend=BACKEND
+            POSSIBLE, witness={"assignment": assignment}, backend=BACKEND, nodes=nodes
         )
 
     n_in = len(demands)
@@ -114,8 +102,57 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
             f"{distinct_out} distinct output states"
         )
     else:
-        certificate = "no injective choice function exists for this task"
-    return PossibilityVerdict(IMPOSSIBLE, certificate=certificate, backend=BACKEND)
+        inputs, reached = stuck
+        certificate = (
+            f"no injective choice function: the {len(inputs)} input states "
+            f"{[demands[u][0] for u in inputs]!r} reach only the {len(reached)} "
+            f"output states {reached!r}"
+        )
+    return PossibilityVerdict(IMPOSSIBLE, certificate=certificate, backend=BACKEND, nodes=nodes)
+
+
+def _match(options):
+    """Match every input u to a distinct output from options[u] (Kuhn's method).
+
+    Inputs are placed in order.  Each placement is an iterative depth-first
+    search for an augmenting path: an input tries its options in order, and
+    an output already held sends the search on to its holder.  Every input
+    is entered at most once per search, so the whole costs O(V*E) edge looks.
+
+    Returns (owner, stuck, nodes): owner maps each matched output to its
+    input; stuck is None when every input is placed, and otherwise (inputs,
+    outputs) reached by the search that failed.  Each of those outputs is
+    held by one of those inputs and the root holds none, so the outputs are
+    fewer: a violation of Hall's condition.  nodes counts the edges looked at.
+    """
+    owner: dict = {}
+    nodes = 0
+    for root in range(len(options)):
+        reached = {}  # outputs met by this search, in order, with their holders
+        stack = [(root, iter(options[root]))]
+        via = []  # via[i]: the output that led from stack[i] to stack[i + 1]
+        while stack:
+            u, todo = stack[-1]
+            t = next(todo, _DONE)
+            if t is _DONE:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            nodes += 1
+            if t in reached:
+                continue
+            reached[t] = owner.get(t)
+            if reached[t] is None:
+                # augment: every input on the stack moves to the output after it
+                for (v, _), out in zip(stack, via + [t]):
+                    owner[out] = v
+                break
+            stack.append((reached[t], iter(options[reached[t]])))
+            via.append(t)
+        else:
+            return owner, (sorted([root, *reached.values()]), list(reached)), nodes
+    return owner, None, nodes
 
 
 def _witness_ok(task: Task, witness) -> bool:

@@ -139,6 +139,16 @@ class Subspace:
                     raise StateError("subspace basis is not orthonormal")
 
 
+def _has_repeat(states) -> bool:
+    """Whether two of the states are equal up to phase."""
+    if all(isinstance(s, PureState) for s in states):
+        # one row of overlaps at a time: |<s_i|s_j>| ~ 1 is a repeat
+        vecs, atol = np.array([s.vector for s in states]), tol()
+        return any(np.abs(vecs[i + 1:] @ vecs[i].conj()).max() >= 1.0 - atol
+                   for i in range(len(vecs) - 1))
+    return any(states_equal(s, r) for i, s in enumerate(states) for r in states[i + 1:])
+
+
 @dataclass(frozen=True)
 class Attribute:
     """A set of states of one substrate."""
@@ -170,10 +180,8 @@ class Attribute:
                         raise RepresentationError("quantum attribute states must be PureState or MixedState")
                     if s.dim != self.substrate.dim:
                         raise StateError("state dimension does not match substrate")
-                for i, s in enumerate(rep.states):
-                    for r in rep.states[i + 1:]:
-                        if states_equal(s, r):
-                            raise StateError("duplicate states in attribute (up to phase)")
+                if len(rep.states) > 1 and _has_repeat(rep.states):
+                    raise StateError("duplicate states in attribute (up to phase)")
 
     @property
     def is_subspace(self) -> bool:
@@ -435,6 +443,10 @@ class Task:
                 if attr.substrate.kind != self.substrate.kind or attr.substrate.size() != self.substrate.size():
                     raise InvalidCompositionError("task attribute on a different substrate")
         ins = [p[0] for p in self.pairs]
+        if self.substrate.kind == CLASSICAL:
+            labels = [s for a in ins for s in a.states]
+            if len(set(labels)) == len(labels):
+                return  # no label repeats, so no pair of inputs can overlap
         for i, a in enumerate(ins):
             for b in ins[i + 1:]:
                 ok, witness = attributes_disjoint(a, b)
@@ -484,6 +496,7 @@ class PossibilityVerdict:
     witness: Any = None
     certificate: str | None = None
     backend: str = ""
+    nodes: int = 0  # search nodes the oracle visited
 
     def __post_init__(self):
         if self.status not in (POSSIBLE, IMPOSSIBLE, UNKNOWN):

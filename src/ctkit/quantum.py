@@ -6,13 +6,17 @@ some choice of output states reproduces the input Gram matrix entrywise.
 With side effects an ancilla may soak up the difference: the task is possible
 iff the entrywise ratio of input to output overlaps can be completed to a
 positive semidefinite matrix with unit diagonal (the Gram matrix of the
-garbage states).  Forced entries decide most cases outright; when only the
-free entries are in doubt the oracle says so instead of guessing.
+garbage states; Chefles, Jozsa and Winter, quant-ph/0307227).  Forced
+entries decide most cases outright, a fully forced matrix that is not PSD
+with its negative eigenvector as the certificate; when only the free
+entries are in doubt the oracle says so instead of guessing.  The choices
+of output are searched input by input against one Gram matrix of all
+candidates, and a partial choice is dropped as soon as one pair of its
+inputs fails.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -113,10 +117,30 @@ def _pure_states_of(attr: Attribute):
     return attr.states
 
 
+def _ratio_bad(g_in: np.ndarray, g_out: np.ndarray, atol: float) -> np.ndarray:
+    """Entrywise, whether a pair of inputs rules out every garbage state.
+
+    The test `_ratio_matrix` makes of one pair, on arrays of overlaps: where
+    the outputs overlap the garbage overlap is forced to g_in / g_out, which
+    no unit vectors can carry once it exceeds 1; where they are orthogonal
+    the inputs must be orthogonal too.
+    """
+    forced = np.abs(g_out) > atol
+    ratio = g_in / np.where(forced, g_out, 1)
+    return np.where(forced, np.abs(ratio) > 1.0 + atol, np.abs(g_in) > atol)
+
+
 def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
     """Forced completion of the garbage Gram matrix, or the reason none exists.
 
-    Returns (status, matrix_or_none, certificate, had_free_entries).
+    Returns (status, matrix_or_none, certificate).  The pairs are tested in
+    row order, one at a time, which is cheapest for the few inputs of most
+    tasks; the first that rules out every garbage state makes the task
+    impossible.  With no entry free the matrix is fully determined, so a
+    negative eigenvalue makes the task impossible too, and the certificate
+    gives the eigenvector v, for which v^dag M v < 0.  When free entries
+    remain only their zero completion has been tried, and a negative
+    eigenvalue leaves the verdict open.
     """
     n = g_in.shape[0]
     a = np.eye(n, dtype=complex)
@@ -131,97 +155,174 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
                         f"inputs {i},{j}: garbage overlap ratio |{ratio:.6g}| "
                         "exceeds 1, no unit vectors can carry it"
                     )
-                    return IMPOSSIBLE, None, cert, free
+                    return IMPOSSIBLE, None, cert
                 a[i, j], a[j, i] = ratio, np.conj(ratio)
             elif abs(gi) > atol:
                 cert = (
                     f"inputs {i},{j}: outputs are orthogonal but inputs "
                     f"overlap by {abs(gi):.6g}"
                 )
-                return IMPOSSIBLE, None, cert, free
+                return IMPOSSIBLE, None, cert
             else:
                 free = True  # both overlaps vanish; entry left at zero
-    if float(np.linalg.eigvalsh(a).min()) < -atol:
+    if n and float(np.linalg.eigvalsh(a).min()) < -atol:
         if free:
-            cert = "zero completion of the garbage Gram matrix is not PSD"
-            return UNKNOWN, a, cert, free
-        cert = "forced garbage Gram matrix is not PSD"
-        return UNKNOWN, a, cert, free
-    return POSSIBLE, a, None, free
+            return UNKNOWN, a, "zero completion of the garbage Gram matrix is not PSD"
+        vals, vecs = np.linalg.eigh(a)
+        # phase fixed by the first sizeable entry, rounding noise dropped
+        v = vecs[:, 0]
+        lead = v[np.argmax(np.abs(v) >= 0.5 * np.abs(v).max())]
+        v = np.round(v * (abs(lead) / lead), 12) + 0.0
+        entries = ", ".join(f"{z:.12g}" for z in v)
+        cert = (
+            f"forced garbage Gram matrix is not PSD: eigenvalue {vals[0]:.6g} "
+            f"with eigenvector v = [{entries}], so v^dag M v < 0"
+        )
+        return IMPOSSIBLE, a, cert
+    return POSSIBLE, a, None
 
 
 def _task_demands(task: Task):
-    ins, outs = [], []
+    """Input states in task order, the candidate output states, and per input
+    the candidate indices it may take (one block of candidates per pair)."""
+    ins, cands, options = [], [], []
     for attr_in, attr_out in task.pairs:
         out_states = _pure_states_of(attr_out)
+        block = list(range(len(cands), len(cands) + len(out_states)))
+        cands.extend(out_states)
         for s in _pure_states_of(attr_in):
             ins.append(s)
-            outs.append(out_states)
-    return ins, outs
+            options.append(block)
+    return ins, cands, options
+
+
+def _full_check(g_in: np.ndarray, g_out: np.ndarray, side_effects: bool, atol: float):
+    """(status, garbage Gram or None, certificate) of one full choice of outputs."""
+    if side_effects:
+        return _ratio_matrix(g_in, g_out, atol)
+    diff = np.abs(g_in - g_out)
+    if not diff.size or float(diff.max()) <= atol:
+        return POSSIBLE, None, None
+    i, j = divmod(int(diff.argmax()), len(g_in))
+    cert = (
+        f"no choice preserves the Gram matrix; e.g. inputs {i},{j} "
+        f"need overlap {g_in[i, j]:.6g} but outputs give {g_out[i, j]:.6g}"
+    )
+    return IMPOSSIBLE, None, cert
+
+
+def _choice_search(g_in: np.ndarray, g_cand: np.ndarray, options, pair_bad, accept) -> int:
+    """Depth-first search over the output choices, in product order.
+
+    Input k takes one candidate from options[k].  All its options are tested
+    at once against the candidates already taken by inputs j < k, and an
+    option is dropped when pair_bad flags one of those pairs.  accept(choice,
+    taken) is asked about every full choice that survives, and ends the
+    search by returning true; it must reject any choice with a pair that
+    pair_bad flags.  Once every input left has a single option the one full
+    choice below is handed to accept untested.  Returns the nodes visited,
+    one per option.  The stack is explicit, so any number of inputs will do.
+    """
+    n = len(options)
+    if n == 0:
+        accept((), [])
+        return 0
+    settled = n  # inputs from here on have one option each
+    while settled and len(options[settled - 1]) == 1:
+        settled -= 1
+    choice, taken = [0] * n, [0] * n  # option position and candidate per input
+    nodes = 0
+
+    def expand(k):
+        nonlocal nodes
+        opts = options[k]
+        nodes += len(opts)
+        if k == 0 or k >= settled:
+            return list(range(len(opts)))[::-1]
+        bad = pair_bad(g_in[:k, k, None], g_cand[taken[:k]][:, opts]).any(axis=0)
+        return np.flatnonzero(~bad)[::-1].tolist()  # popped from the end: first option first
+
+    alive = [expand(0)]  # per depth, the surviving options not yet taken
+    while alive:
+        k = len(alive) - 1
+        if not alive[k]:
+            alive.pop()
+            continue
+        pos = alive[k].pop()
+        choice[k], taken[k] = pos, options[k][pos]
+        if k + 1 < n:
+            alive.append(expand(k + 1))
+        elif accept(tuple(choice), taken):
+            break
+    return nodes
 
 
 def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict:
-    """Exact possibility of a finite quantum task, by Gram comparison."""
+    """Exact possibility of a finite quantum task, by a pruned choice search.
+
+    Each full choice of outputs is decided by `_full_check` on the Gram
+    matrix of the chosen states.  A partial choice is abandoned as soon as
+    one pair of inputs fails, on the Gram matrix of all candidates, the
+    pairwise test that check makes of it, since every full choice below
+    fails too; the first full choice accepted is the one plain enumeration
+    in product order would have met first.
+    """
     atol = tol()
-    ins, outs = _task_demands(task)
+    ins, cands, options = _task_demands(task)
     total = 1
-    for options in outs:
-        total *= len(options)
+    for opts in options:
+        total *= len(opts)
         if total > model.assignment_guard:
             raise SizeLimitError(
                 f"choice-function space exceeds the guard of {model.assignment_guard}"
             )
     g_in = gram(ins).matrix
+    g_cand = gram(cands).matrix if total > 1 else None  # one choice: nothing to prune
 
-    first_cert = None
-    saw_unknown = None
-    for choice in itertools.product(*(range(len(o)) for o in outs)):
-        chosen = [outs[k][c] for k, c in enumerate(choice)]
-        g_out = gram(chosen).matrix
-        if not task.side_effects:
-            dev = float(np.abs(g_in - g_out).max()) if len(ins) else 0.0
-            if dev <= atol:
-                return PossibilityVerdict(
-                    POSSIBLE, witness={"choice": choice}, backend=BACKEND
-                )
-            if first_cert is None:
-                i, j = divmod(int(np.abs(g_in - g_out).argmax()), len(ins))
-                first_cert = (
-                    f"no choice preserves the Gram matrix; e.g. inputs {i},{j} "
-                    f"need overlap {g_in[i, j]:.6g} but outputs give {g_out[i, j]:.6g}"
-                )
-            continue
-        status, a, cert, _ = _ratio_matrix(g_in, g_out, atol)
-        if status == POSSIBLE:
-            return PossibilityVerdict(
-                POSSIBLE, witness={"choice": choice, "garbage_gram": a}, backend=BACKEND
-            )
-        if status == UNKNOWN:
-            saw_unknown = cert
-        elif first_cert is None:
+    def pair_bad(gi, go):
+        if task.side_effects:
+            return _ratio_bad(gi, go, atol)
+        return np.abs(gi - go) > atol
+
+    found, unknown, first_cert = None, None, None
+
+    def accept(choice, taken):
+        nonlocal found, unknown, first_cert
+        g_out = gram([cands[r] for r in taken]).matrix
+        status, a, cert = _full_check(g_in, g_out, task.side_effects, atol)
+        if not any(choice):
             first_cert = cert
-    if saw_unknown is not None:
-        return PossibilityVerdict(UNKNOWN, certificate=saw_unknown, backend=BACKEND)
-    return PossibilityVerdict(IMPOSSIBLE, certificate=first_cert, backend=BACKEND)
+        if status == POSSIBLE:
+            found = {"choice": choice, "garbage_gram": a} if task.side_effects else {"choice": choice}
+        elif status == UNKNOWN:
+            unknown = cert
+        return found is not None
+
+    nodes = _choice_search(g_in, g_cand, options, pair_bad, accept)
+    if found is not None:
+        return PossibilityVerdict(POSSIBLE, witness=found, backend=BACKEND, nodes=nodes)
+    if unknown is not None:
+        return PossibilityVerdict(UNKNOWN, certificate=unknown, backend=BACKEND, nodes=nodes)
+    # every full choice fails; the first one's reason certifies it
+    cert = first_cert
+    if cert is None:
+        g_out = gram([cands[opts[0]] for opts in options]).matrix
+        cert = _full_check(g_in, g_out, task.side_effects, atol)[2]
+    return PossibilityVerdict(IMPOSSIBLE, certificate=cert, backend=BACKEND, nodes=nodes)
 
 
 def _witness_ok(task: Task, witness) -> bool:
     if not isinstance(witness, dict) or "choice" not in witness:
         return False
-    atol = tol()
-    ins, outs = _task_demands(task)
+    ins, cands, options = _task_demands(task)
     choice = witness["choice"]
     if len(choice) != len(ins):
         return False
     try:
-        chosen = [outs[k][c] for k, c in enumerate(choice)]
+        chosen = [cands[options[k][c]] for k, c in enumerate(choice)]
     except IndexError:
         return False
-    g_in = gram(ins).matrix
-    g_out = gram(chosen).matrix
-    if not task.side_effects:
-        return float(np.abs(g_in - g_out).max()) <= atol
-    status, _, _, _ = _ratio_matrix(g_in, g_out, atol)
+    status, _, _ = _full_check(gram(ins).matrix, gram(chosen).matrix, task.side_effects, tol())
     return status == POSSIBLE
 
 

@@ -16,6 +16,8 @@ from ctkit import (
     task,
 )
 
+from possibility_oracle import hall_violator
+
 
 def attr(sub, *labels):
     return extensional_attribute(sub, labels)
@@ -79,6 +81,52 @@ def test_assignment_guard_trips():
     t = task(sub, [(everything, everything)], side_effects=True)
     with pytest.raises(SizeLimitError):
         is_task_possible(t, ClassicalModel(sub, assignment_guard=10))
+
+
+def test_pigeonhole_matching_visits_at_most_inputs_times_edges():
+    sub = classical_substrate("pigeons", [f"a{i}" for i in range(10)] + [f"b{i}" for i in range(9)])
+    holes = attr(sub, *(f"b{i}" for i in range(9)))
+    t = task(sub, [(attr(sub, f"a{i}"), holes) for i in range(10)])
+    verdict = is_task_possible(t, ClassicalModel(sub, assignment_guard=10**12))
+    assert verdict.status == IMPOSSIBLE
+    assert "10 input states compete for 9" in verdict.certificate
+    assert 0 < verdict.nodes <= 10 * (10 * 9)
+
+
+def test_failed_matching_names_a_hall_violator(light):
+    # three inputs, three outputs in all, but red and amber share one
+    t = task(light, [(attr(light, "red", "amber"), attr(light, "off")),
+                     (attr(light, "green"), attr(light, "red", "amber"))])
+    verdict = is_task_possible(t, ClassicalModel(light))
+    assert verdict.status == IMPOSSIBLE
+    inputs, reach = hall_violator(t, verdict.certificate)
+    assert sorted(inputs) == ["amber", "red"] and reach == {"off"}
+    assert len(reach) < len(inputs)
+
+
+def test_two_thousand_single_option_inputs():
+    n = 2000
+    sub = classical_substrate("wide", [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)])
+    t = task(sub, [(attr(sub, f"a{i}"), attr(sub, f"b{(7 * i) % n}")) for i in range(n)])
+    model = ClassicalModel(sub)
+    verdict = is_task_possible(t, model)
+    assert verdict.status == POSSIBLE
+    assert replay_witness(t, model, verdict)
+
+
+def test_augmenting_path_through_every_input():
+    # inputs 0..n-1 take b_i first; input n only fits b_0, and every other
+    # input moves one place along: one augmenting path of length n
+    n = 1500
+    sub = classical_substrate("chain", [f"a{i}" for i in range(n + 1)] + [f"b{i}" for i in range(n + 1)])
+    pairs = [(attr(sub, f"a{i}"), attr(sub, f"b{i}", f"b{i + 1}")) for i in range(n)]
+    pairs.append((attr(sub, f"a{n}"), attr(sub, "b0")))
+    t = task(sub, pairs)
+    model = ClassicalModel(sub, assignment_guard=10**1000)
+    verdict = is_task_possible(t, model)
+    assert verdict.status == POSSIBLE
+    assert verdict.witness["assignment"][f"a{n}"] == "b0"
+    assert replay_witness(t, model, verdict)
 
 
 def test_tampered_witness_rejected(bit, bit_model):

@@ -154,9 +154,12 @@ def test_orthogonal_outputs_for_overlapping_inputs_impossible(qubit, qubit_model
 
 
 def test_free_entries_can_leave_the_verdict_open(qubit, qubit_model):
-    # Swap the basis while fixing both diagonal states: the forced garbage
-    # overlaps are inconsistent, but two entries stay free, so the oracle
-    # refuses to rule.
+    # Swap the basis while fixing both diagonal states.  The forced garbage
+    # overlaps are M02 = M12 = 1 and M03 = M13 = -1; M01 and M23 stay free.
+    # Their zero completion is not PSD, yet M01 = 1, M23 = -1 completes M to
+    # a rank-one Gram matrix with G_in = G_out o M, so the task is possible.
+    # The specified entries form a 4-cycle, which is not chordal, and the
+    # oracle leaves the verdict open rather than guess.
     t = task(
         qubit,
         [
@@ -171,6 +174,54 @@ def test_free_entries_can_leave_the_verdict_open(qubit, qubit_model):
     assert verdict.status == UNKNOWN
     assert "PSD" in verdict.certificate
     assert not replay_witness(t, qubit_model, verdict)
+
+
+def test_forced_garbage_gram_that_is_not_psd_is_impossible():
+    # Inputs with pairwise overlap 1/2 onto (1,0,0), (1/2, +-sqrt3/2, 0):
+    # every garbage overlap is forced, and the forced matrix is not PSD.
+    sub = quantum_substrate("q3", 3)
+    g = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+    ins = [normalized(row) for row in np.linalg.cholesky(g)]
+    outs = [normalized(v) for v in ([1, 0, 0], [0.5, np.sqrt(3) / 2, 0], [0.5, -np.sqrt(3) / 2, 0])]
+    t = task(sub, [(single(sub, a), single(sub, b)) for a, b in zip(ins, outs)], side_effects=True)
+    model = QuantumModel(sub)
+    verdict = is_task_possible(t, model)
+    assert verdict.status == IMPOSSIBLE
+    assert not replay_witness(t, model, verdict)
+    # replay the certificate: M = G_in / G_out entrywise, and v^dag M v < 0
+    text = verdict.certificate.split("v = [", 1)[1].split("]", 1)[0]
+    v = np.array([complex(z) for z in text.split(", ")])
+    m = np.array([[np.vdot(ins[i].vector, ins[j].vector) / np.vdot(outs[i].vector, outs[j].vector)
+                   for j in range(3)] for i in range(3)])
+    assert np.vdot(v, m @ v).real < -0.5
+
+
+def test_overlapping_inputs_onto_a_basis_prune_at_the_second_input():
+    # 4**8 choices, none keeping the overlaps: the first pair of inputs
+    # already fails for every pick, so 4 + 16 nodes decide it
+    rng = np.random.default_rng(7)
+    sub = quantum_substrate("q4", 4)
+    basis = extensional_attribute(sub, [basis_state(4, k) for k in range(4)])
+    t = task(sub, [(single(sub, random_ket(4, rng)), basis) for _ in range(8)])
+    verdict = is_task_possible(t, QuantumModel(sub))
+    assert verdict.status == IMPOSSIBLE
+    assert "Gram" in verdict.certificate
+    assert 0 < verdict.nodes <= 4 + 16
+
+
+def test_two_thousand_single_option_inputs():
+    # The search keeps its own stack, 2000 deep, and meets no recursion
+    # limit; the last input overlaps the others while its output is
+    # orthogonal to theirs.
+    sub = quantum_substrate("qubit", 2)
+    angles = np.linspace(0, np.pi / 2, 2000)[:-1]
+    fan = extensional_attribute(sub, [normalized([np.cos(a), np.sin(a)]) for a in angles])
+    one = single(sub, basis_state(2, 1))
+    t = task(sub, [(fan, single(sub, basis_state(2, 0))), (one, one)], side_effects=True)
+    verdict = is_task_possible(t, QuantumModel(sub))
+    assert verdict.status == IMPOSSIBLE
+    assert verdict.nodes == 2000
+    assert verdict.certificate.startswith("inputs 1,1999: outputs are orthogonal")
 
 
 def test_choice_search_over_wide_outputs(qubit, qubit_model):
