@@ -8,6 +8,7 @@ the command produced passed, 1 when any failed, 2 for unusable input
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import sys
@@ -209,7 +210,10 @@ def cmd_decision_support(args) -> tuple:
 # Dispatch
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ctkit",
         description="Finite-model verification workbench for possibility, "

@@ -7,7 +7,21 @@ model object (classical or quantum) that the kernel merely dispatches to.
 A classical substrate carries an explicit finite universe of labels; a
 composite classical substrate's universe is the set of flat tuples of leaf
 labels, so composition is associative up to factor-list flattening.  A
-quantum substrate carries a Hilbert-space dimension.
+quantum substrate carries a Hilbert-space dimension.  A substrate spec is
+frozen, so its leaves, dimension and size are computed once, at
+construction.
+
+Pairwise conditions are checked in bulk.  A variable's members and a task's
+inputs must be pairwise disjoint: over pure states the overlapping pairs are
+read off one Gram matrix of the stacked state vectors, formed a block of
+rows at a time so memory stays bounded, and over classical labels off one
+count of the labels.  A measurer needs pairwise orthogonal member spans,
+read off the Gram matrix of the stacked span rows.  The bulk test only
+nominates pairs; each nominee is decided by the pairwise test, in the order
+a nested loop over the pairs would meet it, so the first offending pair and
+its witness are the loop's.  Lists holding a mixed state or a subspace
+attribute fall back to `attributes_disjoint` pair by pair, the only test
+that decides those.
 """
 
 from __future__ import annotations
@@ -58,21 +72,31 @@ class SubstrateSpec:
                     raise InvalidCompositionError(f"substrate {self.id!r} has duplicate labels")
             elif self.dimension < 1:
                 raise InvalidCompositionError(f"substrate {self.id!r} needs dimension >= 1")
+        # The spec is frozen, so its leaves and sizes are worked out once here
+        # (outside the dataclass fields: equality and hashing ignore them).
+        leaves = (self,) if not self.factors else tuple(
+            leaf for f in self.factors for leaf in f.leaves())
+        leaf_dims = tuple(leaf.dimension for leaf in leaves)
+        if self.kind == QUANTUM:
+            size = prod(leaf_dims) if self.factors else self.dimension
+        else:
+            size = prod(len(leaf.labels) for leaf in leaves)
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_leaf_dims", leaf_dims)
+        object.__setattr__(self, "_size", size)
 
     def leaves(self) -> tuple["SubstrateSpec", ...]:
-        if not self.factors:
-            return (self,)
-        return tuple(leaf for f in self.factors for leaf in f.leaves())
+        return self._leaves
 
     @property
     def leaf_dims(self) -> tuple[int, ...]:
-        return tuple(f.dimension for f in self.leaves())
+        return self._leaf_dims
 
     @property
     def dim(self) -> int:
         if self.kind != QUANTUM:
             raise RepresentationError(f"substrate {self.id!r} is not quantum")
-        return prod(self.leaf_dims) if self.factors else self.dimension
+        return self._size
 
     def universe(self) -> tuple:
         """All states of a classical substrate; flat tuples when composite."""
@@ -84,9 +108,7 @@ class SubstrateSpec:
         return tuple(itertools.product(*pools))
 
     def size(self) -> int:
-        if self.kind == CLASSICAL:
-            return prod(len(leaf.labels) for leaf in self.leaves())
-        return self.dim
+        return self._size
 
 
 def classical_substrate(id: str, labels) -> SubstrateSpec:
@@ -131,19 +153,19 @@ class Subspace:
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
         t = tol()
-        for i, u in enumerate(self.basis):
-            for j, v in enumerate(self.basis):
-                ip = abs(np.vdot(u.vector, v.vector))
-                want = 1.0 if i == j else 0.0
-                if abs(ip - want) > t:
-                    raise StateError("subspace basis is not orthonormal")
+        if self.basis:
+            vecs = np.array([v.vector for v in self.basis])
+            gram = np.abs(vecs.conj() @ vecs.T)
+            if float(np.abs(gram - np.eye(len(vecs))).max()) > t:
+                raise StateError("subspace basis is not orthonormal")
 
 
 def _has_repeat(states) -> bool:
     """Whether two of the states are equal up to phase."""
-    if all(isinstance(s, PureState) for s in states):
+    vecs = _pure_rows(states)
+    if vecs is not None:
         # one row of overlaps at a time: |<s_i|s_j>| ~ 1 is a repeat
-        vecs, atol = np.array([s.vector for s in states]), tol()
+        atol = tol()
         return any(np.abs(vecs[i + 1:] @ vecs[i].conj()).max() >= 1.0 - atol
                    for i in range(len(vecs) - 1))
     return any(states_equal(s, r) for i, s in enumerate(states) for r in states[i + 1:])
@@ -325,17 +347,130 @@ def attribute_union(parts) -> Attribute:
     """Union of extensional attributes on a common substrate."""
     parts = list(parts)
     substrate = parts[0].substrate
-    merged: list = []
-    for p in parts:
-        if p.is_subspace:
-            raise RepresentationError("union of subspace attributes is not supported")
-        for s in p.states:
-            if substrate.kind == CLASSICAL:
-                if s not in merged:
-                    merged.append(s)
-            elif not any(states_equal(s, q) for q in merged):
+    if any(p.is_subspace for p in parts):
+        raise RepresentationError("union of subspace attributes is not supported")
+    states = [s for p in parts for s in p.states]
+    if substrate.kind == CLASSICAL:
+        merged = list(dict.fromkeys(states))
+    elif (vecs := _pure_rows(states)) is not None:
+        # one row of overlaps at a time, against the states kept so far
+        floor = _near_one(vecs.shape[1])
+        kept = np.zeros(len(states), dtype=bool)
+        for k, s in enumerate(states):
+            near = np.flatnonzero(kept[:k] & (np.abs(vecs[:k] @ vecs[k].conj()) >= floor))
+            kept[k] = not any(states_equal(s, states[q]) for q in near)
+        merged = [s for s, keep in zip(states, kept) if keep]
+    else:
+        merged = []
+        for s in states:
+            if not any(states_equal(s, q) for q in merged):
                 merged.append(s)
     return extensional_attribute(substrate, merged)
+
+
+# ---------------------------------------------------------------------------
+# Bulk pairwise tests (see the module docstring)
+
+# A block of rows against n columns of the Gram matrix holds at most this
+# many bytes of complex entries (plus half as many of their magnitudes).
+_GRAM_BLOCK_BYTES = 4 * 2 ** 20
+_EPS = float(np.finfo(float).eps)
+
+
+def _slack(dim: int) -> float:
+    """Bound on how far two evaluations of one inner product of unit vectors
+    of length dim, summed in different orders, can differ."""
+    return 4 * (dim + 2) * _EPS
+
+
+def _near_one(dim: int) -> float:
+    """Overlap magnitude above which two pure states may be equal (equal
+    states have |<a|b>| >= 1 - tol)."""
+    return 1.0 - tol() - _slack(dim)
+
+
+def _pure_rows(states) -> np.ndarray | None:
+    """The state vectors as rows when every state is pure and of one length."""
+    if not states or not all(isinstance(s, PureState) for s in states):
+        return None
+    if len({s.dim for s in states}) != 1:
+        return None
+    return np.array([s.vector for s in states])
+
+
+def _nominated_pairs(rows: np.ndarray, owner: np.ndarray, floor: float):
+    """Owner pairs (i, j), i < j, in lexicographic order, for which some row
+    of i and some row of j have an overlap magnitude >= floor.
+
+    Rows must be grouped by owner in increasing order.  Once a block of rows
+    is done, every owner that ends inside it has met all later rows, so its
+    pairs are final and are handed out before the next block is formed."""
+    n = len(rows)
+    step = max(1, _GRAM_BLOCK_BYTES // (16 * n)) if n else 1
+    conj = rows.conj()
+    pending: set = set()
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        near = np.abs(conj[start:stop] @ rows[start:].T) >= floor
+        np.fill_diagonal(near, False)  # each row against itself
+        if near.any():
+            near_r, near_c = np.nonzero(near)
+            oi, oj = owner[start + near_r], owner[start + near_c]
+            later = oi < oj
+            pending.update(zip(oi[later].tolist(), oj[later].tolist()))
+        if pending:
+            done = owner[stop] if stop < n else owner[-1] + 1
+            final = sorted(pair for pair in pending if pair[0] < done)
+            pending.difference_update(final)
+            yield from final
+
+
+def _first_overlap(attrs) -> tuple[int, int, Any] | None:
+    """The first pair (i, j, witness), i < j, of attributes that share a
+    state, in the order of the loop over i and then j > i calling
+    `attributes_disjoint`; None when they are pairwise disjoint."""
+    attrs = list(attrs)
+    if len(attrs) < 2:
+        return None
+    kinds = {a.substrate.kind for a in attrs}
+    if kinds == {CLASSICAL}:
+        owners: dict = {}
+        for i, a in enumerate(attrs):
+            for s in a.states:
+                owners.setdefault(s, []).append(i)
+        # the loop meets a shared label first at its first two owners
+        firsts = [tuple(o[:2]) for o in owners.values() if len(o) > 1]
+        pairs = [min(firsts)] if firsts else []
+    elif kinds == {QUANTUM} and not any(a.is_subspace for a in attrs) \
+            and (rows := _pure_rows([s for a in attrs for s in a.states])) is not None:
+        owner = np.arange(len(attrs)) if len(rows) == len(attrs) else \
+            np.repeat(np.arange(len(attrs)), [len(a.states) for a in attrs])
+        pairs = _nominated_pairs(rows, owner, _near_one(rows.shape[1]))
+    else:
+        pairs = itertools.combinations(range(len(attrs)), 2)
+    for i, j in pairs:
+        ok, witness = attributes_disjoint(attrs[i], attrs[j])
+        if not ok:
+            return i, j, witness
+    return None
+
+
+def _first_span_overlap(spans, atol: float) -> tuple[int, int, float] | None:
+    """The first pair (i, j, overlap), i < j, of spans (orthonormal rows) with
+    an overlap max |<u|v>| above atol, in the order of the loop over i and
+    then j > i; None when the spans are pairwise orthogonal.  Empty spans
+    overlap nothing."""
+    spans = list(spans)
+    rows = [s for s in spans if s.size]
+    if len(rows) < 2:
+        return None
+    owner = np.repeat(np.arange(len(spans)), [s.shape[0] if s.size else 0 for s in spans])
+    stacked = np.vstack(rows)
+    for i, j in _nominated_pairs(stacked, owner, atol - _slack(stacked.shape[1])):
+        overlap = float(np.abs(spans[i].conj() @ spans[j].T).max())
+        if overlap > atol:
+            return i, j, overlap
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +519,12 @@ def validate_variable(members, substrate: SubstrateSpec | None = None) -> None:
         for label, attr in members:
             if attr.substrate.kind != substrate.kind or attr.substrate.size() != substrate.size():
                 raise DisjointnessError(f"attribute {label!r} lives on a different substrate")
-    for i, (la, a) in enumerate(members):
-        for lb, b in members[i + 1:]:
-            ok, witness = attributes_disjoint(a, b)
-            if not ok:
-                raise DisjointnessError(
-                    f"attributes {la!r} and {lb!r} overlap (shared state: {witness!r})"
-                )
+    hit = _first_overlap(a for _, a in members)
+    if hit is not None:
+        i, j, witness = hit
+        raise DisjointnessError(
+            f"attributes {labels[i]!r} and {labels[j]!r} overlap (shared state: {witness!r})"
+        )
 
 
 def variable(substrate: SubstrateSpec, members) -> Variable:
@@ -442,18 +576,11 @@ class Task:
             for attr in (attr_in, attr_out):
                 if attr.substrate.kind != self.substrate.kind or attr.substrate.size() != self.substrate.size():
                     raise InvalidCompositionError("task attribute on a different substrate")
-        ins = [p[0] for p in self.pairs]
-        if self.substrate.kind == CLASSICAL:
-            labels = [s for a in ins for s in a.states]
-            if len(set(labels)) == len(labels):
-                return  # no label repeats, so no pair of inputs can overlap
-        for i, a in enumerate(ins):
-            for b in ins[i + 1:]:
-                ok, witness = attributes_disjoint(a, b)
-                if not ok:
-                    raise DisjointnessError(
-                        f"task input attributes overlap (shared state: {witness!r})"
-                    )
+        hit = _first_overlap(p[0] for p in self.pairs)
+        if hit is not None:
+            raise DisjointnessError(
+                f"task input attributes overlap (shared state: {hit[2]!r})"
+            )
 
 
 def task(substrate: SubstrateSpec, pairs, side_effects: bool = False) -> Task:

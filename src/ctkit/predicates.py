@@ -27,6 +27,7 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
+    _first_span_overlap,
     attribute_equal,
     attribute_projector,
     attribute_span,
@@ -183,16 +184,11 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
 
 
 def _spans_pairwise_orthogonal(v: Variable) -> tuple[bool, Any]:
-    atol = tol()
-    spans = [attribute_span(a) for a in v.attributes]
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            if spans[i].size == 0 or spans[j].size == 0:
-                continue
-            overlap = float(np.abs(spans[i].conj() @ spans[j].T).max())
-            if overlap > atol:
-                return False, (v.labels[i], v.labels[j], overlap)
-    return True, None
+    hit = _first_span_overlap([attribute_span(a) for a in v.attributes], tol())
+    if hit is None:
+        return True, None
+    i, j, overlap = hit
+    return False, (v.labels[i], v.labels[j], overlap)
 
 
 def is_distinguishable(v: Variable, model) -> PredicateReport:

@@ -41,6 +41,7 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
+    _first_span_overlap,
     attribute_projector,
     attribute_span,
 )
@@ -538,16 +539,13 @@ def build_measurer(
     """
     atol = tol()
     spans = [attribute_span(a) for a in x.attributes]
-    for i, si in enumerate(spans):
-        for j in range(i + 1, len(spans)):
-            sj = spans[j]
-            if si.size and sj.size:
-                overlap = float(np.abs(si.conj() @ sj.T).max())
-                if overlap > atol:
-                    raise NotMeasurableError(
-                        f"attributes {x.labels[i]!r} and {x.labels[j]!r} have "
-                        f"non-orthogonal spans (overlap {overlap:.6g})"
-                    )
+    hit = _first_span_overlap(spans, atol)
+    if hit is not None:
+        i, j, overlap = hit
+        raise NotMeasurableError(
+            f"attributes {x.labels[i]!r} and {x.labels[j]!r} have "
+            f"non-orthogonal spans (overlap {overlap:.6g})"
+        )
     n = len(x.members)
     recv = 0
     if target_dim is None:

@@ -147,7 +147,8 @@ def orthogonal(a: PureState, b: PureState, atol: float | None = None) -> bool:
 def tensor(a: State, b: State) -> State:
     dims = a.dims + b.dims
     if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.vector, b.vector), dims)
+        # the outer product, flattened, is np.kron of two vectors bit for bit
+        return PureState(np.outer(a.vector, b.vector).reshape(-1), dims)
     _check_density_size(a.dim * b.dim)
     return MixedState(np.kron(a.density().matrix, b.density().matrix), dims)
 

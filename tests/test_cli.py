@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctkit.cli import CSV_HEADER, RunReport, main, run_command
+from ctkit.cli import CSV_HEADER, RunReport, _parser, main, run_command
 
 from conftest import FIXTURE_DIR
 
@@ -72,6 +72,23 @@ def test_unknown_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["value", "--weights", "1", "--payoffs", "1", "--wat"])
     assert info.value.code == 2
+
+
+def test_parser_is_built_on_first_use_and_kept(capsys):
+    done = subprocess.run(
+        [sys.executable, "-c", "import ctkit.cli; print(ctkit.cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert done.stdout == "0\n"  # importing the module builds nothing
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["value", "--weights", "1", "--payoffs", "1", "--wat"])
+        assert info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "unrecognized arguments: --wat" in errors[0]
+    assert _parser() is _parser()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
