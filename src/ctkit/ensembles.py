@@ -24,10 +24,11 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
+    _single_state,
     attribute_projector,
     attribute_span,
 )
-from .predicates import PredicateReport
+from .predicates import PredicateReport, _report
 from .quantum import (
     ControlledMap,
     MeasurerSpec,
@@ -328,13 +329,7 @@ def _as_state(z):
     if isinstance(z, (PureState, MixedState)):
         return z
     if isinstance(z, Attribute):
-        if z.is_subspace:
-            if len(z.basis) != 1:
-                raise DomainError("attribute does not denote a single state")
-            return z.basis[0]
-        if len(z.states) != 1:
-            raise DomainError("attribute does not denote a single state")
-        return z.states[0]
+        return _single_state(z)
     raise DomainError(f"cannot read {type(z).__name__} as a state")
 
 
@@ -440,9 +435,5 @@ def intrinsic_partition_preserved(y, x: Variable) -> PredicateReport:
                 ok = False
             if abs(part_tgt.value(label) - part_y.value(label)) > atol:
                 ok = False
-    return PredicateReport(
-        predicate="intrinsic_partition_preserved",
-        subject=f"{x.substrate.id} {x.labels}",
-        verdict=ok,
-        evidence={"input": part_y, "source": part_src, "target": part_tgt},
-    )
+    return _report("intrinsic_partition_preserved", x, ok,
+                   {"input": part_y, "source": part_src, "target": part_tgt})

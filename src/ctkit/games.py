@@ -31,6 +31,7 @@ from .kernel import (
     Attribute,
     SubstrateSpec,
     Variable,
+    _single_state,
     attribute_projector,
     attribute_span,
     coarsen_variable,
@@ -48,6 +49,7 @@ from .predicates import (
 from .quantum import (
     ControlledMap,
     apply_measurer,
+    basis_members,
     build_measurer,
     controlled_map,
     intrinsic_part,
@@ -187,21 +189,9 @@ def transform_game(g: Game, kind: str, k=0, mapping: dict | None = None,
         raise TransformError("label set is not closed under the transform")
     members = tuple((l, _member_state(x.attribute(l))) for l in x.labels)
     u = permutation_computation(label_map, members)
-    state = _game_state(g)
-    moved = apply_unitary(state, u) if isinstance(state, PureState) else MixedState(
-        u @ state.matrix @ u.conj().T, state.dims)
+    state = _single_state(g.attribute, message="game attribute does not denote a single state")
+    moved = apply_unitary(state, u)
     return make_game(x, extensional_attribute(x.substrate, (moved,)), children=g.children)
-
-
-def _game_state(g: Game):
-    attr = g.attribute
-    if attr.is_subspace:
-        if len(attr.basis) != 1:
-            raise DomainError("game attribute does not denote a single state")
-        return attr.basis[0]
-    if len(attr.states) != 1:
-        raise DomainError("game attribute does not denote a single state")
-    return attr.states[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
     if any(abs(u - v) > atol for u in values):
         raise PreconditionError(f"member games have unequal values {values}")
     measurer = build_measurer(h)
-    state_q = _game_state_of_attr(q)
+    state_q = _single_state(q)
     joint = tensor(state_q, measurer.receptive_state())
     measured = apply_measurer(measurer, joint)
     mixture_kept = True
@@ -345,16 +335,6 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
             "end_value": end_value,
         },
     )
-
-
-def _game_state_of_attr(attr: Attribute):
-    if attr.is_subspace:
-        if len(attr.basis) != 1:
-            raise DomainError("attribute does not denote a single state")
-        return attr.basis[0]
-    if len(attr.states) != 1:
-        raise DomainError("attribute does not denote a single state")
-    return attr.states[0]
 
 
 def _as_payoff(value) -> Fraction:
@@ -406,10 +386,8 @@ def derive_value_mn(m: int, n: int, payoffs) -> DerivationTrace:
 
 def _payoff_variable(x1: Fraction, x2: Fraction) -> Variable:
     sub = quantum_substrate(f"payoff[{x1},{x2}]", 2)
-    return variable(sub, (
-        (x1, extensional_attribute(sub, (basis_state(2, 0),))),
-        (x2, extensional_attribute(sub, (basis_state(2, 1),))),
-    ))
+    return variable(sub, tuple(
+        (l, extensional_attribute(sub, (s,))) for l, s in basis_members((x1, x2))))
 
 
 def _degenerate_trace(m, n, x1, x2, final) -> DerivationTrace:
@@ -535,14 +513,9 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
     # negates the centered labels, so the partition is reflection invariant
     labels = _block_labels(m, n)
     sums_zero = (sum(labels[:m]) == 0 and sum(labels[m:]) == 0)
-    reversal = np.zeros((n, n))
-    for j in range(m):
-        reversal[m - 1 - j, j] = 1.0
-    for j in range(m, n):
-        reversal[m + (n - 1 - j), j] = 1.0
-    negates = all(
-        labels[int(np.argmax(reversal[:, j]))] == -labels[j] for j in range(n)
-    )
+    flip = [*range(m - 1, -1, -1), *range(n - 1, m - 1, -1)]  # an involution
+    reversal = np.eye(n)[flip]
+    negates = all(labels[flip[j]] == -labels[j] for j in range(n))
     fixes_o = (
         states_equal(PureState(reversal @ o1.vector), o1)
         and states_equal(PureState(reversal @ o2.vector), o2)
@@ -670,6 +643,23 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     xs = [_member_state(a) for a in x.attributes]
     ys = [_member_state(a) for a in y.attributes]
 
+    def swap(labels, states):
+        """The computation exchanging the two members."""
+        return permutation_computation(
+            transposition_map(labels, *labels), tuple(zip(labels, states)))
+
+    def diagonal(states):
+        """(|s0>|s0> + |s1>|s1>) / sqrt(2) on the doubled substrate."""
+        return normalized(
+            (np.kron(states[0].vector, states[0].vector)
+             + np.kron(states[1].vector, states[1].vector))
+            / math.sqrt(2), dims=(x.substrate.dim,) * 2)
+
+    def diagonal_variable(v: Variable) -> Variable:
+        """The members (l, l) of v's product with itself."""
+        pairs = product_variable(v, v)
+        return variable(pairs.substrate, [((l, l), pairs.attribute((l, l))) for l in v.labels])
+
     def t1():
         z = ys[0]
         part_single = partition_of_unity(z, x)
@@ -692,12 +682,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         return True, "all four members are non-trivial mixtures of the other observable"
 
     def r2():
-        s_x = permutation_computation(
-            transposition_map(x.labels, x.labels[0], x.labels[1]),
-            tuple(zip(x.labels, xs)))
-        s_y = permutation_computation(
-            transposition_map(y.labels, y.labels[0], y.labels[1]),
-            tuple(zip(y.labels, ys)))
+        s_x, s_y = swap(x.labels, xs), swap(y.labels, ys)
         for v in ys:
             if not states_equal(apply_unitary(v, s_x), v):
                 return False, "S_x moves a member of Y"
@@ -713,48 +698,20 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
             out = apply_measurer(m, tensor(v, m.receptive_state()))
             reduced.append(intrinsic_part(out, 0).matrix)
         equal = float(np.abs(reduced[0] - reduced[1]).max()) <= atol
-        s_x = permutation_computation(
-            transposition_map(x.labels, x.labels[0], x.labels[1]),
-            tuple(zip(x.labels, xs)))
+        s_x = swap(x.labels, xs)
         swap_inv = float(np.abs(s_x @ reduced[0] @ s_x.conj().T - reduced[0]).max()) <= atol
         return equal and swap_inv, {"reduced_equal": equal, "swap_invariant": swap_inv}
 
     def r4():
-        q_x = normalized(
-            (np.kron(xs[0].vector, xs[0].vector) + np.kron(xs[1].vector, xs[1].vector))
-            / math.sqrt(2), dims=(x.substrate.dim,) * 2)
-        q_y = normalized(
-            (np.kron(ys[0].vector, ys[0].vector) + np.kron(ys[1].vector, ys[1].vector))
-            / math.sqrt(2), dims=(x.substrate.dim,) * 2)
+        q_x, q_y = diagonal(xs), diagonal(ys)
         if not states_equal(q_x, q_y):
             return False, "the two diagonal superpositions differ"
-        s_diag_x = product_variable(x, x)
-        diag_members_x = [
-            ((lx, lx), s_diag_x.attribute((lx, lx))) for lx in x.labels
-        ]
-        diag_x = variable(s_diag_x.substrate, diag_members_x)
-        s_diag_y = product_variable(y, y)
-        diag_members_y = [
-            ((ly, ly), s_diag_y.attribute((ly, ly))) for ly in y.labels
-        ]
-        diag_y = variable(s_diag_y.substrate, diag_members_y)
+        diag_x, diag_y = diagonal_variable(x), diagonal_variable(y)
         q_attr = extensional_attribute(diag_x.substrate, (q_x,))
         mix_x = _nontrivial_mixture(q_attr, diag_x, model)
         mix_y = _nontrivial_mixture(q_attr, diag_y, model)
-        pair_members_x = tuple(
-            ((lx, lx), tensor(v, v)) for lx, v in zip(x.labels, xs)
-        )
-        swap_xx = permutation_computation(
-            transposition_map([l for l, _ in pair_members_x],
-                              pair_members_x[0][0], pair_members_x[1][0]),
-            pair_members_x)
-        pair_members_y = tuple(
-            ((ly, ly), tensor(v, v)) for ly, v in zip(y.labels, ys)
-        )
-        swap_yy = permutation_computation(
-            transposition_map([l for l, _ in pair_members_y],
-                              pair_members_y[0][0], pair_members_y[1][0]),
-            pair_members_y)
+        swap_xx = swap([(l, l) for l in x.labels], [tensor(v, v) for v in xs])
+        swap_yy = swap([(l, l) for l in y.labels], [tensor(v, v) for v in ys])
         inv_x = states_equal(apply_unitary(q_x, swap_xx), q_x)
         inv_y = states_equal(apply_unitary(q_x, swap_yy), q_x)
         ok = mix_x and mix_y and inv_x and inv_y
@@ -774,11 +731,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
             return False
         return trace.all_checks_pass
 
-    q_state = None
-    if checks[4][1]:
-        q_state = normalized(
-            (np.kron(xs[0].vector, xs[0].vector) + np.kron(xs[1].vector, xs[1].vector))
-            / math.sqrt(2), dims=(x.substrate.dim,) * 2)
+    q_state = diagonal(xs) if checks[4][1] else None
     passed = all(v for _, v, _ in checks)
     super_report = detect_superinformation(x, y, model)
     reason = None

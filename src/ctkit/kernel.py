@@ -7,9 +7,10 @@ model object (classical or quantum) that the kernel merely dispatches to.
 A classical substrate carries an explicit finite universe of labels; a
 composite classical substrate's universe is the set of flat tuples of leaf
 labels, so composition is associative up to factor-list flattening.  A
-quantum substrate carries a Hilbert-space dimension.  A substrate spec is
-frozen, so its leaves, dimension and size are computed once, at
-construction.
+state is checked against the leaf label sets one label at a time, so no
+universe is listed to validate it.  A quantum substrate carries a
+Hilbert-space dimension.  A substrate spec is frozen, so its leaves,
+dimension, size and leaf label sets are computed once, at construction.
 
 Pairwise conditions are checked in bulk.  A variable's members and a task's
 inputs must be pairwise disjoint: over pure states the overlapping pairs are
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import (
     DisjointnessError,
     DispatchError,
+    DomainError,
     InvalidCompositionError,
     LabelArithmeticError,
     RepresentationError,
@@ -84,6 +86,8 @@ class SubstrateSpec:
         object.__setattr__(self, "_leaves", leaves)
         object.__setattr__(self, "_leaf_dims", leaf_dims)
         object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_label_sets", (frozenset(self.labels),) if not self.factors
+                           else tuple(ls for f in self.factors for ls in f._label_sets))
 
     def leaves(self) -> tuple["SubstrateSpec", ...]:
         return self._leaves
@@ -109,6 +113,15 @@ class SubstrateSpec:
 
     def size(self) -> int:
         return self._size
+
+    def _holds(self, state) -> bool:
+        """Whether a classical state is in the universe, checked label by label
+        against the leaves rather than by listing the universe."""
+        sets = self._label_sets
+        if not self.factors:
+            return state in sets[0]
+        return isinstance(state, tuple) and len(state) == len(sets) and all(
+            label in labels for label, labels in zip(state, sets))
 
 
 def classical_substrate(id: str, labels) -> SubstrateSpec:
@@ -190,9 +203,8 @@ class Attribute:
             if not rep.states:
                 raise StateError("an extensional attribute cannot be empty")
             if self.substrate.kind == CLASSICAL:
-                universe = set(self.substrate.universe())
                 for s in rep.states:
-                    if s not in universe:
+                    if not self.substrate._holds(s):
                         raise StateError(f"state {s!r} is not in the universe of {self.substrate.id!r}")
                 if len(set(rep.states)) != len(rep.states):
                     raise StateError("duplicate states in attribute")
@@ -220,6 +232,22 @@ class Attribute:
         if not self.is_subspace:
             raise RepresentationError("not a subspace attribute")
         return self.representation.basis
+
+
+def _single_state(attr: Attribute, error=DomainError,
+                  message: str = "attribute does not denote a single state",
+                  pure_message: str | None = None) -> State:
+    """The one state an attribute denotes: the one vector of a subspace's
+    basis, or the one state an extensional attribute lists; error(message)
+    otherwise.  With pure_message, the listed state must also be pure, or
+    error(pure_message) is raised."""
+    states = attr.basis if attr.is_subspace else attr.states
+    if pure_message is not None and not attr.is_subspace and (
+            len(states) != 1 or not isinstance(states[0], PureState)):
+        raise error(pure_message)
+    if len(states) != 1:
+        raise error(message)
+    return states[0]
 
 
 def extensional_attribute(substrate: SubstrateSpec, states) -> Attribute:

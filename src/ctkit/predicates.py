@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .kernel import (
     Task,
     Variable,
     _first_span_overlap,
+    _single_state,
     attribute_equal,
     attribute_projector,
     attribute_span,
@@ -62,6 +62,11 @@ class PredicateReport:
 
 def _subject(*parts) -> str:
     return " ".join(str(p) for p in parts)
+
+
+def _report(predicate: str, v: Variable, verdict: bool, evidence: dict) -> PredicateReport:
+    """A report on the variable v, named by its substrate and labels."""
+    return PredicateReport(predicate, _subject(v.substrate.id, v.labels), verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +142,7 @@ def is_computation_variable(v: Variable, model) -> PredicateReport:
         checks[(a, b)] = verdict
         if verdict.status != POSSIBLE:
             ok = False
-    return PredicateReport(
-        predicate="is_computation_variable",
-        subject=_subject(v.substrate.id, labels),
-        verdict=ok,
-        evidence={"transpositions": checks},
-    )
+    return _report("is_computation_variable", v, ok, {"transpositions": checks})
 
 
 def is_information_variable(v: Variable, model) -> PredicateReport:
@@ -164,53 +164,34 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
             clone_ok = name
             break
     if clone_ok is None:
-        return PredicateReport(
-            predicate="is_information_variable",
-            subject=_subject(v.substrate.id, v.labels),
-            verdict=False,
-            evidence={"cloning": clone_checks, "computation": None},
-        )
+        return _report("is_information_variable", v, False,
+                       {"cloning": clone_checks, "computation": None})
     comp = is_computation_variable(v, model)
-    return PredicateReport(
-        predicate="is_information_variable",
-        subject=_subject(v.substrate.id, v.labels),
-        verdict=comp.verdict,
-        evidence={"cloning": clone_checks, "receptive": clone_ok, "computation": comp},
-    )
+    return _report("is_information_variable", v, comp.verdict,
+                   {"cloning": clone_checks, "receptive": clone_ok, "computation": comp})
 
 
 # ---------------------------------------------------------------------------
 # Distinguishability and measurability
 
 
-def _spans_pairwise_orthogonal(v: Variable) -> tuple[bool, Any]:
-    hit = _first_span_overlap([attribute_span(a) for a in v.attributes], tol())
-    if hit is None:
+def _span_orthogonality(v: Variable) -> tuple[bool, dict | None]:
+    """The verdict distinguishability and measurability share, with its
+    quantum evidence: the member spans must be pairwise orthogonal (the
+    task-oracle equivalent, by test).  Classical member disjointness already
+    suffices: (True, None)."""
+    if v.substrate.kind == CLASSICAL:
         return True, None
-    i, j, overlap = hit
-    return False, (v.labels[i], v.labels[j], overlap)
+    hit = _first_span_overlap([attribute_span(a) for a in v.attributes], tol())
+    witness = None if hit is None else (v.labels[hit[0]], v.labels[hit[1]], hit[2])
+    return hit is None, {"orthogonal": hit is None, "witness": witness}
 
 
 def is_distinguishable(v: Variable, model) -> PredicateReport:
-    """Can the members of v be mapped onto an information variable?
-
-    Quantum: pairwise orthogonality of the member spans (the task-oracle
-    equivalent, by test).  Classical: member disjointness already suffices.
-    """
-    if v.substrate.kind == CLASSICAL:
-        return PredicateReport(
-            predicate="is_distinguishable",
-            subject=_subject(v.substrate.id, v.labels),
-            verdict=True,
-            evidence={"reason": "disjoint classical attributes map to distinct labels"},
-        )
-    ok, witness = _spans_pairwise_orthogonal(v)
-    return PredicateReport(
-        predicate="is_distinguishable",
-        subject=_subject(v.substrate.id, v.labels),
-        verdict=ok,
-        evidence={"orthogonal": ok, "witness": witness},
-    )
+    """Can the members of v be mapped onto an information variable?"""
+    ok, evidence = _span_orthogonality(v)
+    return _report("is_distinguishable", v, ok,
+                   evidence or {"reason": "disjoint classical attributes map to distinct labels"})
 
 
 def is_measurable(v: Variable, model, non_perturbing: bool = False) -> PredicateReport:
@@ -219,23 +200,13 @@ def is_measurable(v: Variable, model, non_perturbing: bool = False) -> Predicate
     The standard construction keeps y_x = x, so the non-perturbing refinement
     holds whenever the plain task does; the flag is recorded in the evidence.
     """
-    if v.substrate.kind == CLASSICAL:
-        return PredicateReport(
-            predicate="is_measurable",
-            subject=_subject(v.substrate.id, v.labels),
-            verdict=True,
-            evidence={"non_perturbing": non_perturbing,
-                      "reason": "classical copy onto a fresh register"},
-        )
-    ok, witness = _spans_pairwise_orthogonal(v)
-    return PredicateReport(
-        predicate="is_measurable",
-        subject=_subject(v.substrate.id, v.labels),
-        verdict=ok,
-        evidence={"orthogonal": ok, "witness": witness,
-                  "non_perturbing": non_perturbing,
-                  "perturbs": False if ok else None},
-    )
+    ok, evidence = _span_orthogonality(v)
+    if evidence is None:
+        evidence = {"non_perturbing": non_perturbing,
+                    "reason": "classical copy onto a fresh register"}
+    else:
+        evidence.update(non_perturbing=non_perturbing, perturbs=False if ok else None)
+    return _report("is_measurable", v, ok, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +229,7 @@ def bar(x: Attribute, model) -> Attribute:
     d = x.substrate.dim
     if span.shape[0] == 0:
         return subspace_attribute(x.substrate, tuple(basis_state(d, k) for k in range(d)))
-    # rows of vh beyond the rank span the kernel of the projector
+    # eigenvectors of I - P with eigenvalue 1 span the orthogonal complement
     proj = np.eye(d) - span.T @ span.conj()
     vals, vecs = np.linalg.eigh(proj)
     basis = [PureState(vecs[:, k]) for k in range(d) if vals[k] > 0.5]
@@ -292,12 +263,8 @@ def is_observable(v: Variable, model) -> PredicateReport:
     involutive, so every classical variable passes.
     """
     if v.substrate.kind == CLASSICAL:
-        return PredicateReport(
-            predicate="is_observable",
-            subject=_subject(v.substrate.id, v.labels),
-            verdict=True,
-            evidence={"reason": "classical set complement is involutive"},
-        )
+        return _report("is_observable", v, True,
+                       {"reason": "classical set complement is involutive"})
     failures = {}
     for label, attr in v.members:
         if attr.is_subspace:
@@ -308,12 +275,7 @@ def is_observable(v: Variable, model) -> PredicateReport:
             "states": len(attr.states),
             "span_dim": int(attribute_span(attr).shape[0]),
         }
-    return PredicateReport(
-        predicate="is_observable",
-        subject=_subject(v.substrate.id, v.labels),
-        verdict=not failures,
-        evidence={"open_members": failures},
-    )
+    return _report("is_observable", v, not failures, {"open_members": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +322,6 @@ def detect_superinformation(x: Variable, y: Variable, model) -> PredicateReport:
 
 # ---------------------------------------------------------------------------
 # Restriction and generalised mixtures
-
-
-def _single_state(attr: Attribute):
-    """The one state an attribute stands for, where that makes sense."""
-    if attr.is_subspace:
-        if len(attr.basis) != 1:
-            raise DomainError("attribute does not denote a single state")
-        return attr.basis[0]
-    if len(attr.states) != 1:
-        raise DomainError("attribute does not denote a single state")
-    return attr.states[0]
 
 
 def restricted_variable(x: Variable, y: Attribute) -> Variable:
@@ -559,15 +510,6 @@ def check_measurement_consistency(
             outcomes_log.append((s, readings))
             fixed = [r for r in readings if r is not None]
             if fixed and (len(fixed) < len(readings) or len(set(fixed)) > 1):
-                return PredicateReport(
-                    predicate="check_measurement_consistency",
-                    subject=_subject(z.substrate.id, z.labels),
-                    verdict=False,
-                    evidence={"counterexample": s, "readings": readings},
-                )
-    return PredicateReport(
-        predicate="check_measurement_consistency",
-        subject=_subject(z.substrate.id, z.labels),
-        verdict=True,
-        evidence={"probes": len(outcomes_log)},
-    )
+                return _report("check_measurement_consistency", z, False,
+                               {"counterexample": s, "readings": readings})
+    return _report("check_measurement_consistency", z, True, {"probes": len(outcomes_log)})

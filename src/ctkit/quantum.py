@@ -459,6 +459,11 @@ def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
     return ControlledMap((basis,), classes, maps, target_dim)
 
 
+def _orthogonal(vectors, atol: float) -> bool:
+    """Whether no two of the vectors overlap by more than atol."""
+    return _first_span_overlap([np.reshape(v, (1, -1)) for v in vectors], atol) is None
+
+
 def basis_swap(dim: int, a: int, b: int) -> np.ndarray:
     """The permutation matrix exchanging basis states a and b."""
     perm = np.arange(dim)
@@ -559,10 +564,8 @@ def build_measurer(
         for label in x.labels:
             v = flag_states[label]
             flags.append(v.vector if isinstance(v, PureState) else np.asarray(v, dtype=complex))
-        for i, u in enumerate(flags):
-            for j in range(i + 1, len(flags)):
-                if abs(np.vdot(u, flags[j])) > atol:
-                    raise NotMeasurableError("flag states must be pairwise orthogonal")
+        if not _orthogonal(flags, atol):
+            raise NotMeasurableError("flag states must be pairwise orthogonal")
         maps = [_unitary_with_first_column(f) for f in flags]
     else:
         if target_dim < n:
@@ -667,10 +670,8 @@ def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -
         raise PreconditionError("need one basis vector per label on each factor")
     atol = tol()
     for basis in (basis_a, basis_b):
-        for i, u in enumerate(basis):
-            for j in range(i + 1, n):
-                if abs(np.vdot(u.vector, basis[j].vector)) > atol:
-                    raise PreconditionError("comparer bases must be orthonormal")
+        if not _orthogonal([u.vector for u in basis], atol):
+            raise PreconditionError("comparer bases must be orthonormal")
     projector = np.zeros((dim_a * dim_b,) * 2, dtype=complex)
     for u, v in zip(basis_a, basis_b):
         w = np.kron(u.vector, v.vector)
@@ -704,11 +705,8 @@ def permutation_computation(mapping: dict, members) -> np.ndarray:
         missing = set(mapping.values()) - set(labels) or set(labels) - set(mapping)
         raise TransformError(f"permutation is not closed on the label set: {sorted(map(repr, missing))}")
     vec = {l: s.vector for l, s in members}
-    atol = tol()
-    for i, (li, _) in enumerate(members):
-        for lj, _ in members[i + 1:]:
-            if abs(np.vdot(vec[li], vec[lj])) > atol:
-                raise PreconditionError("permutation members must be orthonormal")
+    if not _orthogonal([vec[l] for l in labels], tol()):
+        raise PreconditionError("permutation members must be orthonormal")
     dim = members[0][1].dim
     u = np.zeros((dim, dim), dtype=complex)
     covered = np.zeros((dim, dim), dtype=complex)

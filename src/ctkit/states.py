@@ -8,7 +8,7 @@ partial traces and factor-local unitaries need no side channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np

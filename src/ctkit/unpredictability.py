@@ -21,6 +21,7 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
+    _single_state,
     attribute_projector,
     is_task_possible,
     variable,
@@ -35,8 +36,8 @@ from .predicates import (
 from .quantum import (
     MeasurerSpec,
     apply_measurer,
-    build_comparer,
     build_measurer,
+    comparer_for_measurers,
     sharp_value,
 )
 from .states import PureState, expectation, partial_trace, tensor
@@ -67,13 +68,8 @@ class PredictorVerdict:
 
 
 def _single_pure_state(attr: Attribute) -> PureState:
-    if attr.is_subspace:
-        if len(attr.basis) != 1:
-            raise UnsupportedInputError("input attribute must denote a single state")
-        return attr.basis[0]
-    if len(attr.states) != 1 or not isinstance(attr.states[0], PureState):
-        raise UnsupportedInputError("input attribute must denote a single pure state")
-    return attr.states[0]
+    return _single_state(attr, UnsupportedInputError, "input attribute must denote a single state",
+                         "input attribute must denote a single pure state")
 
 
 def predictor_feasible(problem: PredictorProblem, model) -> PredictorVerdict:
@@ -158,13 +154,7 @@ def replay_predictor(problem: PredictorProblem, predictions: dict) -> dict:
     three.  Returns the comparison outcome per input label.
     """
     m = problem.measurer
-    comparer = build_comparer(
-        m.labels,
-        basis_a=tuple(m.flag_state(l) for l in m.labels),
-        basis_b=tuple(m.flag_state(l) for l in m.labels),
-        dim_a=m.target_dim,
-        dim_b=m.target_dim,
-    )
+    comparer = comparer_for_measurers(m, m)
     outcomes = {}
     for zl, attr in problem.z.members:
         state = _single_pure_state(attr)
