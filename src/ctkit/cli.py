@@ -122,12 +122,8 @@ def cmd_check_model(args) -> tuple:
         verdicts.append((f"variable {name}", ok))
     for name, declared in doc.tasks.items():
         print(f"task {name}: {is_task_possible(declared, doc.model).status}")
-    found = False
-    for a, b in itertools.combinations(doc.variables, 2):
-        pair = detect_superinformation(doc.variables[a], doc.variables[b], doc.model)
-        if pair.verdict:
-            found = True
-            break
+    found = any(detect_superinformation(doc.variables[a], doc.variables[b], doc.model).verdict
+                for a, b in itertools.combinations(doc.variables, 2))
     print(f"superinformation: {'true' if found else 'false'}")
     verdicts.append(("superinformation", found))
     return tuple(verdicts)

@@ -8,11 +8,12 @@ the CLI, the amplitude route and verify_E1_E2); only then do statements like
 over the natural denominator L**N, computed in integers throughout.  Double
 precision is the fallback and is flagged on the row that used it; it sums
 weights in log space (lgamma), so it has no ceiling on N and never
-overflows.  Either way the walk visits every count vector once, and
-ENUMERATION_GUARD bounds how many there are.
+overflows.  Either way the count vectors are taken a line at a time (all
+counts fixed but the last two); ENUMERATION_GUARD bounds their number.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,13 +154,7 @@ class ConvergenceRow:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, str, float, int)):
         return Fraction(value)
     raise DomainError(f"cannot read {value!r} as an exact number")
 
@@ -195,30 +190,91 @@ def _normalized_probabilities(c) -> list:
     return probs if probs is not None else [q / total_f for q in float_q]
 
 
-def _compositions(total: int, parts: int):
-    """Count vectors of `parts` entries summing to `total`, in lexicographic order.
-
-    Yields (level, counts), with counts one list updated in place.  The first
-    vector is (0, ..., 0, total), with level -1.  Every later one moves a
-    single unit from the last entry into entry `level`, starting from the
-    vector produced by the latest move into `level` or any entry before it
-    (the first vector if there was none); the entries strictly between
-    `level` and the last are zero at both ends of the move.
-    """
-    last = parts - 1
-    counts = [0] * parts
-    counts[last] = total
-    yield -1, counts
+def _heads(total: int, parts: int):
+    """Tuples of `parts` non-negative counts summing to at most `total`."""
+    head, left = [0] * parts, total
     while True:
-        level = last - 1
-        while level >= 0 and counts[last] == 0:
-            counts[last], counts[level] = counts[level], 0
-            level -= 1
-        if level < 0:
+        yield tuple(head)
+        i = parts - 1
+        while i >= 0 and left == 0:
+            left, head[i] = head[i], 0
+            i -= 1
+        if i < 0:
             return
-        counts[level] += 1
-        counts[last] -= 1
-        yield level, counts
+        head[i] += 1
+        left -= 1
+
+
+def _exact_lines(n: int, eps: Fraction, den: int, a: list) -> tuple[int, int]:
+    """(deviant, within) weight numerators over den**n.
+
+    A line fixes the head counts k_x of all outcomes but the last two, which
+    take (j, m - j).  Its numerators are coef * C(m, j) a_u^j a_v^(m-j), coef
+    the multinomial n!/(prod k_x! m!) times prod a_x^k_x, so it totals
+    coef * (a_u + a_v)^m.  With c = m*L - n*(a_u + a_v) the vector deviates
+    unless eps.den * (2*j*L - mid)^2 <= room, where mid = m*L + n*(a_u - a_v)
+    and room = 2*eps.num*n^2*L^2 - eps.den*(2*sum_head (k_x*L - n*a_x)^2 + c^2):
+    the within j are |2*j*L - mid| <= isqrt(room // eps.den), exactly, ties
+    included.  Only they are walked, by the binomial recurrence.
+    """
+    *top, u, v = a if len(a) > 1 else (0, *a)  # a lone outcome gets an empty partner
+    bound = 2 * eps.numerator * (n * den) ** 2
+    deviant = within = 0
+    for head in _heads(n, len(top)):
+        coef, m = 1, n
+        for k, ax in zip(head, top):
+            coef *= math.comb(m, k) * ax ** k
+            m -= k
+        c = m * den - n * (u + v)
+        room = bound - eps.denominator * (
+            2 * sum((k * den - n * ax) ** 2 for k, ax in zip(head, top)) + c * c)
+        inside = 0
+        if room >= 0:
+            r, mid = math.isqrt(room // eps.denominator), m * den + n * (u - v)
+            lo, hi = max(0, -((r - mid) // (2 * den))), min(m, (mid + r) // (2 * den))
+            weight = coef * math.comb(m, lo) * u ** lo * v ** (m - lo) if lo <= hi else 0
+            for j in range(lo, hi + 1):
+                inside += weight
+                weight = weight * (m - j) * u // ((j + 1) * v)
+        deviant += coef * (u + v) ** m - inside
+        within += inside
+    return deviant, within
+
+
+# A block of count vectors on the float path holds about ten 8-byte
+# temporaries per vector, within this many bytes.
+_FLOAT_BLOCK_BYTES = 4 * 2 ** 20
+
+
+def _float_lines(n: int, eps: float, kept: list) -> float:
+    """The float deviant weight over the lines of _exact_lines, in blocks.
+
+    Each line's head deviation and log weight are computed once; its vectors
+    are classified by sum_x (k_x/n - p_x)**2 > eps, added in order of x, and
+    only the deviant weights are exponentiated and summed.
+    """
+    if len(kept) == 1:  # the one count vector (n,)
+        return math.exp(n * math.log(kept[0])) if (1.0 - kept[0]) ** 2 > eps else 0.0
+    *top, u, v = kept
+    lg = np.fromiter((math.lgamma(k + 1) for k in range(n + 1)), float, n + 1)
+    step = max(1, _FLOAT_BLOCK_BYTES // 80)
+    lines, deviant = _heads(n, len(top)), 0.0
+    while chunk := list(itertools.islice(lines, max(1, step // (len(top) + 1)))):
+        heads = np.array(chunk, dtype=np.int64)
+        m = n - heads.sum(axis=1)
+        head_dev = sum(((heads[:, x] / n - p) ** 2 for x, p in enumerate(top)), np.zeros(len(m)))
+        head_log = lg[n] + heads @ np.log(np.array(top)) - lg[heads].sum(axis=1)
+        ends = np.cumsum(m + 1)
+        for start in range(0, int(ends[-1]), step):
+            flat = np.arange(start, min(start + step, int(ends[-1])))
+            line = np.searchsorted(ends, flat, side="right")
+            j = flat - ends[line] + m[line] + 1
+            rest = m[line] - j
+            strays = head_dev[line] + (j / n - u) ** 2 + (rest / n - v) ** 2 > eps
+            line, j, rest = line[strays], j[strays], rest[strays]
+            deviant += float(np.exp(head_log[line] + j * math.log(u) - lg[j]
+                                    + rest * math.log(v) - lg[rest]).sum())
+    return deviant
 
 
 def deviant_weight(c, n: int, epsilon, probabilities=None,
@@ -228,16 +284,11 @@ def deviant_weight(c, n: int, epsilon, probabilities=None,
     The deviation of a string with counts k is sum_x (k_x/n - p_x)^2; the
     weight of a count vector is the multinomial coefficient times the product
     of p_x^k_x.  probabilities may be passed directly (exact Fractions or
-    floats), bypassing the amplitude route.
-
-    One walk over the count vectors serves both arithmetics.  Outcomes of
-    probability zero never occur and are dropped first.  Exact rows work in
-    integers over L**n with a_x = p_x*L: a count vector deviates when
-    eps.den * sum_x (k_x*L - n*a_x)^2 > eps.num * n^2 * L^2, and each weight
-    numerator follows from an earlier one by the multinomial recurrence, so
-    only O(d) big integers are live.  Double rows sum
-    exp(lgamma(n+1) - sum_x lgamma(k_x+1) + sum_x k_x log p_x), which stays
-    finite for every n.
+    floats), bypassing the amplitude route.  Outcomes of probability zero
+    never occur and are dropped first.  Both arithmetics take the count
+    vectors a line at a time: exact rows in integers over L**n, a_x = p_x*L
+    (_exact_lines; deviant plus within must come to L**n), double rows as
+    log-space weights in bounded blocks (_float_lines).
     """
     eps = _as_fraction(epsilon)
     probs = list(probabilities) if probabilities is not None else _normalized_probabilities(c)
@@ -257,34 +308,12 @@ def deviant_weight(c, n: int, epsilon, probabilities=None,
     last = len(kept) - 1
     if math.comb(n + last, last) > guard:
         raise SizeLimitError("frequency-vector enumeration exceeds the guard")
-
-    if exact:
-        den = math.lcm(*(p.denominator for p in kept))
-        a = [p.numerator * (den // p.denominator) for p in kept]
-        bound = eps.numerator * n * n * den * den
-        weight = a[last] ** n
-        saved = [weight] * last  # the weight each level's next move starts from
-    else:
-        eps_f = float(eps)
-        logs = [math.log(p) for p in kept]
-        lg = [math.lgamma(k + 1) for k in range(n + 1)]
-    deviant = within = 0
-    for level, counts in _compositions(n, len(kept)):
-        if exact:
-            if level >= 0:
-                weight = saved[level] * (counts[last] + 1) * a[level] // (counts[level] * a[last])
-                saved[level:] = [weight] * (last - level)
-            spread = sum((k * den - n * ax) ** 2 for k, ax in zip(counts, a))
-            deviates = eps.denominator * spread > bound
-        else:
-            weight = math.exp(lg[n] + sum(k * lp - lg[k] for k, lp in zip(counts, logs)))
-            deviates = sum((k / n - p) ** 2 for k, p in zip(counts, kept)) > eps_f
-        if deviates:
-            deviant += weight
-        else:
-            within += weight
     if not exact:
-        return ConvergenceRow(n=n, epsilon=eps, numerator=None, approx=float(deviant))
+        return ConvergenceRow(n=n, epsilon=eps, numerator=None,
+                              approx=_float_lines(n, float(eps), kept))
+    den = math.lcm(*(p.denominator for p in kept))
+    deviant, within = _exact_lines(n, eps, den, [p.numerator * (den // p.denominator)
+                                                 for p in kept])
     natural = den ** n
     if deviant + within != natural:
         raise DomainError("exact multinomial weights failed to sum to 1")
@@ -394,17 +423,12 @@ def verify_E1_E2(z, x: Variable, n_sweep, epsilon,
     probabilities = exact_probabilities(snapped) if None not in snapped else None
     if probabilities is None:
         probabilities = [float(v) for _, v in part.items]
-    rows = []
-    for n in sorted(int(n) for n in n_sweep):
-        rows.append(deviant_weight(None, n, epsilon,
-                                   probabilities=probabilities, guard=guard))
-    monotone = True
-    for prev, cur in zip(rows, rows[1:]):
-        if prev.exact is not None and cur.exact is not None:
-            if cur.exact > prev.exact:
-                monotone = False
-        elif cur.approx > prev.approx + 1e-12:
-            monotone = False
+    rows = [deviant_weight(None, n, epsilon, probabilities=probabilities, guard=guard)
+            for n in sorted(int(n) for n in n_sweep)]
+    monotone = all(
+        cur.exact <= prev.exact if None not in (prev.exact, cur.exact)
+        else cur.approx <= prev.approx + 1e-12
+        for prev, cur in zip(rows, rows[1:]))
     final_ok = rows[-1].approx < final_bound if rows else False
     return ConvergenceReport(rows=tuple(rows), monotone=monotone,
                              final_ok=final_ok, partition=part)
@@ -429,11 +453,7 @@ def intrinsic_partition_preserved(y, x: Variable) -> PredicateReport:
     atol = tol()
     ok = abs(tgt_total - 1.0) <= atol
     part_tgt = PartitionOfUnity(tuple((l, v / tgt_total) for l, v in tgt_raw)) if ok else None
-    if ok:
-        for label in x.labels:
-            if abs(part_src.value(label) - part_y.value(label)) > atol:
-                ok = False
-            if abs(part_tgt.value(label) - part_y.value(label)) > atol:
-                ok = False
+    ok = ok and all(abs(part.value(label) - part_y.value(label)) <= atol
+                    for label in x.labels for part in (part_src, part_tgt))
     return _report("intrinsic_partition_preserved", x, ok,
                    {"input": part_y, "source": part_src, "target": part_tgt})

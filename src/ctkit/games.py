@@ -280,11 +280,9 @@ class DerivationTrace:
 
 
 def render_trace(trace: DerivationTrace) -> str:
-    lines = []
-    for i, step in enumerate(trace.steps, start=1):
-        flag = "pass" if step.check else "fail"
-        lines.append(f"step {i}: {step.rule} | {step.conclusion} | check={flag}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"step {i}: {step.rule} | {step.conclusion} | check={'pass' if step.check else 'fail'}"
+        for i, step in enumerate(trace.steps, start=1))
 
 
 def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> DerivationStep:
@@ -477,12 +475,8 @@ def _block_labels(m: int, n: int) -> list[Fraction]:
     zero, so each block sums to zero and the per-block reversal negates the
     labels while fixing the uniform block states.
     """
-    labels = []
-    for j in range(m):
-        labels.append(Fraction(j) - Fraction(m - 1, 2))
-    for j in range(m, n):
-        labels.append(Fraction(j - m) - Fraction(n - m - 1, 2))
-    return labels
+    return ([Fraction(j) - Fraction(m - 1, 2) for j in range(m)]
+            + [Fraction(j - m) - Fraction(n - m - 1, 2) for j in range(m, n)])
 
 
 def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction):
@@ -733,9 +727,8 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
 
     q_state = diagonal(xs) if checks[4][1] else None
     passed = all(v for _, v, _ in checks)
-    super_report = detect_superinformation(x, y, model)
     reason = None
-    if not passed and not super_report.verdict:
+    if not passed and not detect_superinformation(x, y, model).verdict:
         reason = "observables do not form a superinformation pair"
     return DecisionSupportReport(
         checks=tuple(checks),

@@ -83,10 +83,8 @@ def blank_attribute(substrate: SubstrateSpec) -> Attribute:
 def cloning_task(v: Variable, receptive: Attribute, side_effects: bool = True) -> Task:
     """The cloning task for v: (x, receptive) -> (x, x) for every member x."""
     s2 = compose_substrates(v.substrate, v.substrate)
-    pairs = []
-    for _, attr in v.members:
-        pairs.append((product_attribute(attr, receptive),
-                      product_attribute(attr, attr)))
+    pairs = [(product_attribute(attr, receptive), product_attribute(attr, attr))
+             for _, attr in v.members]
     return task(s2, pairs, side_effects=side_effects)
 
 
@@ -107,19 +105,15 @@ def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
     d = v.substrate.dim
     if len(v) > d:
         raise DomainError(f"{len(v)} flags do not fit in dimension {d}")
-    pairs = []
-    for k, (_, attr) in enumerate(v.members):
-        flag = extensional_attribute(v.substrate, (basis_state(d, k),))
-        pairs.append((attr, flag))
+    pairs = [(attr, extensional_attribute(v.substrate, (basis_state(d, k),)))
+             for k, (_, attr) in enumerate(v.members)]
     return task(v.substrate, pairs, side_effects=side_effects)
 
 
 def product_variable(v1: Variable, v2: Variable) -> Variable:
     """Members (l1, l2) -> x1 x x2 on the composite substrate."""
-    members = []
-    for l1, a1 in v1.members:
-        for l2, a2 in v2.members:
-            members.append(((l1, l2), product_attribute(a1, a2)))
+    members = [((l1, l2), product_attribute(a1, a2))
+               for l1, a1 in v1.members for l2, a2 in v2.members]
     return variable(compose_substrates(v1.substrate, v2.substrate), members)
 
 
@@ -135,13 +129,10 @@ def is_computation_variable(v: Variable, model) -> PredicateReport:
     """
     labels = v.labels
     checks = {}
-    ok = True
     for a, b in itertools.combinations(labels, 2):
         swap = {a: b, b: a}
-        verdict = is_task_possible(permutation_task(v, swap), model)
-        checks[(a, b)] = verdict
-        if verdict.status != POSSIBLE:
-            ok = False
+        checks[(a, b)] = is_task_possible(permutation_task(v, swap), model)
+    ok = all(verdict.status == POSSIBLE for verdict in checks.values())
     return _report("is_computation_variable", v, ok, {"transpositions": checks})
 
 
@@ -152,9 +143,7 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     clean amplitude-ratio certificate, so the later permutation sweep never
     reaches the oracle's unknown branch.
     """
-    candidates = [("blank", blank_attribute(v.substrate))]
-    for label, attr in v.members:
-        candidates.append((label, attr))
+    candidates = [("blank", blank_attribute(v.substrate)), *v.members]
     clone_checks = {}
     clone_ok = None
     for name, receptive in candidates:
@@ -329,10 +318,8 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("restriction is defined on the quantum backend")
     state = _single_state(y)
-    members = []
-    for label, attr in x.members:
-        if expectation(state, attribute_projector(attr)) > tol():
-            members.append((label, attr))
+    members = [(label, attr) for label, attr in x.members
+               if expectation(state, attribute_projector(attr)) > tol()]
     if not members:
         raise DomainError("restriction is empty: y has no overlap with any member")
     return variable(x.substrate, members)

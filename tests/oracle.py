@@ -2,10 +2,10 @@
 
 A length-n outcome string with count vector k deviates when its squared
 frequency deviation sum_x (k_x/n - p_x)^2 exceeds epsilon.  The library
-accumulates the weight of deviant strings by walking count compositions
-through its own recursive enumerator; everything here counts occupation
-vectors differently instead: the two-outcome case loops over a single count
-with ``math.comb``, the general case places bars between stars via
+takes count vectors a line at a time, with closed-form line totals and an
+isqrt interval of within-epsilon vectors; everything here classifies each
+occupation vector on its own instead: the two-outcome case loops over a
+single count with ``math.comb``, the general case places bars between stars via
 ``itertools.combinations`` and divides factorials.  The two routes share no
 code, so exact agreement pins both down.
 

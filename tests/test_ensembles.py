@@ -378,3 +378,92 @@ def test_random_state_partitions_sum_to_one(seed):
     s = normalized(rng.normal(size=3) + 1j * rng.normal(size=3))
     part = partition_of_unity(s, basis_variable(sub))
     assert sum(part.as_dict().values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Lines: exact ties at the ends of the within interval, wider sizes, bounded
+# float memory
+
+
+@pytest.mark.parametrize("probs, n, tied", [
+    (HALF, 10, (6, 4)),
+    ((Fraction(1, 3),) * 3, 9, (5, 2, 2)),
+    ((Fraction(1, 4),) * 4, 8, (4, 2, 1, 1)),
+])
+def test_ties_at_the_interval_ends_count_as_within(probs, n, tied):
+    eps = sum((Fraction(k, n) - p) ** 2 for k, p in zip(tied, probs))
+    assert eps in (Fraction(1, 50), Fraction(2, 27), Fraction(3, 32))
+    row = deviant_weight(None, n, eps, probabilities=list(probs))
+    assert row.exact == oracle.multinomial_deviant(probs, n, eps)
+    assert row.exact + oracle.multinomial_within(probs, n, eps) == 1
+    # just below the tie the tied count vectors turn deviant
+    below = deviant_weight(None, n, eps - Fraction(1, 10 ** 12), probabilities=list(probs))
+    assert below.exact == oracle.multinomial_deviant(probs, n, eps - Fraction(1, 10 ** 12))
+    assert below.exact > row.exact
+
+
+def _count_vector(d, n, cuts):
+    bars = sorted(c % (n + 1) for c in cuts[:d - 1])
+    return [b - a for a, b in zip([0, *bars], [*bars, n])]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.lists(st.integers(min_value=0, max_value=6), min_size=d, max_size=d)
+    ).filter(lambda raw: sum(raw) > 0),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=100), min_size=3, max_size=3),
+)
+def test_an_epsilon_taken_from_a_count_vector_ties_exactly(raw, n, cuts):
+    probs = [Fraction(q, sum(raw)) for q in raw]
+    tied = _count_vector(len(probs), n, cuts)
+    eps = sum((Fraction(k, n) - p) ** 2 for k, p in zip(tied, probs))
+    row = deviant_weight(None, n, eps, probabilities=probs)
+    assert row.exact == oracle.multinomial_deviant(probs, n, eps)
+    assert row.exact + oracle.multinomial_within(probs, n, eps) == 1
+
+
+def _largest_n(d, vectors=5_000):
+    """The largest n <= 40 with at most `vectors` count vectors, which keeps the
+    oracle's Fraction enumeration to a fraction of a second."""
+    return max(n for n in range(1, 41) if math.comb(n + d - 1, d - 1) <= vectors)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(min_value=2, max_value=5).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=d, max_size=d).filter(any),
+        st.integers(min_value=1, max_value=_largest_n(d)),
+    )),
+    epsilon_st,
+)
+def test_rows_match_the_oracle_up_to_five_outcomes(raw_n, eps):
+    # d = 2, 3 reach n = 40; d = 4 stops at 29 and d = 5 at 16
+    raw, n = raw_n
+    probs = [Fraction(q, sum(raw)) for q in raw]
+    deviant = oracle.multinomial_deviant(probs, n, eps)
+    row = deviant_weight(None, n, eps, probabilities=probs)
+    assert row.exact == deviant
+    assert row.numerator == deviant * row.natural_denominator
+    if oracle.deviation_margin(probs, n, eps) > Fraction(1, 10 ** 9):
+        approx = deviant_weight(None, n, eps, probabilities=[float(p) for p in probs]).approx
+        assert approx == pytest.approx(float(deviant), rel=1e-9, abs=1e-300)
+
+
+def test_near_guard_float_row_stays_small_and_under_the_hoeffding_ceiling():
+    # 8 006 001 count vectors, just under ENUMERATION_GUARD; one float64
+    # temporary over all of them would take 64 MB
+    import tracemalloc
+
+    d, n, eps = 3, 4_000, 10 / 4_000
+    assert 8 * 10 ** 6 < math.comb(n + d - 1, d - 1) <= 10 ** 7
+    tracemalloc.start()
+    try:
+        approx = deviant_weight(None, n, eps, probabilities=[0.3, 0.25, 0.45]).approx
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(approx)
+    assert 0.0 < approx <= 2 * d * math.exp(-2 * n * eps / d)
+    assert peak < 16 * 2 ** 20

@@ -376,3 +376,19 @@ def test_derivation_agrees_with_direct_evaluation(m, n, payoffs):
         [Fraction(p) for p in payoffs],
     )
     assert trace.final_value == direct
+
+
+def test_a_passing_pair_never_asks_for_superinformation(qubit, qubit_model, monkeypatch):
+    import ctkit.games
+
+    calls = []
+    detect = ctkit.games.detect_superinformation
+    monkeypatch.setattr(ctkit.games, "detect_superinformation",
+                        lambda *args: calls.append(args) or detect(*args))
+    x = basis_variable(qubit)
+    y = state_variable(qubit, [("+", plus()), ("-", minus())])
+    assert check_decision_support(qubit_model, x, y).passed
+    assert calls == []
+    failing = check_decision_support(qubit_model, x, x)
+    assert failing.reason == "observables do not form a superinformation pair"
+    assert len(calls) == 1
