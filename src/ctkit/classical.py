@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RepresentationError, SizeLimitError
+from .errors import RepresentationError
 from .kernel import (
     CLASSICAL,
     IMPOSSIBLE,
@@ -23,6 +23,7 @@ from .kernel import (
     PossibilityVerdict,
     SubstrateSpec,
     Task,
+    _guard_choices,
 )
 
 BACKEND = "classical"
@@ -61,13 +62,7 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
     demands = _flat_inputs(task)
     outs = [tuple(attr_out.states) for _, attr_out in task.pairs]
 
-    total = 1
-    for _, idx in demands:
-        total *= len(outs[idx])
-        if total > model.assignment_guard:
-            raise SizeLimitError(
-                f"choice-function space exceeds the guard of {model.assignment_guard}"
-            )
+    _guard_choices((len(outs[idx]) for _, idx in demands), model.assignment_guard)
 
     if task.side_effects:
         # Any choice function will do; collisions become ancilla garbage.

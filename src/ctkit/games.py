@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -125,7 +126,11 @@ def compose_games(g1: Game, g2: Game) -> Game:
 
 def game_value(g: Game) -> float:
     """Expected payoff: sum of partition weights times payoff labels."""
-    part = partition_of_unity(g.attribute, g.observable)
+    return _weighted_labels(partition_of_unity(g.attribute, g.observable))
+
+
+def _weighted_labels(part) -> float:
+    """Sum of a partition of unity's weights times its labels."""
     return float(sum(float(v) * float(l) for l, v in part.items))
 
 
@@ -525,7 +530,7 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
         for lam, states in sorted(buckets.items())
     ))
     part_o = partition_of_unity(rho_o, x_o)
-    value_o = sum(float(v) * float(l) for l, v in part_o.items)
+    value_o = _weighted_labels(part_o)
     mirrored = all(
         abs(part_o.value(lam) - part_o.value(-lam)) <= atol for lam in x_o.labels
     )
@@ -544,19 +549,13 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
         },
     )
 
-    # additivity: V over the summed payoff equals source value plus zero
-    amps = {}
-    for i, b in enumerate((b1, b2)):
-        for j in range(n):
-            e_j = basis_state(n, j)
-            branch = np.kron(b.vector, e_j.vector)
-            amps[(i, j)] = complex(np.vdot(branch, s_vec))
+    # additivity: V over the summed payoff equals source value plus zero;
+    # amps[i, j] = <b_i (x) e_j|s>
+    amps = np.array([b1.vector, b2.vector]).conj() @ s_vec.reshape(2, n)
     payoff_of = {0: x1, 1: x2}
-    total = sum(
-        abs(a) ** 2 * float(payoff_of[i] + labels[j]) for (i, j), a in amps.items()
-    )
-    source_part = partition_of_unity(intrinsic_part(measured, 0), x)
-    source_value = sum(float(v) * float(l) for l, v in source_part.items)
+    total = float(sum(
+        abs(a) ** 2 * float(payoff_of[i] + labels[j]) for (i, j), a in np.ndenumerate(amps)))
+    source_value = _weighted_labels(partition_of_unity(intrinsic_part(measured, 0), x))
     additive = abs(total - (source_value + value_o)) <= atol
     yield DerivationStep(
         rule="Additivity",
@@ -569,10 +568,10 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
     # the n-branch expansion is uniform, so the symmetric result applies
     uniform = all(
         abs(abs(a) - (1.0 / math.sqrt(n) if _in_block(i, j, m) else 0.0)) <= atol
-        for (i, j), a in amps.items()
+        for (i, j), a in np.ndenumerate(amps)
     )
     branch_payoffs = [payoff_of[i] + labels[j]
-                      for (i, j) in amps if _in_block(i, j, m)]
+                      for i in range(2) for j in range(n) if _in_block(i, j, m)]
     mean = sum(branch_payoffs, Fraction(0)) / n
     arithmetic = (mean == final) and (len(branch_payoffs) == n)
     yield DerivationStep(
@@ -610,6 +609,16 @@ class DecisionSupportReport:
 def _nontrivial_mixture(attr: Attribute, of: Variable, model) -> bool:
     report = is_generalised_mixture(attr, of, model)
     return report.verdict and "trivial" not in report.evidence
+
+
+@lru_cache(maxsize=None)
+def _appendix_available(atol: float) -> bool:
+    """Whether the 1/3 appendix derivation passes; it reads nothing but the
+    tolerance atol, so it is derived once per tolerance."""
+    try:
+        return derive_value_mn(1, 3, (Fraction(1), Fraction(0))).all_checks_pass
+    except CtError:
+        return False
 
 
 def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportReport:
@@ -718,13 +727,6 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     record("R3", r3)
     record("R4", r4)
 
-    def appendix_prep() -> bool:
-        try:
-            trace = derive_value_mn(1, 3, (Fraction(1), Fraction(0)))
-        except CtError:
-            return False
-        return trace.all_checks_pass
-
     q_state = diagonal(xs) if checks[4][1] else None
     passed = all(v for _, v, _ in checks)
     reason = None
@@ -734,6 +736,6 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         checks=tuple(checks),
         passed=passed,
         reason=reason,
-        appendix_preparation_available=appendix_prep(),
+        appendix_preparation_available=_appendix_available(atol),
         q=q_state,
     )

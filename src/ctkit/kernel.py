@@ -22,7 +22,9 @@ nominates pairs; each nominee is decided by the pairwise test, in the order
 a nested loop over the pairs would meet it, so the first offending pair and
 its witness are the loop's.  Lists holding a mixed state or a subspace
 attribute fall back to `attributes_disjoint` pair by pair, the only test
-that decides those.
+that decides those.  Repeats within one attribute, and within a union of
+attributes, follow the same rule: the Gram matrix nominates, `states_equal`
+decides.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     InvalidCompositionError,
     LabelArithmeticError,
     RepresentationError,
+    SizeLimitError,
     StateError,
 )
 from .states import MixedState, PureState, State, basis_state, states_equal, tensor
@@ -174,14 +177,11 @@ class Subspace:
 
 
 def _has_repeat(states) -> bool:
-    """Whether two of the states are equal up to phase."""
+    """Whether two of the states are equal up to phase (`states_equal`)."""
     vecs = _pure_rows(states)
-    if vecs is not None:
-        # one row of overlaps at a time: |<s_i|s_j>| ~ 1 is a repeat
-        atol = tol()
-        return any(np.abs(vecs[i + 1:] @ vecs[i].conj()).max() >= 1.0 - atol
-                   for i in range(len(vecs) - 1))
-    return any(states_equal(s, r) for i, s in enumerate(states) for r in states[i + 1:])
+    pairs = itertools.combinations(range(len(states)), 2) if vecs is None else \
+        _nominated_pairs(vecs, np.arange(len(vecs)), _near_one(vecs.shape[1]))
+    return any(states_equal(states[i], states[j]) for i, j in pairs)
 
 
 @dataclass(frozen=True)
@@ -275,10 +275,14 @@ def attribute_span(attr: Attribute) -> np.ndarray:
             for val, col in zip(vals, vecs.T):
                 if val > tol():
                     rows.append(col)
-    mat = np.array(rows)
-    u, sing, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(sing > 1e-12))
-    return vh[:rank]
+    return _row_basis(np.array(rows))
+
+
+def _row_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the given rows: the right singular vectors
+    whose singular values exceed 1e-12."""
+    _, sing, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[:int(np.sum(sing > 1e-12))]
 
 
 def attribute_projector(attr: Attribute) -> np.ndarray:
@@ -638,6 +642,17 @@ def parallel_task(a: Task, b: Task) -> Task:
 
 # ---------------------------------------------------------------------------
 # Possibility verdicts
+
+
+def _guard_choices(option_counts, guard: int) -> int:
+    """The size of a choice space, the product of its option counts; a
+    SizeLimitError as soon as a partial product exceeds guard."""
+    total = 1
+    for count in option_counts:
+        total *= count
+        if total > guard:
+            raise SizeLimitError(f"choice-function space exceeds the guard of {guard}")
+    return total
 
 
 POSSIBLE = "possible"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .kernel import (
     Task,
     Variable,
     _first_span_overlap,
+    _row_basis,
     _single_state,
     attribute_equal,
     attribute_projector,
@@ -80,12 +82,26 @@ def blank_attribute(substrate: SubstrateSpec) -> Attribute:
     return extensional_attribute(substrate, (basis_state(substrate.dim, 0),))
 
 
+def _cloning_tasks(v: Variable, receptives, side_effects: bool = True):
+    """The cloning task of v for each receptive attribute in turn, built on
+    demand; the composite substrate and the (x, x) outputs are built once."""
+    s2 = compose_substrates(v.substrate, v.substrate)
+    outputs = [product_attribute(attr, attr) for attr in v.attributes]
+    for receptive in receptives:
+        yield task(s2, [(product_attribute(attr, receptive), out)
+                        for attr, out in zip(v.attributes, outputs)], side_effects=side_effects)
+
+
+def _cloning_verdicts(v: Variable, model):
+    """(name, verdict) of cloning v onto the blank, then onto each member."""
+    names, receptives = zip(("blank", blank_attribute(v.substrate)), *v.members)
+    for name, clone in zip(names, _cloning_tasks(v, receptives)):
+        yield name, is_task_possible(clone, model)
+
+
 def cloning_task(v: Variable, receptive: Attribute, side_effects: bool = True) -> Task:
     """The cloning task for v: (x, receptive) -> (x, x) for every member x."""
-    s2 = compose_substrates(v.substrate, v.substrate)
-    pairs = [(product_attribute(attr, receptive), product_attribute(attr, attr))
-             for _, attr in v.members]
-    return task(s2, pairs, side_effects=side_effects)
+    return next(_cloning_tasks(v, (receptive,), side_effects))
 
 
 def permutation_task(v: Variable, mapping: dict, side_effects: bool = True) -> Task:
@@ -143,11 +159,9 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     clean amplitude-ratio certificate, so the later permutation sweep never
     reaches the oracle's unknown branch.
     """
-    candidates = [("blank", blank_attribute(v.substrate)), *v.members]
     clone_checks = {}
     clone_ok = None
-    for name, receptive in candidates:
-        verdict = is_task_possible(cloning_task(v, receptive), model)
+    for name, verdict in _cloning_verdicts(v, model):
         clone_checks[name] = verdict
         if verdict.status == POSSIBLE:
             clone_ok = name
@@ -209,8 +223,8 @@ def bar(x: Attribute, model) -> Attribute:
     subspace.  Classical: the set complement within the universe.
     """
     if x.substrate.kind == CLASSICAL:
-        universe = x.substrate.universe()
-        rest = tuple(s for s in universe if s not in set(x.states))
+        held = set(x.states)
+        rest = tuple(s for s in x.substrate.universe() if s not in held)
         if not rest:
             raise DomainError("bar of the full classical universe is empty")
         return extensional_attribute(x.substrate, rest)
@@ -227,20 +241,14 @@ def bar(x: Attribute, model) -> Attribute:
 
 def span_closure(v: Variable | Attribute) -> Attribute:
     """The full-subspace attribute spanned by a variable's member states."""
-    if isinstance(v, Variable):
-        substrate = v.substrate
-        parts = [attribute_span(a) for a in v.attributes]
-    else:
-        substrate = v.substrate
-        parts = [attribute_span(v)]
+    substrate = v.substrate
+    parts = [attribute_span(a) for a in (v.attributes if isinstance(v, Variable) else (v,))]
     if substrate.kind != QUANTUM:
         raise RepresentationError("span closure is a quantum notion")
     stacked = np.vstack([p for p in parts if p.size] or [np.zeros((0, substrate.dim))])
     if stacked.shape[0] == 0:
         return subspace_attribute(substrate, ())
-    _, sing, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(sing > 1e-12))
-    return subspace_attribute(substrate, tuple(PureState(row) for row in vh[:rank]))
+    return subspace_attribute(substrate, tuple(PureState(row) for row in _row_basis(stacked)))
 
 
 def is_observable(v: Variable, model) -> PredicateReport:
@@ -273,40 +281,26 @@ def is_observable(v: Variable, model) -> PredicateReport:
 
 def detect_superinformation(x: Variable, y: Variable, model) -> PredicateReport:
     """Two information observables, mutually disjoint, with an unclonable union."""
-    subject = _subject(x.substrate.id, x.labels, "|", y.labels)
+    report = partial(PredicateReport, "detect_superinformation",
+                     _subject(x.substrate.id, x.labels, "|", y.labels))
     for name, v in (("X", x), ("Y", y)):
         info = is_information_variable(v, model)
         obs = is_observable(v, model)
         if not (info.verdict and obs.verdict):
-            return PredicateReport(
-                predicate="detect_superinformation",
-                subject=subject,
-                verdict=False,
-                evidence={"failed": f"{name} is not an information observable",
-                          "information": info, "observable": obs},
-            )
+            return report(False, {"failed": f"{name} is not an information observable",
+                                  "information": info, "observable": obs})
     for lx, ax in x.members:
         for ly, ay in y.members:
             disjoint, witness = attributes_disjoint(ax, ay)
             if not disjoint:
-                return PredicateReport(
-                    predicate="detect_superinformation",
-                    subject=subject,
-                    verdict=False,
-                    evidence={"failed": "cross disjointness",
-                              "pair": (lx, ly), "witness": witness},
-                )
+                return report(False, {"failed": "cross disjointness",
+                                      "pair": (lx, ly), "witness": witness})
     union = variable(
         x.substrate,
         [(("x", l), a) for l, a in x.members] + [(("y", l), a) for l, a in y.members],
     )
     union_info = is_information_variable(union, model)
-    return PredicateReport(
-        predicate="detect_superinformation",
-        subject=subject,
-        verdict=not union_info.verdict,
-        evidence={"union_information": union_info},
-    )
+    return report(not union_info.verdict, {"union_information": union_info})
 
 
 # ---------------------------------------------------------------------------
@@ -332,58 +326,29 @@ def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:
     projector of h sharp in z.  Classically the span adds nothing beyond the
     union, so only membership survives.
     """
-    subject = _subject(z.substrate.id, "z vs", h.labels)
+    report = partial(PredicateReport, "is_generalised_mixture",
+                     _subject(z.substrate.id, "z vs", h.labels))
     for label, attr in h.members:
         if attribute_equal(z, attr):
-            return PredicateReport(
-                predicate="is_generalised_mixture",
-                subject=subject,
-                verdict=True,
-                evidence={"trivial": label},
-            )
+            return report(True, {"trivial": label})
     if z.substrate.kind == CLASSICAL:
-        return PredicateReport(
-            predicate="is_generalised_mixture",
-            subject=subject,
-            verdict=False,
-            evidence={"reason": "no classical attribute lies in the span "
-                                "of members it is disjoint from"},
-        )
+        return report(False, {"reason": "no classical attribute lies in the span "
+                                        "of members it is disjoint from"})
     for label, attr in h.members:
         disjoint, witness = attributes_disjoint(z, attr)
         if not disjoint:
-            return PredicateReport(
-                predicate="is_generalised_mixture",
-                subject=subject,
-                verdict=False,
-                evidence={"failed": "not disjoint", "member": label, "witness": witness},
-            )
+            return report(False, {"failed": "not disjoint", "member": label, "witness": witness})
         if attribute_subset(z, attr):
-            return PredicateReport(
-                predicate="is_generalised_mixture",
-                subject=subject,
-                verdict=False,
-                evidence={"failed": "contained in a member", "member": label},
-            )
+            return report(False, {"failed": "contained in a member", "member": label})
     proj = attribute_projector(span_closure(h))
     atol = tol()
     if z.is_subspace:
         span = attribute_span(z)
-        dev = float(np.abs(span.conj() @ proj @ span.T - np.eye(span.shape[0])).max()) if span.size else 1.0
-        sharp = dev <= atol
-        worst = dev
+        worst = 1.0 if not span.size else \
+            float(np.abs(span.conj() @ proj @ span.T - np.eye(span.shape[0])).max())
     else:
-        worst = 0.0
-        for s in z.states:
-            gap = abs(1.0 - expectation(s, proj))
-            worst = max(worst, gap)
-        sharp = worst <= atol
-    return PredicateReport(
-        predicate="is_generalised_mixture",
-        subject=subject,
-        verdict=sharp,
-        evidence={"span_sharpness_gap": worst},
-    )
+        worst = max(abs(1.0 - expectation(s, proj)) for s in z.states)
+    return report(worst <= atol, {"span_sharpness_gap": worst})
 
 
 def generalised_mixture_kind(state, h: Variable, model) -> str:

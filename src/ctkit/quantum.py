@@ -27,7 +27,6 @@ from .errors import (
     PreconditionError,
     ReceptiveStateError,
     RepresentationError,
-    SizeLimitError,
     StateError,
     TransformError,
 )
@@ -42,6 +41,7 @@ from .kernel import (
     Task,
     Variable,
     _first_span_overlap,
+    _guard_choices,
     attribute_projector,
     attribute_span,
 )
@@ -270,13 +270,7 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
     """
     atol = tol()
     ins, cands, options = _task_demands(task)
-    total = 1
-    for opts in options:
-        total *= len(opts)
-        if total > model.assignment_guard:
-            raise SizeLimitError(
-                f"choice-function space exceeds the guard of {model.assignment_guard}"
-            )
+    total = _guard_choices(map(len, options), model.assignment_guard)
     g_in = gram(ins).matrix
     g_cand = gram(cands).matrix if total > 1 else None  # one choice: nothing to prune
 

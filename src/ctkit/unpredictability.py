@@ -23,12 +23,10 @@ from .kernel import (
     Variable,
     _single_state,
     attribute_projector,
-    is_task_possible,
     variable,
 )
 from .predicates import (
-    blank_attribute,
-    cloning_task,
+    _cloning_verdicts,
     is_generalised_mixture,
     is_observable,
     restricted_variable,
@@ -204,11 +202,7 @@ def unpredictability_certificate(x: Variable, y: Attribute, model) -> Unpredicta
         x.substrate,
         list(x_y.members) + [(("mixture", "y"), y)],
     )
-    receptives = [("blank", blank_attribute(x.substrate))]
-    receptives += [(label, attr) for label, attr in z.members]
-    cloning = {}
-    for name, receptive in receptives:
-        cloning[name] = is_task_possible(cloning_task(z, receptive), model)
+    cloning = dict(_cloning_verdicts(z, model))
     measurer = build_measurer(x)
     problem = PredictorProblem(x=x, z=z, measurer=measurer)
     predictor = predictor_feasible(problem, model)

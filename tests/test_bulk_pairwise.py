@@ -33,11 +33,12 @@ from ctkit import (
     is_distinguishable,
     normalized,
     quantum_substrate,
+    states_equal,
     subspace_attribute,
     tensor,
 )
 from ctkit import kernel
-from ctkit.errors import CtError
+from ctkit.errors import CtError, StateError
 from ctkit.kernel import Subspace, _first_overlap, _first_span_overlap
 from ctkit.tolerance import tol
 
@@ -290,3 +291,32 @@ def test_a_late_repeat_is_found_across_row_blocks(scale_attrs):
     with pytest.raises(CtError) as info:
         Variable(sub, members)
     assert str(info.value) == f"attributes 1500 and 1999 overlap (shared state: {shared!r})"
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed_st, st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+def test_attribute_repeats_match_a_nested_states_equal_loop(seed, dim, row_blocks, data):
+    """An extensional attribute of pure states is refused exactly when a
+    nested `states_equal` loop finds a repeat, near-repeats at the
+    tolerance included."""
+    rng = np.random.default_rng(seed)
+    sub = quantum_substrate("s", dim)
+    pool = state_pool(dim, rng) if dim > 1 else [basis_state(1, 0), PureState(np.array([1j]))]
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    states = [pool[k] for k in idx]
+    if dim > 1 and data.draw(st.booleans()):
+        # s + eps u, u a unit vector orthogonal to s, has overlap 1 - eps^2 / 2
+        # with s, so eps near sqrt(2 tol) lands either side of the tolerance
+        s = states[data.draw(st.integers(0, len(states) - 1))].vector
+        step = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        step -= np.vdot(s, step) * s
+        eps = np.sqrt(2 * tol()) * data.draw(st.floats(min_value=0.98, max_value=1.02))
+        states.insert(data.draw(st.integers(0, len(states))),
+                      normalized(s + eps * step / np.linalg.norm(step)))
+    repeat = any(states_equal(a, b) for i, a in enumerate(states) for b in states[i + 1:])
+    with mock.patch.object(kernel, "_GRAM_BLOCK_BYTES", 1 if row_blocks else kernel._GRAM_BLOCK_BYTES):
+        got = outcome(lambda: extensional_attribute(sub, states))
+    if repeat:
+        assert got == (StateError, "duplicate states in attribute (up to phase)")
+    else:
+        assert got[0] == "ok"

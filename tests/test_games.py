@@ -392,3 +392,22 @@ def test_a_passing_pair_never_asks_for_superinformation(qubit, qubit_model, monk
     failing = check_decision_support(qubit_model, x, x)
     assert failing.reason == "observables do not form a superinformation pair"
     assert len(calls) == 1
+
+
+def test_the_appendix_trace_is_derived_once_per_tolerance(qubit, qubit_model, monkeypatch):
+    import ctkit.games
+
+    calls = []
+    derive = ctkit.games.derive_value_mn
+    monkeypatch.setattr(ctkit.games, "derive_value_mn",
+                        lambda *args: calls.append(args) or derive(*args))
+    ctkit.games._appendix_available.cache_clear()
+    x = basis_variable(qubit)
+    y = state_variable(qubit, [("+", plus()), ("-", minus())])
+    for _ in range(3):
+        assert check_decision_support(qubit_model, x, y).appendix_preparation_available
+    assert calls == [(1, 3, (Fraction(1), Fraction(0)))]
+    monkeypatch.setenv("CT_TOL", "1e-8")
+    for _ in range(2):
+        assert check_decision_support(qubit_model, x, y).appendix_preparation_available
+    assert len(calls) == 2

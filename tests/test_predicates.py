@@ -461,3 +461,58 @@ def test_product_of_information_variables_is_information(qubit, x_basis):
     prod = product_variable(x_basis, x_basis)
     assert set(prod.labels) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert is_information_variable(prod, pair_model).verdict
+
+
+def test_classical_bar_on_a_composite_keeps_universe_order():
+    from ctkit import ClassicalModel, classical_substrate, compose_substrates
+
+    a = classical_substrate("a", range(6))
+    pair = compose_substrates(a, classical_substrate("b", "xyz"))
+    held = [(5, "z"), (0, "x"), (2, "y")]
+    rest = bar(extensional_attribute(pair, held), ClassicalModel(pair))
+    assert rest.states == tuple(s for s in pair.universe() if s not in held)
+
+
+# ---------------------------------------------------------------------------
+# The shared cloning construction
+
+
+def test_cloning_candidates_share_the_outputs():
+    from unittest import mock
+
+    from ctkit import QuantumModel, cloning_task, is_task_possible, quantum_substrate
+    import ctkit.predicates as predicates
+
+    rng = np.random.default_rng(12)
+    d = 16
+    sub = quantum_substrate("q16", d)
+    v = state_variable(sub, [(k, normalized(rng.normal(size=d) + 1j * rng.normal(size=d)))
+                             for k in range(12)])
+    model = QuantumModel(sub)
+    with mock.patch.object(predicates, "product_attribute",
+                           wraps=predicates.product_attribute) as product:
+        report = is_information_variable(v, model)
+    # 12 (x, x) outputs once, then 12 inputs for each of the 13 candidates
+    assert product.call_count == 12 + 13 * 12
+    assert not report.verdict
+    assert set(report.evidence) == {"cloning", "computation"}
+    assert list(report.evidence["cloning"]) == ["blank", *v.labels]
+    receptives = [blank_attribute(sub), *v.attributes]
+    for verdict, receptive in zip(report.evidence["cloning"].values(), receptives):
+        assert verdict.status == is_task_possible(cloning_task(v, receptive), model).status
+        assert not verdict.possible
+
+
+def test_information_variable_stops_at_the_first_clonable_candidate(x_basis, qubit_model):
+    from unittest import mock
+
+    import ctkit.predicates as predicates
+
+    with mock.patch.object(predicates, "product_attribute",
+                           wraps=predicates.product_attribute) as product:
+        report = is_information_variable(x_basis, qubit_model)
+    # the two (x, x) outputs and the blank's two inputs; no later candidate is built
+    assert product.call_count == 2 + 2
+    assert report.verdict
+    assert list(report.evidence["cloning"]) == ["blank"]
+    assert report.evidence["receptive"] == "blank"

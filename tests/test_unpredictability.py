@@ -187,3 +187,16 @@ def test_predictor_matches_information_status_of_z(seed):
     assert verdict.exists == sharp_everywhere
     if verdict.exists:
         assert z_info.verdict
+
+
+def test_certificate_clones_onto_the_blank_then_each_member(qutrit, qutrit_model):
+    from ctkit import blank_attribute, cloning_task, is_task_possible
+
+    x = basis_variable(qutrit)
+    y = extensional_attribute(qutrit, [normalized([1, 1, 1])])
+    cert = unpredictability_certificate(x, y, qutrit_model)
+    assert list(cert.cloning) == ["blank", *cert.z.labels]
+    receptives = [blank_attribute(qutrit), *cert.z.attributes]
+    for verdict, receptive in zip(cert.cloning.values(), receptives):
+        assert verdict.status == is_task_possible(cloning_task(cert.z, receptive),
+                                                  qutrit_model).status
