@@ -22,7 +22,7 @@ from .errors import CtError, DomainError, ModelSpecError
 from .games import check_decision_support, derive_value_mn, exact_game_value, render_trace
 from .kernel import QUANTUM, extensional_attribute, is_task_possible
 from .modelspec import parse_model_spec, sqrt_radicand
-from .predicates import detect_superinformation, is_information_variable, is_observable
+from .predicates import _superinformation_pair, is_information_variable, is_observable
 from .tolerance import tol
 from .unpredictability import unpredictability_certificate
 
@@ -108,11 +108,13 @@ def cmd_check_model(args) -> tuple:
     else:
         print(f"model: classical substrate {doc.substrate.id!r} ({doc.substrate.size()} labels)")
     verdicts = []
+    observables = []
     for name, var in doc.variables.items():
         info = is_information_variable(var, doc.model)
         obs = is_observable(var, doc.model)
         ok = info.verdict and obs.verdict
         if ok:
+            observables.append(var)
             wording = "information observable"
         elif info.verdict:
             wording = "information variable, not an observable"
@@ -122,8 +124,9 @@ def cmd_check_model(args) -> tuple:
         verdicts.append((f"variable {name}", ok))
     for name, declared in doc.tasks.items():
         print(f"task {name}: {is_task_possible(declared, doc.model).status}")
-    found = any(detect_superinformation(doc.variables[a], doc.variables[b], doc.model).verdict
-                for a, b in itertools.combinations(doc.variables, 2))
+    # detect_superinformation fails any pair with a non-observable in it
+    found = any(_superinformation_pair(a, b, doc.model)[0]
+                for a, b in itertools.combinations(observables, 2))
     print(f"superinformation: {'true' if found else 'false'}")
     verdicts.append(("superinformation", found))
     return tuple(verdicts)

@@ -176,12 +176,13 @@ class Subspace:
                 raise StateError("subspace basis is not orthonormal")
 
 
-def _has_repeat(states) -> bool:
-    """Whether two of the states are equal up to phase (`states_equal`)."""
+def _equal_pairs(states):
+    """Pairs (i, j), i < j, of equal states (`states_equal`) in lexicographic
+    order; pure states of one length are nominated by their Gram matrix."""
     vecs = _pure_rows(states)
     pairs = itertools.combinations(range(len(states)), 2) if vecs is None else \
         _nominated_pairs(vecs, np.arange(len(vecs)), _near_one(vecs.shape[1]))
-    return any(states_equal(states[i], states[j]) for i, j in pairs)
+    return ((i, j) for i, j in pairs if states_equal(states[i], states[j]))
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ class Attribute:
                         raise RepresentationError("quantum attribute states must be PureState or MixedState")
                     if s.dim != self.substrate.dim:
                         raise StateError("state dimension does not match substrate")
-                if len(rep.states) > 1 and _has_repeat(rep.states):
+                if len(rep.states) > 1 and next(_equal_pairs(rep.states), None):
                     raise StateError("duplicate states in attribute (up to phase)")
 
     @property
@@ -383,21 +384,13 @@ def attribute_union(parts) -> Attribute:
         raise RepresentationError("union of subspace attributes is not supported")
     states = [s for p in parts for s in p.states]
     if substrate.kind == CLASSICAL:
-        merged = list(dict.fromkeys(states))
-    elif (vecs := _pure_rows(states)) is not None:
-        # one row of overlaps at a time, against the states kept so far
-        floor = _near_one(vecs.shape[1])
-        kept = np.zeros(len(states), dtype=bool)
-        for k, s in enumerate(states):
-            near = np.flatnonzero(kept[:k] & (np.abs(vecs[:k] @ vecs[k].conj()) >= floor))
-            kept[k] = not any(states_equal(s, states[q]) for q in near)
-        merged = [s for s, keep in zip(states, kept) if keep]
-    else:
-        merged = []
-        for s in states:
-            if not any(states_equal(s, q) for q in merged):
-                merged.append(s)
-    return extensional_attribute(substrate, merged)
+        return extensional_attribute(substrate, dict.fromkeys(states))
+    # pairs (k, i) come before (i, j): j goes when it equals an i that stays
+    dropped = set()
+    for i, j in _equal_pairs(states):
+        if i not in dropped:
+            dropped.add(j)
+    return extensional_attribute(substrate, [s for k, s in enumerate(states) if k not in dropped])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
+    _first_overlap,
     _first_span_overlap,
     _row_basis,
     _single_state,
@@ -243,8 +244,6 @@ def span_closure(v: Variable | Attribute) -> Attribute:
     """The full-subspace attribute spanned by a variable's member states."""
     substrate = v.substrate
     parts = [attribute_span(a) for a in (v.attributes if isinstance(v, Variable) else (v,))]
-    if substrate.kind != QUANTUM:
-        raise RepresentationError("span closure is a quantum notion")
     stacked = np.vstack([p for p in parts if p.size] or [np.zeros((0, substrate.dim))])
     if stacked.shape[0] == 0:
         return subspace_attribute(substrate, ())
@@ -289,18 +288,23 @@ def detect_superinformation(x: Variable, y: Variable, model) -> PredicateReport:
         if not (info.verdict and obs.verdict):
             return report(False, {"failed": f"{name} is not an information observable",
                                   "information": info, "observable": obs})
-    for lx, ax in x.members:
-        for ly, ay in y.members:
-            disjoint, witness = attributes_disjoint(ax, ay)
-            if not disjoint:
-                return report(False, {"failed": "cross disjointness",
-                                      "pair": (lx, ly), "witness": witness})
+    return report(*_superinformation_pair(x, y, model))
+
+
+def _superinformation_pair(x: Variable, y: Variable, model) -> tuple[bool, dict]:
+    """(verdict, evidence) for two information observables: mutually disjoint,
+    with an unclonable union.  Members of one variable never overlap, so the
+    first overlap in x's members followed by y's is the first cross pair."""
+    if (hit := _first_overlap(x.attributes + y.attributes)) is not None:
+        i, j, witness = hit
+        return False, {"failed": "cross disjointness",
+                       "pair": (x.labels[i], y.labels[j - len(x)]), "witness": witness}
     union = variable(
         x.substrate,
         [(("x", l), a) for l, a in x.members] + [(("y", l), a) for l, a in y.members],
     )
     union_info = is_information_variable(union, model)
-    return report(not union_info.verdict, {"union_information": union_info})
+    return not union_info.verdict, {"union_information": union_info}
 
 
 # ---------------------------------------------------------------------------

@@ -106,3 +106,15 @@ def check_measurable(labels, spans, atol: float) -> None:
             f"attributes {labels[i]!r} and {labels[j]!r} have "
             f"non-orthogonal spans (overlap {overlap:.6g})"
         )
+
+
+def first_cross_overlap(x, y):
+    """((label of x, label of y), witness) of the first pair of members, one
+    from each variable, that share a state, in the nested loop over x's
+    members and then y's; None when no pair does."""
+    for lx, ax in x.members:
+        for ly, ay in y.members:
+            disjoint, witness = attributes_disjoint(ax, ay)
+            if not disjoint:
+                return (lx, ly), witness
+    return None

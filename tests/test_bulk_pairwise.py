@@ -14,12 +14,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctkit import (
+    ClassicalModel,
     MixedState,
     PureState,
+    QuantumModel,
     SubstrateSpec,
     Task,
     Variable,
@@ -36,16 +38,18 @@ from ctkit import (
     states_equal,
     subspace_attribute,
     tensor,
+    variable,
 )
 from ctkit import kernel
 from ctkit.errors import CtError, StateError
 from ctkit.kernel import Subspace, _first_overlap, _first_span_overlap
+from ctkit.predicates import _superinformation_pair
 from ctkit.tolerance import tol
 
 import pairwise_oracle as ref
 
 seed_st = st.integers(min_value=0, max_value=2**32 - 1)
-PURE, MIXED, SUBSPACE = "pure", "mixed", "subspace"
+PURE, MIXED, SUBSPACE, MULTI = "pure", "mixed", "subspace", "multi"
 
 
 def outcome(build):
@@ -160,6 +164,21 @@ def test_classical_attribute_mixes_agree_with_the_loops(data):
         st.sampled_from(labels), min_size=1, max_size=3, unique=True)))
         for _ in range(data.draw(st.integers(min_value=0, max_value=6)))]
     assert_agree(sub, attrs)
+
+
+@pytest.mark.parametrize("row_blocks", [False, True])
+def test_union_keeps_a_state_whose_only_equal_was_dropped(row_blocks):
+    """a equals b and b equals c within the tolerance, a does not equal c:
+    the loop keeps a, drops b and keeps c, which equals no state kept."""
+    sub = quantum_substrate("s", 2)
+    step = np.sqrt(1.2 * tol())  # overlaps 1 - 0.6 tol and 1 - 2.4 tol
+    a, b, c = (PureState(np.array([np.cos(k * step), np.sin(k * step)])) for k in range(3))
+    assert states_equal(a, b) and states_equal(b, c) and not states_equal(a, c)
+    parts = [extensional_attribute(sub, [s]) for s in (a, b, c)]
+    assert ref.union_states(parts) == [a, c]
+    with mock.patch.object(kernel, "_GRAM_BLOCK_BYTES", 1 if row_blocks else kernel._GRAM_BLOCK_BYTES):
+        kept = attribute_union(parts).states
+    assert len(kept) == 2 and kept[0] is a and kept[1] is c
 
 
 @settings(deadline=None, max_examples=100)
@@ -320,3 +339,107 @@ def test_attribute_repeats_match_a_nested_states_equal_loop(seed, dim, row_block
         assert got == (StateError, "duplicate states in attribute (up to phase)")
     else:
         assert got[0] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# Superinformation: the first cross pair of two variables
+
+
+def draw_member(data, sub, pool):
+    """A single pure state, two or three pure states, or a subspace."""
+    kind = data.draw(st.sampled_from([PURE, MULTI, SUBSPACE]))
+    if kind == SUBSPACE:
+        ks = data.draw(st.lists(st.integers(0, sub.dim - 1), min_size=1, max_size=2, unique=True))
+        return subspace_attribute(sub, [basis_state(sub.dim, k) for k in ks])
+    size = 1 if kind == PURE else data.draw(st.integers(2, 3))
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size,
+                             unique=True))
+    return extensional_attribute(sub, [pool[k] for k in idx])
+
+
+def planted_copy(data, sub, pool, attr):
+    """An attribute sharing a state with attr: the same subspace, one of its
+    basis vectors, or one of its states up to a phase, alone or with
+    another pool state."""
+    if attr.is_subspace:
+        if data.draw(st.booleans()):
+            return attr
+        return extensional_attribute(sub, [data.draw(st.sampled_from(attr.basis))])
+    s = data.draw(st.sampled_from(attr.states))
+    copy = PureState(np.exp(1j * data.draw(st.floats(0, 6.28))) * s.vector)
+    other = data.draw(st.sampled_from(pool))
+    status, both = outcome(lambda: extensional_attribute(sub, [copy, other]))
+    if status == "ok" and data.draw(st.booleans()):
+        return both
+    return extensional_attribute(sub, [copy])
+
+
+def grow_variable(data, sub, prefix, candidates):
+    """A variable of those candidate attributes that keep the members
+    pairwise disjoint, each inserted at a drawn place; None if none does."""
+    members = []
+    for k, draw in enumerate(candidates):
+        status, attr = outcome(draw)
+        if status != "ok":
+            continue
+        trial = list(members)
+        trial.insert(data.draw(st.integers(0, len(trial))), (f"{prefix}{k}", attr))
+        if outcome(lambda: variable(sub, trial))[0] == "ok":
+            members = trial
+    return variable(sub, members) if members else None
+
+
+def assert_first_cross_pair(x, y, model):
+    want = ref.first_cross_overlap(x, y)
+    assert want is not None
+    verdict, evidence = _superinformation_pair(x, y, model)
+    assert verdict is False
+    assert evidence["failed"] == "cross disjointness"
+    assert evidence["pair"] == want[0]
+    assert same_witness(evidence["witness"], want[1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed_st, st.integers(min_value=2, max_value=4), st.booleans(), st.data())
+def test_superinformation_names_the_first_cross_pair(seed, dim, row_blocks, data):
+    """With members sharing a state with x planted in y, the pair and the
+    witness are those of the nested `attributes_disjoint` loop over x's and
+    y's members."""
+    rng = np.random.default_rng(seed)
+    sub = quantum_substrate("s", dim)
+    pool = state_pool(dim, rng)
+
+    def member():
+        return draw_member(data, sub, pool)
+
+    def plant():
+        return planted_copy(data, sub, pool, data.draw(st.sampled_from(x.attributes)))
+
+    x = grow_variable(data, sub, "x", [member] * data.draw(st.integers(1, 4)))
+    assume(x is not None)
+    # the first candidate always stays, so y shares a state with x
+    y = grow_variable(data, sub, "y", [plant] * data.draw(st.integers(1, 2))
+                      + [member] * data.draw(st.integers(0, 3)))
+    with mock.patch.object(kernel, "_GRAM_BLOCK_BYTES", 1 if row_blocks else kernel._GRAM_BLOCK_BYTES):
+        assert_first_cross_pair(x, y, QuantumModel(sub))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_classical_superinformation_names_the_first_cross_pair(data):
+    labels = ["a", "b", "c", 0, 1, (2, 3)]
+    sub = classical_substrate("c", labels)
+
+    def member():
+        return extensional_attribute(sub, data.draw(st.lists(
+            st.sampled_from(labels), min_size=1, max_size=2, unique=True)))
+
+    def plant():
+        shared = data.draw(st.sampled_from(data.draw(st.sampled_from(x.attributes)).states))
+        extra = data.draw(st.lists(st.sampled_from(labels), max_size=1))
+        return extensional_attribute(sub, dict.fromkeys([shared] + extra))
+
+    x = grow_variable(data, sub, "x", [member] * data.draw(st.integers(1, 4)))
+    y = grow_variable(data, sub, "y", [plant] * data.draw(st.integers(1, 2))
+                      + [member] * data.draw(st.integers(0, 3)))
+    assert_first_cross_pair(x, y, ClassicalModel(sub))

@@ -1,5 +1,6 @@
 """Command line contract: printed bytes, exit codes, CSV determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+import ctkit.cli
+import ctkit.predicates
 from ctkit.cli import CSV_HEADER, RunReport, _parser, main, run_command
+from ctkit.modelspec import parse_model_spec
+from ctkit.predicates import detect_superinformation
 
 from conftest import FIXTURE_DIR
 
@@ -255,6 +260,85 @@ def test_decision_support_degenerate_fails_r1(capsys):
     out = capsys.readouterr().out
     assert "R1: fail" in out
     assert report.exit_code == 1
+
+
+# ---------------------------------------------------------------------------
+# check-model decides each variable once
+
+
+def _qutrit_doc(states, attributes, variables):
+    return {"kind": "quantum", "id": "qutrit", "dimension": 3, "states": states,
+            "attributes": {name: {"kind": "set", "states": held}
+                           for name, held in attributes.items()},
+            "variables": variables}
+
+
+# Y: a real basis; Z: an information variable whose member {|0>, |1>} is no
+# observable, so no pair with Z counts, though Z and Y are disjoint with an
+# unclonable union; W: Y relabeled, so Y and W are not cross-disjoint
+QUTRIT_WITH_A_NON_OBSERVABLE = _qutrit_doc(
+    {"k0": [1, 0, 0], "k1": [0, 1, 0], "k2": [0, 0, 1],
+     "f0": ["sqrt(1/3)", "sqrt(1/3)", "sqrt(1/3)"],
+     "f1": ["sqrt(1/2)", "-sqrt(1/2)", 0],
+     "f2": ["sqrt(1/6)", "sqrt(1/6)", "-sqrt(2/3)"]},
+    {"y0": ["f0"], "y1": ["f1"], "y2": ["f2"], "low": ["k0", "k1"], "high": ["k2"]},
+    {"Y": [[0, "y0"], [1, "y1"], [2, "y2"]], "Z": [["low", "low"], ["high", "high"]],
+     "W": [[0, "y1"], [1, "y2"], [2, "y0"]]})
+
+# X and Y both pass, but share the member |0>, so they are not cross-disjoint
+QUTRIT_WITH_A_SHARED_MEMBER = _qutrit_doc(
+    {"k0": [1, 0, 0], "k1": [0, 1, 0], "k2": [0, 0, 1],
+     "p": [0, "sqrt(1/2)", "sqrt(1/2)"], "m": [0, "sqrt(1/2)", "-sqrt(1/2)"]},
+    {"x0": ["k0"], "x1": ["k1"], "x2": ["k2"], "yp": ["p"], "ym": ["m"]},
+    {"X": [[0, "x0"], [1, "x1"], [2, "x2"]], "Y": [[0, "x0"], ["+", "yp"], ["-", "ym"]]})
+
+
+@pytest.mark.parametrize("fixture, info, obs", [
+    ("qubit", 3, 2), ("traffic_light", 3, 2),
+    ("qubit_degenerate", 2, 2), ("classical_bit", 2, 2)])
+def test_check_model_decides_each_variable_once(fixture, info, obs, monkeypatch, capsys):
+    """Two variables each, decided once; only a pair of information
+    observables has its union decided (5/4/1 calls when every pair went
+    through detect_superinformation)."""
+    calls = {"is_information_variable": 0, "is_observable": 0, "detect_superinformation": 0}
+    for module in (ctkit.cli, ctkit.predicates):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    run_command(["check-model", str(FIXTURE_DIR / f"{fixture}.json")])
+    capsys.readouterr()
+    assert calls == {"is_information_variable": info, "is_observable": obs,
+                     "detect_superinformation": 0}
+
+
+@pytest.mark.parametrize("spec", [
+    "qubit", "traffic_light", "qubit_degenerate", "classical_bit",
+    "non_observable", "shared_member"])
+def test_check_model_agrees_with_detect_superinformation(spec, tmp_path, capsys):
+    written = {"non_observable": QUTRIT_WITH_A_NON_OBSERVABLE,
+               "shared_member": QUTRIT_WITH_A_SHARED_MEMBER}
+    path = FIXTURE_DIR / f"{spec}.json"
+    if spec in written:
+        path = tmp_path / f"{spec}.json"
+        path.write_text(json.dumps(written[spec]))
+    run_command(["check-model", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    doc = parse_model_spec(str(path))
+    reports = [detect_superinformation(a, b, doc.model)
+               for a, b in itertools.combinations(doc.variables.values(), 2)]
+    want = any(r.verdict for r in reports)
+    assert lines[-1] == f"superinformation: {'true' if want else 'false'}"
+    # each written document shows the case it was written for
+    if spec == "non_observable":
+        assert "variable Z: information variable, not an observable" in lines
+        assert not want
+    if spec == "shared_member":
+        assert lines[1:3] == ["variable X: information observable",
+                              "variable Y: information observable"]
+        assert [r.evidence["failed"] for r in reports] == ["cross disjointness"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every private module-level function is referenced from outside its body."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named `_x` (not dunders) that no statement of
+    any of the sources refers to, by name or attribute, outside their own
+    definition."""
+    defined = {}
+    referenced = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                own = stmt.name
+                defined[own] = module
+            referenced |= names - {own}
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in referenced)
+
+
+def test_the_check_sees_an_unreferenced_private_function():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\ndef _dead():\n    return _dead()\n"
+                "def __dunder__():\n    pass\n",
+        "b.py": "from a import _used\n\ndef public():\n    return _used() + a._via_attr()\n",
+        "c.py": "def _via_attr():\n    pass\n\ndef _gone():\n    pass\n",
+    }
+    assert _unreferenced_private_functions(sources) == ["a.py: _dead", "c.py: _gone"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private_functions(sources) == []

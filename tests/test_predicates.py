@@ -179,7 +179,7 @@ def test_span_closure_of_basis_variable(qubit, x_basis):
 
 
 def test_span_closure_rejects_classical(bit):
-    with pytest.raises(RepresentationError):
+    with pytest.raises(RepresentationError, match="span is a quantum notion"):
         span_closure(basis_variable(bit))
 
 
