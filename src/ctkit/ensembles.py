@@ -9,12 +9,13 @@ over the natural denominator L**N, computed in integers throughout.  Double
 precision is the fallback and is flagged on the row that used it; it sums
 weights in log space (lgamma), so it has no ceiling on N and never
 overflows.  Either way the count vectors are taken a line at a time (all
-counts fixed but the last two); ENUMERATION_GUARD bounds their number.
+counts fixed but the last two), and ENUMERATION_GUARD bounds that work.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +64,13 @@ def frequency(x, s) -> Fraction:
     return Fraction(sum(1 for digit in s if digit == x), len(s))
 
 
+def _check_replicas(n) -> None:
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"the number of replicas must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError("the ensemble must contain at least one replica")
+
+
 def build_counting_constructor(x, n: int, basis: Variable,
                                guard: int = ENUMERATION_GUARD) -> MeasurerSpec:
     """The measurer writing f(x; s) onto a fresh register, for s over n replicas.
@@ -79,6 +87,7 @@ def build_counting_constructor(x, n: int, basis: Variable,
         raise RepresentationError("the counting constructor is a quantum device")
     if x not in basis.labels:
         raise DomainError(f"{x!r} is not a label of the counted observable")
+    _check_replicas(n)
     d = basis.substrate.dim
     if d ** n > guard:
         raise SizeLimitError(f"{d}**{n} product states exceed the enumeration guard")
@@ -155,7 +164,10 @@ class ConvergenceRow:
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, (Fraction, str, float, int)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise DomainError(f"cannot read {value!r} as an exact number")
 
 
@@ -181,7 +193,7 @@ def _normalized_probabilities(c) -> list:
         raise DomainError("need at least one amplitude")
     float_q = [abs(complex(a)) ** 2 for a in amps]
     total_f = sum(float_q)
-    if abs(total_f - 1.0) > 1e-6:
+    if not abs(total_f - 1.0) <= 1e-6:  # NaN fails too
         raise DomainError(f"amplitudes are not normalized (sum of squares {total_f:.8f})")
     try:
         probs = exact_probabilities([_as_fraction(a) ** 2 for a in amps])
@@ -298,15 +310,16 @@ def deviant_weight(c, n: int, epsilon, probabilities=None,
             raise DomainError("exact probabilities must sum to 1")
     else:
         probs = [float(p) for p in probs]
-        if abs(sum(probs) - 1.0) > 1e-6:
+        if not abs(sum(probs) - 1.0) <= 1e-6:  # NaN fails too
             raise DomainError("probabilities must sum to 1")
     if any(p < 0 for p in probs):
         raise DomainError("probabilities must be non-negative")
-    if n < 1:
-        raise DomainError("the ensemble must contain at least one replica")
+    _check_replicas(n)
     kept = [p for p in probs if p != 0]
     last = len(kept) - 1
-    if math.comb(n + last, last) > guard:
+    # each of the C(n + last - 1, last - 1) lines costs last - 1 head counts
+    head_work = math.comb(n + last - 1, last - 1) * (last - 1) if last > 1 else 0
+    if math.comb(n + last, last) + head_work > guard:
         raise SizeLimitError("frequency-vector enumeration exceeds the guard")
     if not exact:
         return ConvergenceRow(n=n, epsilon=eps, numerator=None,

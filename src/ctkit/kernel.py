@@ -121,10 +121,13 @@ class SubstrateSpec:
         """Whether a classical state is in the universe, checked label by label
         against the leaves rather than by listing the universe."""
         sets = self._label_sets
-        if not self.factors:
-            return state in sets[0]
-        return isinstance(state, tuple) and len(state) == len(sets) and all(
-            label in labels for label, labels in zip(state, sets))
+        try:
+            if not self.factors:
+                return state in sets[0]
+            return isinstance(state, tuple) and len(state) == len(sets) and all(
+                label in labels for label, labels in zip(state, sets))
+        except TypeError:  # an unhashable state is in no universe
+            return False
 
 
 def classical_substrate(id: str, labels) -> SubstrateSpec:
@@ -342,12 +345,7 @@ def attribute_subset(a: Attribute, b: Attribute) -> bool:
     if a.substrate.kind == CLASSICAL:
         return set(a.states) <= set(b.states)
     if a.is_subspace:
-        if not b.is_subspace:
-            return False
-        proj = attribute_projector(b)
-        return all(
-            float(np.linalg.norm(proj @ v.vector)) >= 1.0 - tol() for v in a.basis
-        ) if a.basis else True
+        return b.is_subspace and all(contains_state(b, v) for v in a.basis)
     return all(contains_state(b, s) for s in a.states)
 
 
@@ -379,6 +377,8 @@ def product_attribute(a: Attribute, b: Attribute) -> Attribute:
 def attribute_union(parts) -> Attribute:
     """Union of extensional attributes on a common substrate."""
     parts = list(parts)
+    if not parts:
+        raise StateError("an extensional attribute cannot be empty")
     substrate = parts[0].substrate
     if any(p.is_subspace for p in parts):
         raise RepresentationError("union of subspace attributes is not supported")

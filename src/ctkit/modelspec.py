@@ -104,16 +104,35 @@ class ModelSpecDocument:
     model: ClassicalModel | QuantumModel
 
 
-def _renamed(exc: CtError, what: str) -> CtError:
-    # keep the kernel's error type; a disjointness error must stay one
-    return type(exc)(f"{what}: {exc}")
-
-
 def _require_mapping(doc, key: str) -> dict:
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ModelSpecError(f"{key}: expected an object")
     return value
+
+
+def _section(doc: dict, key: str, what: str, build) -> dict:
+    """Build every entry of one section as build(entry, "<key>.<name>").
+
+    A ModelSpecError passes through unchanged; any other CtError keeps its
+    type, so a disjointness error stays one, and gets "<what> '<name>': " in
+    front."""
+    built = {}
+    for name, entry in _require_mapping(doc, key).items():
+        try:
+            built[name] = build(entry, f"{key}.{name}")
+        except ModelSpecError:
+            raise
+        except CtError as exc:
+            raise type(exc)(f"{what} {name!r}: {exc}") from exc
+    return built
+
+
+def _lookup(table: dict, ref, where: str, what: str):
+    """The entry a reference names; a reference must be a string naming one."""
+    if not isinstance(ref, str) or ref not in table:
+        raise ModelSpecError(f"{where}: unknown {what} {ref!r}")
+    return table[ref]
 
 
 def _parse_substrate(doc: dict, default_id: str) -> SubstrateSpec:
@@ -144,24 +163,22 @@ def _parse_substrate(doc: dict, default_id: str) -> SubstrateSpec:
 
 
 def _parse_states(doc: dict, substrate: SubstrateSpec) -> dict[str, PureState]:
-    section = _require_mapping(doc, "states")
     if substrate.kind == CLASSICAL:
-        if section:
+        if _require_mapping(doc, "states"):
             raise ModelSpecError(
                 "states: classical attributes reference labels; there is no state section"
             )
         return {}
-    states: dict[str, PureState] = {}
     d = substrate.dim
-    for name, entry in section.items():
-        where = f"states.{name}"
+
+    def build(entry, where):
         if isinstance(entry, dict):
             vector = entry.get("vector")
             dims = entry.get("dims", [d])
             if not isinstance(vector, list) or not isinstance(dims, list):
                 raise ModelSpecError(f"{where}: expected 'vector' and 'dims' lists")
             for i, dim in enumerate(dims):
-                if dim != d:
+                if type(dim) is not int or dim != d:  # 2.0 would pass as a dimension
                     raise ModelSpecError(
                         f"{where}.dims[{i}]: every factor must be a copy of the "
                         f"substrate (dimension {d}), got {dim!r}"
@@ -176,58 +193,39 @@ def _parse_states(doc: dict, substrate: SubstrateSpec) -> dict[str, PureState]:
         else:
             raise ModelSpecError(f"{where}: expected a vector or a vector/dims object")
         amps = np.array([_scalar(v, f"{where}[{i}]") for i, v in enumerate(vector)])
-        try:
-            states[name] = PureState(amps, tuple(dims))
-        except CtError as exc:
-            raise _renamed(exc, f"state {name!r}") from exc
-    return states
+        return PureState(amps, tuple(dims))
+
+    return _section(doc, "states", "state", build)
 
 
 def _parse_attributes(doc: dict, substrate: SubstrateSpec,
                       states: dict[str, PureState]) -> dict[str, Attribute]:
-    section = _require_mapping(doc, "attributes")
-    attributes: dict[str, Attribute] = {}
-
-    def resolve(name, where):
-        if name not in states:
-            raise ModelSpecError(f"{where}: unknown state {name!r}")
-        return states[name]
-
-    for name, entry in section.items():
-        where = f"attributes.{name}"
+    def build(entry, where):
         if not isinstance(entry, dict) or entry.get("kind") not in ("set", "subspace"):
             raise ModelSpecError(f"{where}: expected an object with kind 'set' or 'subspace'")
-        try:
-            if entry["kind"] == "subspace":
-                refs = entry.get("basis")
-                if not isinstance(refs, list):
-                    raise ModelSpecError(f"{where}.basis: expected a list of state names")
-                basis = [resolve(r, f"{where}.basis[{i}]") for i, r in enumerate(refs)]
-                attributes[name] = subspace_attribute(substrate, basis)
-            elif substrate.kind == CLASSICAL:
-                labels = entry.get("labels")
-                if not isinstance(labels, list):
-                    raise ModelSpecError(f"{where}.labels: expected a list of labels")
-                attributes[name] = extensional_attribute(substrate, labels)
-            else:
-                refs = entry.get("states")
-                if not isinstance(refs, list):
-                    raise ModelSpecError(f"{where}.states: expected a list of state names")
-                members = [resolve(r, f"{where}.states[{i}]") for i, r in enumerate(refs)]
-                attributes[name] = extensional_attribute(substrate, members)
-        except CtError as exc:
-            if isinstance(exc, ModelSpecError):
-                raise
-            raise _renamed(exc, f"attribute {name!r}") from exc
-    return attributes
+
+        def resolve(key):
+            refs = entry.get(key)
+            if not isinstance(refs, list):
+                raise ModelSpecError(f"{where}.{key}: expected a list of state names")
+            return [_lookup(states, r, f"{where}.{key}[{i}]", "state")
+                    for i, r in enumerate(refs)]
+
+        if entry["kind"] == "subspace":
+            return subspace_attribute(substrate, resolve("basis"))
+        if substrate.kind == CLASSICAL:
+            labels = entry.get("labels")
+            if not isinstance(labels, list):
+                raise ModelSpecError(f"{where}.labels: expected a list of labels")
+            return extensional_attribute(substrate, labels)
+        return extensional_attribute(substrate, resolve("states"))
+
+    return _section(doc, "attributes", "attribute", build)
 
 
 def _parse_variables(doc: dict, substrate: SubstrateSpec,
                      attributes: dict[str, Attribute]) -> dict[str, Variable]:
-    section = _require_mapping(doc, "variables")
-    variables: dict[str, Variable] = {}
-    for name, entry in section.items():
-        where = f"variables.{name}"
+    def build(entry, where):
         if not isinstance(entry, list):
             raise ModelSpecError(f"{where}: expected a list of [label, attribute] pairs")
         members = []
@@ -235,24 +233,19 @@ def _parse_variables(doc: dict, substrate: SubstrateSpec,
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ModelSpecError(f"{where}[{i}]: expected a [label, attribute] pair")
             label, ref = pair
-            if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+            # NaN is not a number here: it equals no label, itself included
+            if isinstance(label, bool) or not isinstance(label, (str, int, float)) \
+                    or label != label:
                 raise ModelSpecError(f"{where}[{i}]: label must be a string or number")
-            if ref not in attributes:
-                raise ModelSpecError(f"{where}[{i}]: unknown attribute {ref!r}")
-            members.append((label, attributes[ref]))
-        try:
-            variables[name] = variable(substrate, members)
-        except CtError as exc:
-            raise _renamed(exc, f"variable {name!r}") from exc
-    return variables
+            members.append((label, _lookup(attributes, ref, f"{where}[{i}]", "attribute")))
+        return variable(substrate, members)
+
+    return _section(doc, "variables", "variable", build)
 
 
 def _parse_tasks(doc: dict, substrate: SubstrateSpec,
                  attributes: dict[str, Attribute]) -> dict[str, Task]:
-    section = _require_mapping(doc, "tasks")
-    tasks: dict[str, Task] = {}
-    for name, entry in section.items():
-        where = f"tasks.{name}"
+    def build(entry, where):
         if not isinstance(entry, dict) or not isinstance(entry.get("pairs"), list):
             raise ModelSpecError(f"{where}: expected an object with a 'pairs' list")
         side = entry.get("side_effects", False)
@@ -262,15 +255,11 @@ def _parse_tasks(doc: dict, substrate: SubstrateSpec,
         for i, pair in enumerate(entry["pairs"]):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ModelSpecError(f"{where}.pairs[{i}]: expected an [in, out] pair")
-            for ref in pair:
-                if ref not in attributes:
-                    raise ModelSpecError(f"{where}.pairs[{i}]: unknown attribute {ref!r}")
-            pairs.append((attributes[pair[0]], attributes[pair[1]]))
-        try:
-            tasks[name] = task(substrate, pairs, side_effects=side)
-        except CtError as exc:
-            raise _renamed(exc, f"task {name!r}") from exc
-    return tasks
+            pairs.append(tuple(_lookup(attributes, ref, f"{where}.pairs[{i}]", "attribute")
+                               for ref in pair))
+        return task(substrate, pairs, side_effects=side)
+
+    return _section(doc, "tasks", "task", build)
 
 
 def parse_model_spec(path) -> ModelSpecDocument:

@@ -230,14 +230,9 @@ def bar(x: Attribute, model) -> Attribute:
             raise DomainError("bar of the full classical universe is empty")
         return extensional_attribute(x.substrate, rest)
     span = attribute_span(x)
-    d = x.substrate.dim
-    if span.shape[0] == 0:
-        return subspace_attribute(x.substrate, tuple(basis_state(d, k) for k in range(d)))
-    # eigenvectors of I - P with eigenvalue 1 span the orthogonal complement
-    proj = np.eye(d) - span.T @ span.conj()
-    vals, vecs = np.linalg.eigh(proj)
-    basis = [PureState(vecs[:, k]) for k in range(d) if vals[k] > 0.5]
-    return subspace_attribute(x.substrate, tuple(basis))
+    # the rows of vh past the span's rows are orthogonal to it (all of them for a zero span)
+    rest = np.linalg.svd(span)[2][span.shape[0]:]
+    return subspace_attribute(x.substrate, tuple(PureState(row) for row in rest))
 
 
 def span_closure(v: Variable | Attribute) -> Attribute:

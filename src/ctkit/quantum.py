@@ -596,7 +596,8 @@ def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0,
     """Run the measurement unitary; the target factor must be receptive."""
     src_f, tgt_f = factors
     dims = joint.dims
-    if dims[src_f] != m.source_dim or dims[tgt_f] != m.target_dim:
+    if any(not 0 <= f < len(dims) for f in factors) or \
+            dims[src_f] != m.source_dim or dims[tgt_f] != m.target_dim:
         raise PreconditionError(
             f"joint dims {dims} do not expose a ({m.source_dim},{m.target_dim}) "
             f"pair at factors {factors}"

@@ -54,7 +54,8 @@ class PureState:
         if prod(dims) != vec.size:
             raise StateError(f"factor dims {dims} do not match length {vec.size}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > tol():
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= tol():
             raise StateError(f"vector norm {norm!r} is not 1 within tolerance")
 
     @property
@@ -86,11 +87,12 @@ class MixedState:
         if prod(dims) != mat.shape[0]:
             raise StateError(f"factor dims {dims} do not match size {mat.shape[0]}")
         t = tol()
-        if float(np.abs(mat - mat.conj().T).max()) > t:
+        # a non-finite entry makes the hermiticity gap NaN, which fails here
+        if not float(np.abs(mat - mat.conj().T).max()) <= t:
             raise StateError("density matrix is not hermitian within tolerance")
-        if float(np.linalg.eigvalsh(mat).min()) < -t:
+        if not float(np.linalg.eigvalsh(mat).min()) >= -t:
             raise StateError("density matrix has a negative eigenvalue")
-        if abs(float(mat.trace().real) - 1.0) > t:
+        if not abs(float(mat.trace().real) - 1.0) <= t:
             raise StateError(f"density matrix trace {mat.trace()!r} is not 1")
 
     @property
@@ -117,6 +119,8 @@ def normalized(coeffs, dims: tuple[int, ...] = ()) -> PureState:
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] = ()) -> PureState:
+    if not 0 <= index < dim:
+        raise StateError(f"basis index {index} out of range for dimension {dim}")
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
     return PureState(vec, dims)
@@ -172,19 +176,17 @@ def partial_trace(state: State, keep, dims: tuple[int, ...] | None = None) -> Mi
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise StateError(f"keep={keep} out of range for {n} factors")
-    kept_dim = prod(dims[k] for k in keep)
+    if len(set(keep)) != len(keep):
+        raise StateError(f"keep={keep} names a factor twice")
+    kept = tuple(dims[k] for k in keep)
+    kept_dim = prod(kept)
+    order = list(keep) + [k for k in range(n) if k not in keep]
     if isinstance(state, PureState):
-        order = list(keep) + [k for k in range(n) if k not in keep]
         psi = np.transpose(state.vector.reshape(dims), order).reshape(kept_dim, -1)
-        return MixedState(psi @ psi.conj().T, tuple(dims[k] for k in keep))
-    letters = "abcdefghijklm"
-    row = list(letters[:n])
-    col = [letters[n + k] if k in keep else row[k] for k in range(n)]
-    out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    sub = "".join(row) + "".join(col) + "->" + out
-    tensor_form = state.matrix.reshape(*dims, *dims)
-    reduced = np.einsum(sub, tensor_form).reshape(kept_dim, kept_dim)
-    return MixedState(reduced, tuple(dims[k] for k in keep))
+        return MixedState(psi @ psi.conj().T, kept)
+    rho = np.transpose(state.matrix.reshape(dims + dims), order + [n + k for k in order])
+    rho = rho.reshape(kept_dim, state.dim // kept_dim, kept_dim, -1)
+    return MixedState(np.trace(rho, axis1=1, axis2=3), kept)
 
 
 def embed_unitary(u: np.ndarray, dims: tuple[int, ...], factors) -> np.ndarray:

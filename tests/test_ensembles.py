@@ -467,3 +467,18 @@ def test_near_guard_float_row_stays_small_and_under_the_hoeffding_ceiling():
     assert math.isfinite(approx)
     assert 0.0 < approx <= 2 * d * math.exp(-2 * n * eps / d)
     assert peak < 16 * 2 ** 20
+
+
+def test_the_guard_counts_the_head_work_of_every_line():
+    # 4 545 100 count vectors, under the guard, but 4 500 250 lines of 298
+    # head counts each: refused before any line is walked
+    import time
+
+    started = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="exceeds the guard"):
+        deviant_weight(None, 3, 0.01, probabilities=[1 / 300] * 300)
+    assert time.perf_counter() - started < 1.0
+    # a lone outcome has one line and no head counts
+    row = deviant_weight(None, 7, EPS, probabilities=[Fraction(1)], guard=1)
+    assert row.exact == 0
+    assert deviant_weight(None, 7, EPS, probabilities=[1.0], guard=1).approx == 0.0

@@ -1,6 +1,7 @@
 """Exact error class and message at each place that reads one state off an
-attribute or checks a list of vectors for pairwise orthogonality, and the
-classical attribute check against a composite universe."""
+attribute or checks a list of vectors for pairwise orthogonality, at each
+public call given an argument it cannot use, and the classical attribute
+check against a composite universe."""
 
 import numpy as np
 import pytest
@@ -12,17 +13,23 @@ from ctkit import (
     Game,
     MixedState,
     NotMeasurableError,
+    PureState,
     PreconditionError,
     QuantumModel,
     StateError,
     UnsupportedInputError,
+    apply_measurer,
+    attribute_union,
     basis_state,
     build_comparer,
+    build_counting_constructor,
     build_measurer,
     check_equal_value,
     classical_substrate,
     compose_substrates,
+    deviant_weight,
     extensional_attribute,
+    partial_trace,
     partition_of_unity,
     permutation_computation,
     predictor_feasible,
@@ -30,6 +37,7 @@ from ctkit import (
     quantum_substrate,
     restricted_variable,
     subspace_attribute,
+    tensor,
     transform_game,
     unpredictability_certificate,
 )
@@ -96,6 +104,62 @@ CASES = {
         lambda: permutation_computation({0: 1, 1: 0}, ((0, ZERO), (1, plus()))),
         PreconditionError, "permutation members must be orthonormal"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Bad arguments to public calls raise CtErrors, not numpy or Python errors
+
+PAIR = tensor(ZERO, ONE)
+CASES.update({
+    "partial_trace_repeat_pure": (
+        lambda: partial_trace(PAIR, (0, 0)), StateError, "keep=(0, 0) names a factor twice"),
+    "partial_trace_repeat_mixed": (
+        lambda: partial_trace(PAIR.density(), (1, 1)),
+        StateError, "keep=(1, 1) names a factor twice"),
+    "counting_constructor_zero_replicas": (
+        lambda: build_counting_constructor(0, 0, _x()),
+        DomainError, "the ensemble must contain at least one replica"),
+    "counting_constructor_negative_replicas": (
+        lambda: build_counting_constructor(0, -2, _x()),
+        DomainError, "the ensemble must contain at least one replica"),
+    "deviant_weight_fractional_replicas": (
+        lambda: deviant_weight(None, 5.5, 0.1, probabilities=[0.5, 0.5]),
+        DomainError, "the number of replicas must be an integer, got 5.5"),
+    "deviant_weight_unreadable_epsilon": (
+        lambda: deviant_weight(None, 5, "abc", probabilities=[0.5, 0.5]),
+        DomainError, "cannot read 'abc' as an exact number"),
+    "deviant_weight_nan_amplitude": (
+        lambda: deviant_weight((np.nan, 1.0), 5, 0.1),
+        DomainError, "amplitudes are not normalized (sum of squares nan)"),
+    "deviant_weight_nan_probability": (
+        lambda: deviant_weight(None, 5, 0.1, probabilities=[np.nan, 1.0]),
+        DomainError, "probabilities must sum to 1"),
+    "basis_state_index": (
+        lambda: basis_state(2, 5), StateError, "basis index 5 out of range for dimension 2"),
+    "measurer_one_factor_joint": (
+        lambda: apply_measurer(build_measurer(_x()), ZERO),
+        PreconditionError, "joint dims (2,) do not expose a (2,2) pair at factors (0, 1)"),
+    "comparer_dimension_below_labels": (
+        lambda: build_comparer(["a", "b"], dim_a=1, dim_b=2),
+        StateError, "basis index 1 out of range for dimension 1"),
+    "union_of_nothing": (
+        lambda: attribute_union([]), StateError, "an extensional attribute cannot be empty"),
+    "unhashable_classical_label": (
+        lambda: extensional_attribute(classical_substrate("c", ["a"]), [["a"]]),
+        StateError, "state ['a'] is not in the universe of 'c'"),
+    "unhashable_composite_label": (
+        lambda: extensional_attribute(_cc(), [("a", ["b"])]),
+        StateError, "state ('a', ['b']) is not in the universe of '(c+c)'"),
+    "nan_pure_state": (
+        lambda: PureState(np.array([np.nan, 1.0])),
+        StateError, "vector norm nan is not 1 within tolerance"),
+    "nan_mixed_state": (
+        lambda: MixedState(np.array([[np.nan, 0], [0, 1.0]])),
+        StateError, "density matrix is not hermitian within tolerance"),
+    "inf_mixed_state": (
+        lambda: MixedState(np.array([[0.5, np.inf], [np.inf, 0.5]])),
+        StateError, "density matrix is not hermitian within tolerance"),
+})
 
 
 @pytest.mark.parametrize("site", sorted(CASES))

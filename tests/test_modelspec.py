@@ -1,18 +1,22 @@
 """JSON model documents: resolution, scalar grammar, error paths."""
 
+import copy
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ctkit import (
+    CtError,
     DisjointnessError,
     ModelSpecError,
     StateError,
     parse_model_spec,
     states_equal,
 )
+from ctkit.cli import main
 from ctkit.modelspec import real_token, sqrt_radicand
 
 from conftest import FIXTURE_DIR, plus
@@ -176,6 +180,14 @@ def test_dims_must_be_substrate_copies(tmp_path):
         parse_model_spec(write_doc(tmp_path, raw))
 
 
+def test_dims_must_be_integers(tmp_path):
+    # 2.0 equals 2, but float dims would break every reshape of the state
+    raw = dict(QUBIT_DOC, attributes={}, variables={})
+    raw["states"] = {"pair": {"vector": [1, 0, 0, 0], "dims": [2, 2.0]}}
+    with pytest.raises(ModelSpecError, match=r"states\.pair\.dims\[1\]: .* got 2\.0"):
+        parse_model_spec(write_doc(tmp_path, raw))
+
+
 def test_non_unit_state_keeps_the_state_error(tmp_path):
     raw = dict(QUBIT_DOC, states={"long": [1, 1]}, attributes={}, variables={})
     with pytest.raises(StateError, match="'long'"):
@@ -215,3 +227,104 @@ def test_variable_labels_may_be_numbers_or_strings(tmp_path):
     bad = dict(QUBIT_DOC, variables={"V": [[True, "z"]]})
     with pytest.raises(ModelSpecError, match="label"):
         parse_model_spec(write_doc(tmp_path, bad))
+
+
+def test_references_must_be_names(tmp_path):
+    for bad in ({}, [], ["z"], 0, None):
+        raw = dict(QUBIT_DOC, variables={"V": [[0, bad]]})
+        with pytest.raises(ModelSpecError, match=r"variables\.V\[0\]: unknown attribute"):
+            parse_model_spec(write_doc(tmp_path, raw))
+        raw = dict(QUBIT_DOC, tasks={"t": {"pairs": [["z", bad]]}})
+        with pytest.raises(ModelSpecError, match=r"tasks\.t\.pairs\[0\]: unknown attribute"):
+            parse_model_spec(write_doc(tmp_path, raw))
+        raw = dict(QUBIT_DOC, attributes={"z": {"kind": "subspace", "basis": [bad]}},
+                   variables={})
+        with pytest.raises(ModelSpecError, match=r"attributes\.z\.basis\[0\]: unknown state"):
+            parse_model_spec(write_doc(tmp_path, raw))
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the command-line repro: an object where an attribute name belongs
+    (lambda raw: raw["variables"]["Y"][1].__setitem__(1, {}),
+     "error: variables.Y[1]: unknown attribute {}"),
+    (lambda raw: raw["attributes"]["r"].__setitem__("labels", [["red"]]),
+     "error: attribute 'r': state ['red'] is not in the universe of 'traffic-light'"),
+])
+def test_bad_references_and_labels_exit_2(tmp_path, capsys, edit, message):
+    raw = json.loads((FIXTURE_DIR / "traffic_light.json").read_text())
+    edit(raw)
+    assert main(["check-model", str(write_doc(tmp_path, raw))]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_non_finite_amplitudes_are_refused(tmp_path, capsys):
+    for bad in (float("nan"), float("inf")):
+        raw = dict(QUBIT_DOC, states={"zero": [1, 0], "b": [bad, 1]}, variables={})
+        path = write_doc(tmp_path, raw)
+        with pytest.raises(StateError, match="state 'b': "):
+            parse_model_spec(path)
+        assert main(["check-model", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: state 'b': ")
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzz: mutated fixtures parse or raise CtError, never anything else
+
+_FUZZ_VALUES = ({}, [], None, True, 0, 1, -1, 2.5, "", "x", "1/0", "sqrt(1/2)",
+                [0, 1], ["x"], [{}], {"kind": "set"}, float("nan"), float("inf"))
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def mutate(doc, rng):
+    """One random edit of a JSON document: replace a value (by a stock value,
+    a declared name or another node), drop it, or repeat a list entry."""
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))[1:]
+    path = paths[rng.randrange(len(paths))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    names = [n for sec in ("states", "attributes") for n in doc.get(sec, {})]
+    op = rng.randrange(4)
+    if op == 0:
+        parent[key] = rng.choice(_FUZZ_VALUES + tuple(names))
+    elif op == 1:
+        del parent[key]
+    elif op == 2:
+        other = doc
+        for k in paths[rng.randrange(len(paths))]:
+            other = other[k]
+        parent[key] = copy.deepcopy(other)
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key + "_copy"] = copy.deepcopy(parent[key])
+    return doc
+
+
+def test_mutated_fixtures_parse_or_raise_ct_errors(tmp_path, capsys):
+    rng = random.Random(10)
+    fixtures = sorted(FIXTURE_DIR.glob("*.json"))
+    for i in range(240):
+        raw = json.loads(fixtures[i % len(fixtures)].read_text())
+        path = write_doc(tmp_path, mutate(raw, rng))
+        try:
+            parse_model_spec(path)
+            parsed = True
+        except CtError:
+            parsed = False
+        code = main(["check-model", str(path)])
+        err = capsys.readouterr().err
+        if parsed:
+            assert code in (0, 1), (i, err)
+        else:
+            assert code == 2 and err.startswith("error: "), (i, err)
+        assert "Traceback" not in err

@@ -11,6 +11,7 @@ from ctkit import (
     StateError,
     apply_unitary,
     basis_state,
+    embed_unitary,
     expectation,
     inner,
     normalized,
@@ -158,3 +159,75 @@ def test_partial_trace_consistent_with_tensor(seed):
     joint = tensor(a, b)
     assert states_equal(partial_trace(joint, keep=0), a.density())
     assert states_equal(partial_trace(joint, keep=1), b.density())
+
+
+# ---------------------------------------------------------------------------
+# Mixed states against dense references
+
+
+def random_mixture(dims, rank, rng):
+    """A rank-`rank` density matrix on `dims` and its (weight, PureState) terms."""
+    weights = rng.random(rank)
+    weights /= weights.sum()
+    terms = [(w, PureState(random_ket(int(np.prod(dims)), rng).vector, dims)) for w in weights]
+    matrix = sum(w * np.outer(k.vector, k.vector.conj()) for w, k in terms)
+    return MixedState(matrix, dims), terms
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dims, keep", [
+    ((2, 3), (1,)),
+    ((3, 2), (1, 0)),
+    ((2, 3, 2), (2, 0)),
+    ((2,) * 7, tuple(range(6))),  # seven factors, six kept
+    ((2,) * 7, (6, 2, 4)),
+    ((2, 2, 3, 2, 2, 2, 2), (2, 5, 0, 1)),
+])
+def test_mixed_partial_trace_matches_the_eigen_sum_of_pure_traces(dims, keep):
+    rng = np.random.default_rng(len(dims) * 100 + len(keep))
+    rho, terms = random_mixture(dims, rank=3, rng=rng)
+    reduced = partial_trace(rho, keep)
+    assert reduced.dims == tuple(dims[k] for k in keep)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    eigen_sum = sum(v * partial_trace(PureState(vecs[:, i], dims), keep).matrix
+                    for i, v in enumerate(vals) if v > 1e-12)
+    assert np.allclose(reduced.matrix, eigen_sum, atol=1e-12)
+    term_sum = sum(w * partial_trace(k, keep).matrix for w, k in terms)
+    assert np.allclose(reduced.matrix, term_sum, atol=1e-12)
+
+
+def test_mixed_tensor_is_the_kronecker_product():
+    rng = np.random.default_rng(7)
+    a, _ = random_mixture((2,), rank=2, rng=rng)
+    b, _ = random_mixture((3, 2), rank=2, rng=rng)
+    ket_c = random_ket(2, rng)
+    for left, right in ((a, b), (b, a), (a, ket_c), (ket_c, b)):
+        joint = tensor(left, right)
+        assert isinstance(joint, MixedState)
+        assert joint.dims == left.dims + right.dims
+        assert np.allclose(joint.matrix, np.kron(left.density().matrix,
+                                                 right.density().matrix), atol=0)
+
+
+@pytest.mark.parametrize("dims, factors", [
+    ((2, 3), None),
+    ((2, 3), (1,)),
+    ((2, 3, 2), (2, 0)),
+    ((2,) * 7, (6, 1, 3)),
+])
+def test_mixed_apply_unitary_matches_the_dense_conjugation(dims, factors):
+    rng = np.random.default_rng(len(dims) * 10 + (len(factors) if factors else 0))
+    rho, terms = random_mixture(dims, rank=3, rng=rng)
+    acted = int(np.prod([dims[k] for k in factors])) if factors else rho.dim
+    u = random_unitary(acted, rng)
+    out = apply_unitary(rho, u, factors)
+    assert isinstance(out, MixedState) and out.dims == dims
+    full = u if factors is None else embed_unitary(u, dims, factors)
+    assert np.allclose(out.matrix, full @ rho.matrix @ full.conj().T, atol=1e-12)
+    # each pure term moved on its own, then mixed again
+    moved = sum(w * apply_unitary(k, u, factors).density().matrix for w, k in terms)
+    assert np.allclose(out.matrix, moved, atol=1e-12)
