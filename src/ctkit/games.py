@@ -32,6 +32,7 @@ from .kernel import (
     Attribute,
     SubstrateSpec,
     Variable,
+    _check_labels,
     _single_state,
     attribute_projector,
     attribute_span,
@@ -62,6 +63,7 @@ from .quantum import (
 from .states import (
     MixedState,
     PureState,
+    _trusted,
     apply_unitary,
     basis_state,
     expectation,
@@ -157,10 +159,12 @@ def _member_state(attr: Attribute) -> PureState:
 
 
 def _relabeled(x: Variable, new_labels) -> Variable:
+    """x with new labels; its members are unchanged, so only the labels are checked."""
     new_labels = tuple(new_labels)
     if len(set(new_labels)) != len(new_labels):
         raise TransformError("relabeling collapses two payoff labels into one")
-    return variable(x.substrate, tuple(zip(new_labels, x.attributes)))
+    _check_labels(new_labels)
+    return _trusted(Variable, substrate=x.substrate, members=tuple(zip(new_labels, x.attributes)))
 
 
 def transform_game(g: Game, kind: str, k=0, mapping: dict | None = None,
@@ -661,7 +665,8 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     def diagonal_variable(v: Variable) -> Variable:
         """The members (l, l) of v's product with itself."""
         pairs = product_variable(v, v)
-        return variable(pairs.substrate, [((l, l), pairs.attribute((l, l))) for l in v.labels])
+        return _trusted(Variable, substrate=pairs.substrate,
+                        members=tuple(((l, l), pairs.attribute((l, l))) for l in v.labels))
 
     def t1():
         z = ys[0]

@@ -25,13 +25,26 @@ attribute fall back to `attributes_disjoint` pair by pair, the only test
 that decides those.  Repeats within one attribute, and within a union of
 attributes, follow the same rule: the Gram matrix nominates, `states_equal`
 decides.
+
+Validate at the boundary, trust inside.  Every public constructor, and so
+every object of a model document, is checked when it is built.  An object
+the library derives from checked objects is built by `_trusted`, without a
+second check, where its validity follows from theirs in exact arithmetic:
+the composite of two substrates, the product of two classical, two
+pure-extensional or two subspace attributes (distinct factors give
+distinct products, and orthonormal bases an orthonormal basis), a task
+whose inputs are the members of a checked variable or their products with
+one receptive, and a variable whose members are drawn from checked
+variables or are products of their members.  Products that hold a mixed
+state are checked: entrywise equality does not survive a product, since
+rho (x) I/d and rho' (x) I/d differ by max|rho - rho'| / d, so distinct
+factors can give equal products.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 from numbers import Real
 from typing import Any
 
@@ -47,7 +60,7 @@ from .errors import (
     SizeLimitError,
     StateError,
 )
-from .states import MixedState, PureState, State, basis_state, states_equal, tensor
+from .states import MixedState, PureState, State, _trusted, basis_state, states_equal, tensor
 from .tolerance import tol
 
 CLASSICAL = "classical"
@@ -77,20 +90,24 @@ class SubstrateSpec:
                     raise InvalidCompositionError(f"substrate {self.id!r} has duplicate labels")
             elif self.dimension < 1:
                 raise InvalidCompositionError(f"substrate {self.id!r} needs dimension >= 1")
-        # The spec is frozen, so its leaves and sizes are worked out once here
-        # (outside the dataclass fields: equality and hashing ignore them).
-        leaves = (self,) if not self.factors else tuple(
-            leaf for f in self.factors for leaf in f.leaves())
-        leaf_dims = tuple(leaf.dimension for leaf in leaves)
-        if self.kind == QUANTUM:
-            size = prod(leaf_dims) if self.factors else self.dimension
+        self._work_out_sizes()
+
+    def _work_out_sizes(self) -> None:
+        """Work out the leaves and sizes once, from the factors' own: the spec
+        is frozen.  They live outside the dataclass fields, so equality and
+        hashing ignore them."""
+        if self.factors:
+            leaves, leaf_dims, label_sets, size = (), (), (), 1
+            for f in self.factors:
+                leaves += f._leaves
+                leaf_dims += f._leaf_dims
+                label_sets += f._label_sets
+                size *= f._size
         else:
-            size = prod(len(leaf.labels) for leaf in leaves)
-        object.__setattr__(self, "_leaves", leaves)
-        object.__setattr__(self, "_leaf_dims", leaf_dims)
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_label_sets", (frozenset(self.labels),) if not self.factors
-                           else tuple(ls for f in self.factors for ls in f._label_sets))
+            leaves, leaf_dims, label_sets = (self,), (self.dimension,), (frozenset(self.labels),)
+            size = self.dimension if self.kind == QUANTUM else len(self.labels)
+        self.__dict__.update(_leaves=leaves, _leaf_dims=leaf_dims, _label_sets=label_sets,
+                             _size=size)
 
     def leaves(self) -> tuple["SubstrateSpec", ...]:
         return self._leaves
@@ -142,7 +159,11 @@ def compose_substrates(a: SubstrateSpec, b: SubstrateSpec) -> SubstrateSpec:
     """Joint substrate of two systems of the same kind."""
     if a.kind != b.kind:
         raise InvalidCompositionError(f"cannot compose {a.kind} with {b.kind}")
-    return SubstrateSpec(id=f"({a.id}+{b.id})", kind=a.kind, factors=(a, b))
+    # a composite of checked factors has nothing of its own to check
+    spec = _trusted(SubstrateSpec, id=f"({a.id}+{b.id})", kind=a.kind, labels=(), dimension=0,
+                    factors=(a, b))
+    spec._work_out_sizes()
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +283,24 @@ def subspace_attribute(substrate: SubstrateSpec, basis) -> Attribute:
     return Attribute(substrate, Subspace(tuple(basis)))
 
 
+def _trusted_extensional(substrate: SubstrateSpec, states: tuple) -> Attribute:
+    """extensional_attribute, unchecked: for states known to be valid and distinct."""
+    return _trusted(Attribute, substrate=substrate,
+                    representation=_trusted(ExtensionalSet, states=states))
+
+
+def _trusted_subspace(substrate: SubstrateSpec, basis: tuple) -> Attribute:
+    """subspace_attribute, unchecked: for a basis known to be orthonormal."""
+    return _trusted(Attribute, substrate=substrate,
+                    representation=_trusted(Subspace, basis=basis))
+
+
+def _holds_mixed(attr: Attribute) -> bool:
+    """Whether an extensional attribute lists a mixed state."""
+    rep = attr.representation
+    return isinstance(rep, ExtensionalSet) and any(isinstance(s, MixedState) for s in rep.states)
+
+
 def attribute_span(attr: Attribute) -> np.ndarray:
     """Orthonormal basis (rows) of the span of a quantum attribute's states."""
     if attr.substrate.kind != QUANTUM:
@@ -315,8 +354,11 @@ def contains_state(attr: Attribute, state: State, atol: float | None = None) -> 
 def attributes_disjoint(a: Attribute, b: Attribute) -> tuple[bool, Any]:
     """Whether two attributes share no state; returns (flag, witness)."""
     if a.substrate.kind == CLASSICAL:
-        shared = set(a.states) & set(b.states)
-        return (not shared, next(iter(shared)) if shared else None)
+        held = set(b.states)
+        for s in a.states:
+            if s in held:
+                return False, s
+        return True, None
     if a.is_subspace and b.is_subspace:
         # disjoint as state sets iff the subspaces meet only in the zero vector
         sa, sb = attribute_span(a), attribute_span(b)
@@ -354,7 +396,9 @@ def attribute_equal(a: Attribute, b: Attribute) -> bool:
 
 
 def product_attribute(a: Attribute, b: Attribute) -> Attribute:
-    """Attribute of the composite substrate with each factor in its own attribute."""
+    """Attribute of the composite substrate with each factor in its own attribute.
+
+    Unchecked (see the module docstring) unless a factor lists a mixed state."""
     substrate = compose_substrates(a.substrate, b.substrate)
     if a.substrate.kind == CLASSICAL:
         def flat(state, sub):
@@ -364,14 +408,15 @@ def product_attribute(a: Attribute, b: Attribute) -> Attribute:
             for s in a.states
             for r in b.states
         )
-        return extensional_attribute(substrate, states)
+        return _trusted_extensional(substrate, states)
     if a.is_subspace or b.is_subspace:
         if not (a.is_subspace and b.is_subspace):
             raise RepresentationError("cannot mix subspace and extensional factors in a product")
-        basis = tuple(tensor(u, v) for u in a.basis for v in b.basis)
-        return subspace_attribute(substrate, basis)
+        return _trusted_subspace(substrate, tuple(tensor(u, v) for u in a.basis for v in b.basis))
     states = tuple(tensor(s, r) for s in a.states for r in b.states)
-    return extensional_attribute(substrate, states)
+    if _holds_mixed(a) or _holds_mixed(b):
+        return extensional_attribute(substrate, states)
+    return _trusted_extensional(substrate, states)
 
 
 def attribute_union(parts) -> Attribute:
@@ -532,24 +577,37 @@ class Variable:
 
 
 def validate_variable(members, substrate: SubstrateSpec | None = None) -> None:
-    """Reject duplicate labels and overlapping attributes, naming offenders."""
+    """Reject duplicate or NaN labels and overlapping attributes, naming offenders."""
     members = tuple(members)
     if not members:
         raise DisjointnessError("a variable needs at least one member")
     labels = [l for l, _ in members]
-    if len(set(labels)) != len(labels):
-        dupe = next(l for l in labels if labels.count(l) > 1)
-        raise DisjointnessError(f"duplicate label {dupe!r} in variable")
+    _check_labels(labels)
     if substrate is not None:
-        for label, attr in members:
-            if attr.substrate.kind != substrate.kind or attr.substrate.size() != substrate.size():
-                raise DisjointnessError(f"attribute {label!r} lives on a different substrate")
+        _check_member_substrates(members, substrate)
     hit = _first_overlap(a for _, a in members)
     if hit is not None:
         i, j, witness = hit
         raise DisjointnessError(
             f"attributes {labels[i]!r} and {labels[j]!r} overlap (shared state: {witness!r})"
         )
+
+
+def _check_labels(labels) -> None:
+    """Reject a repeated label, then a label that does not equal itself (NaN):
+    no member could be looked up by it."""
+    if len(set(labels)) != len(labels):
+        dupe = next(l for l in labels if labels.count(l) > 1)
+        raise DisjointnessError(f"duplicate label {dupe!r} in variable")
+    for label in labels:
+        if label != label:
+            raise DisjointnessError(f"label {label!r} does not equal itself")
+
+
+def _check_member_substrates(members, substrate: SubstrateSpec) -> None:
+    for label, attr in members:
+        if attr.substrate.kind != substrate.kind or attr.substrate.size() != substrate.size():
+            raise DisjointnessError(f"attribute {label!r} lives on a different substrate")
 
 
 def variable(substrate: SubstrateSpec, members) -> Variable:

@@ -27,10 +27,13 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
+    _check_member_substrates,
     _first_overlap,
     _first_span_overlap,
+    _holds_mixed,
     _row_basis,
     _single_state,
+    _trusted_subspace,
     attribute_equal,
     attribute_projector,
     attribute_span,
@@ -46,7 +49,7 @@ from .kernel import (
     variable,
 )
 from .quantum import MeasurerSpec, apply_measurer, intrinsic_part
-from .states import PureState, basis_state, expectation, tensor
+from .states import PureState, _readonly, _trusted, basis_state, expectation, tensor
 from .tolerance import tol
 
 
@@ -85,12 +88,21 @@ def blank_attribute(substrate: SubstrateSpec) -> Attribute:
 
 def _cloning_tasks(v: Variable, receptives, side_effects: bool = True):
     """The cloning task of v for each receptive attribute in turn, built on
-    demand; the composite substrate and the (x, x) outputs are built once."""
+    demand; the composite substrate and the (x, x) outputs are built once.
+
+    Inputs x (x) r and x' (x) r share a state only if x and x' do, so the
+    task is not checked again, unless a factor lists a mixed state (see
+    `kernel`) or the receptive lives on a substrate of another size."""
     s2 = compose_substrates(v.substrate, v.substrate)
     outputs = [product_attribute(attr, attr) for attr in v.attributes]
+    mixed = any(map(_holds_mixed, v.attributes))
     for receptive in receptives:
-        yield task(s2, [(product_attribute(attr, receptive), out)
-                        for attr, out in zip(v.attributes, outputs)], side_effects=side_effects)
+        pairs = tuple((product_attribute(attr, receptive), out)
+                      for attr, out in zip(v.attributes, outputs))
+        if mixed or _holds_mixed(receptive) or receptive.substrate.size() != v.substrate.size():
+            yield task(s2, pairs, side_effects=side_effects)
+        else:
+            yield _trusted(Task, substrate=s2, pairs=pairs, side_effects=side_effects)
 
 
 def _cloning_verdicts(v: Variable, model):
@@ -106,9 +118,11 @@ def cloning_task(v: Variable, receptive: Attribute, side_effects: bool = True) -
 
 
 def permutation_task(v: Variable, mapping: dict, side_effects: bool = True) -> Task:
-    """The relabeling task x_l -> x_{mapping[l]} over all members of v."""
-    pairs = [(v.attribute(l), v.attribute(mapping.get(l, l))) for l in v.labels]
-    return task(v.substrate, pairs, side_effects=side_effects)
+    """The relabeling task x_l -> x_{mapping[l]} over all members of v; its
+    inputs are v's members, so it is not checked again."""
+    members = dict(v.members)
+    pairs = tuple((a, members[mapping.get(l, l)]) for l, a in v.members)
+    return _trusted(Task, substrate=v.substrate, pairs=pairs, side_effects=side_effects)
 
 
 def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
@@ -128,10 +142,14 @@ def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
 
 
 def product_variable(v1: Variable, v2: Variable) -> Variable:
-    """Members (l1, l2) -> x1 x x2 on the composite substrate."""
-    members = [((l1, l2), product_attribute(a1, a2))
-               for l1, a1 in v1.members for l2, a2 in v2.members]
-    return variable(compose_substrates(v1.substrate, v2.substrate), members)
+    """Members (l1, l2) -> x1 x x2 on the composite substrate; unchecked
+    unless a member lists a mixed state (see `kernel`)."""
+    members = tuple(((l1, l2), product_attribute(a1, a2))
+                    for l1, a1 in v1.members for l2, a2 in v2.members)
+    substrate = compose_substrates(v1.substrate, v2.substrate)
+    if any(map(_holds_mixed, v1.attributes + v2.attributes)):
+        return variable(substrate, members)
+    return _trusted(Variable, substrate=substrate, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,12 @@ def bar(x: Attribute, model) -> Attribute:
     span = attribute_span(x)
     # the rows of vh past the span's rows are orthogonal to it (all of them for a zero span)
     rest = np.linalg.svd(span)[2][span.shape[0]:]
-    return subspace_attribute(x.substrate, tuple(PureState(row) for row in rest))
+    return _trusted_subspace(x.substrate, _svd_states(rest))
+
+
+def _svd_states(rows) -> tuple:
+    """Orthonormal rows of an SVD as states, unchecked."""
+    return tuple(_trusted(PureState, vector=_readonly(row), dims=(row.size,)) for row in rows)
 
 
 def span_closure(v: Variable | Attribute) -> Attribute:
@@ -242,7 +265,7 @@ def span_closure(v: Variable | Attribute) -> Attribute:
     stacked = np.vstack([p for p in parts if p.size] or [np.zeros((0, substrate.dim))])
     if stacked.shape[0] == 0:
         return subspace_attribute(substrate, ())
-    return subspace_attribute(substrate, tuple(PureState(row) for row in _row_basis(stacked)))
+    return _trusted_subspace(substrate, _svd_states(_row_basis(stacked)))
 
 
 def is_observable(v: Variable, model) -> PredicateReport:
@@ -294,10 +317,11 @@ def _superinformation_pair(x: Variable, y: Variable, model) -> tuple[bool, dict]
         i, j, witness = hit
         return False, {"failed": "cross disjointness",
                        "pair": (x.labels[i], y.labels[j - len(x)]), "witness": witness}
-    union = variable(
-        x.substrate,
-        [(("x", l), a) for l, a in x.members] + [(("y", l), a) for l, a in y.members],
-    )
+    # _first_overlap found no shared state, so only the substrates are checked
+    members = tuple((("x", l), a) for l, a in x.members) + \
+        tuple((("y", l), a) for l, a in y.members)
+    _check_member_substrates(members, x.substrate)
+    union = _trusted(Variable, substrate=x.substrate, members=members)
     union_info = is_information_variable(union, model)
     return not union_info.verdict, {"union_information": union_info}
 
@@ -315,7 +339,7 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
                if expectation(state, attribute_projector(attr)) > tol()]
     if not members:
         raise DomainError("restriction is empty: y has no overlap with any member")
-    return variable(x.substrate, members)
+    return _trusted(Variable, substrate=x.substrate, members=tuple(members))
 
 
 def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:

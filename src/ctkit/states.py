@@ -4,6 +4,21 @@ States compare phase-insensitively: two unit vectors count as the same state
 when the magnitude of their overlap is within tolerance of 1.  Mixed states
 compare entrywise.  Every state carries a tuple of factor dimensions so that
 partial traces and factor-local unitaries need no side channel.
+
+Validate at the boundary, trust inside.  A state built by its constructor
+is checked: unit norm, or hermitian, positive semidefinite and of unit
+trace.  A state the library derives from checked states is not checked
+again when its validity follows in exact arithmetic: the tensor product of
+two states, a partial trace, the density matrix of a pure state, and the
+rows of an SVD (which `bar` and `span_closure` turn into states).  Those
+are built by `_trusted`.  At the tolerance edge this accepts what a second
+check would refuse: two states of norm 1 + 0.9 tol each are accepted, and
+so is their product, of norm 1 + 1.8 tol; a partial trace likewise keeps
+a trace gap that grows with the traced dimension.  `apply_unitary` takes
+any matrix, so its result is checked.  A product of mixed states is a
+valid state, but two products can be equal entrywise where their factors
+are not, so `kernel` keeps the repeat and overlap checks of products that
+hold a mixed state.
 """
 
 from __future__ import annotations
@@ -39,6 +54,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A complex array computed from checked states, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen record type cls holding the given fields as
+    they are, without __post_init__.  Only for objects whose validity follows
+    from inputs that were validated when they were built; the caller passes
+    every field already normalised: tuples, and `_readonly` complex arrays."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PureState:
     """A unit vector, with the factor dimensions of its substrate."""
@@ -64,7 +95,8 @@ class PureState:
 
     def density(self) -> "MixedState":
         _check_density_size(self.dim)
-        return MixedState(np.outer(self.vector, self.vector.conj()), self.dims)
+        return _trusted(MixedState, matrix=_readonly(np.outer(self.vector, self.vector.conj())),
+                        dims=self.dims)
 
     def __repr__(self):
         return f"PureState(dim={self.dim}, dims={self.dims})"
@@ -87,8 +119,8 @@ class MixedState:
         if prod(dims) != mat.shape[0]:
             raise StateError(f"factor dims {dims} do not match size {mat.shape[0]}")
         t = tol()
-        # a non-finite entry makes the hermiticity gap NaN, which fails here
-        if not float(np.abs(mat - mat.conj().T).max()) <= t:
+        # a non-finite entry has no hermiticity gap to measure, and fails here
+        if not (np.isfinite(mat).all() and float(np.abs(mat - mat.conj().T).max()) <= t):
             raise StateError("density matrix is not hermitian within tolerance")
         if not float(np.linalg.eigvalsh(mat).min()) >= -t:
             raise StateError("density matrix has a negative eigenvalue")
@@ -151,10 +183,13 @@ def orthogonal(a: PureState, b: PureState, atol: float | None = None) -> bool:
 def tensor(a: State, b: State) -> State:
     dims = a.dims + b.dims
     if isinstance(a, PureState) and isinstance(b, PureState):
-        # the outer product, flattened, is np.kron of two vectors bit for bit
-        return PureState(np.outer(a.vector, b.vector).reshape(-1), dims)
+        # the outer product (as np.outer forms it), flattened, is np.kron of
+        # two vectors bit for bit
+        return _trusted(PureState, vector=_readonly((a.vector[:, None] * b.vector).reshape(-1)),
+                        dims=dims)
     _check_density_size(a.dim * b.dim)
-    return MixedState(np.kron(a.density().matrix, b.density().matrix), dims)
+    return _trusted(MixedState, matrix=_readonly(np.kron(a.density().matrix, b.density().matrix)),
+                    dims=dims)
 
 
 def expectation(state: State, operator: np.ndarray) -> float:
@@ -183,10 +218,11 @@ def partial_trace(state: State, keep, dims: tuple[int, ...] | None = None) -> Mi
     order = list(keep) + [k for k in range(n) if k not in keep]
     if isinstance(state, PureState):
         psi = np.transpose(state.vector.reshape(dims), order).reshape(kept_dim, -1)
-        return MixedState(psi @ psi.conj().T, kept)
+        return _trusted(MixedState, matrix=_readonly(psi @ psi.conj().T), dims=kept or (1,))
     rho = np.transpose(state.matrix.reshape(dims + dims), order + [n + k for k in order])
     rho = rho.reshape(kept_dim, state.dim // kept_dim, kept_dim, -1)
-    return MixedState(np.trace(rho, axis1=1, axis2=3), kept)
+    return _trusted(MixedState, matrix=_readonly(np.trace(rho, axis1=1, axis2=3)),
+                    dims=kept or (1,))
 
 
 def embed_unitary(u: np.ndarray, dims: tuple[int, ...], factors) -> np.ndarray:

@@ -353,3 +353,19 @@ def test_module_entry_point_subprocess():
     )
     assert done.returncode == 0
     assert done.stdout == b"2\n"
+
+
+def test_check_model_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two inputs of a task share three states; the one named is the first in
+    the first input's order, whatever the hash seed (seeds 0 and 2 used to
+    name 'red' and 'amber')."""
+    doc = json.loads((FIXTURE_DIR / "traffic_light.json").read_text())
+    doc["tasks"]["collapse"]["pairs"] = [["lit", "r"], ["lit", "g"]]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(doc))
+    runs = [subprocess.run([sys.executable, "-m", "ctkit", "check-model", str(path)],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("0", "2")]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(
+        2, "", "error: task 'collapse': task input attributes overlap (shared state: 'red')\n")] * 2

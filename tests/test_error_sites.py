@@ -9,6 +9,7 @@ import pytest
 import ctkit.kernel as kernel
 from ctkit import (
     CtError,
+    DisjointnessError,
     DomainError,
     Game,
     MixedState,
@@ -40,6 +41,7 @@ from ctkit import (
     tensor,
     transform_game,
     unpredictability_certificate,
+    variable,
 )
 from ctkit.unpredictability import PredictorProblem
 
@@ -159,6 +161,13 @@ CASES.update({
     "inf_mixed_state": (
         lambda: MixedState(np.array([[0.5, np.inf], [np.inf, 0.5]])),
         StateError, "density matrix is not hermitian within tolerance"),
+    "nan_variable_label": (
+        lambda: variable(QUBIT, [(0, extensional_attribute(QUBIT, [ZERO])),
+                                 (float("nan"), extensional_attribute(QUBIT, [ONE]))]),
+        DisjointnessError, "label nan does not equal itself"),
+    "nan_payoff_shift": (
+        lambda: transform_game(Game(_x(), _two_states(), QUBIT), "shift", k=float("nan")),
+        DisjointnessError, "label nan does not equal itself"),
 })
 
 

@@ -343,3 +343,11 @@ def test_witness_replay_roundtrip(image):
     verdict = is_task_possible(t, model)
     assert verdict.status == POSSIBLE
     assert replay_witness(t, model, verdict)
+
+
+def test_the_shared_classical_state_is_the_first_in_the_first_attribute():
+    lit = extensional_attribute(classical_substrate("light", ["red", "amber", "green"]),
+                                ["red", "amber", "green"])
+    back = extensional_attribute(lit.substrate, ["green", "amber"])
+    assert attributes_disjoint(lit, back) == (False, "amber")
+    assert attributes_disjoint(back, lit) == (False, "green")

@@ -1,5 +1,7 @@
 """States: construction, comparison, tensor algebra, partial traces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -231,3 +233,10 @@ def test_mixed_apply_unitary_matches_the_dense_conjugation(dims, factors):
     # each pure term moved on its own, then mixed again
     moved = sum(w * apply_unitary(k, u, factors).density().matrix for w, k in terms)
     assert np.allclose(out.matrix, moved, atol=1e-12)
+
+
+def test_an_infinite_entry_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="density matrix is not hermitian within tolerance"):
+            MixedState(np.array([[0.5, np.inf], [np.inf, 0.5]]))
