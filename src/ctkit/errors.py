@@ -22,7 +22,7 @@ class DisjointnessError(CtError):
 
 
 class RepresentationError(CtError):
-    """An operation received an attribute representation it cannot handle."""
+    """An operation received a kind of attribute it cannot handle."""
 
 
 class LabelArithmeticError(CtError):

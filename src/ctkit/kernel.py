@@ -12,6 +12,12 @@ universe is listed to validate it.  A quantum substrate carries a
 Hilbert-space dimension.  A substrate spec is frozen, so its leaves,
 dimension, size and leaf label sets are computed once, at construction.
 
+An attribute is one record: its substrate, a tuple of elements, and whether
+they are a subspace basis.  Listed elements are the attribute's states; a
+subspace attribute (quantum only) holds every state in the span of its
+orthonormal basis.  `states` and `basis` read the elements of their own
+kind and refuse the other.
+
 Pairwise conditions are checked in bulk.  A variable's members and a task's
 inputs must be pairwise disjoint: over pure states the overlapping pairs are
 read off one Gram matrix of the stacked state vectors, formed a block of
@@ -170,36 +176,6 @@ def compose_substrates(a: SubstrateSpec, b: SubstrateSpec) -> SubstrateSpec:
 # Attributes
 
 
-@dataclass(frozen=True)
-class ExtensionalSet:
-    """An attribute given by listing its states outright."""
-
-    states: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """An attribute holding every state of a subspace (quantum only).
-
-    The basis may be empty: that is the zero subspace, which contains no
-    state at all and shows up as the orthogonal rest of a full variable.
-    """
-
-    basis: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        t = tol()
-        if self.basis:
-            vecs = np.array([v.vector for v in self.basis])
-            gram = np.abs(vecs.conj() @ vecs.T)
-            if float(np.abs(gram - np.eye(len(vecs))).max()) > t:
-                raise StateError("subspace basis is not orthonormal")
-
-
 def _equal_pairs(states):
     """Pairs (i, j), i < j, of equal states (`states_equal`) in lexicographic
     order; pure states of one length are nominated by their Gram matrix."""
@@ -211,52 +187,61 @@ def _equal_pairs(states):
 
 @dataclass(frozen=True)
 class Attribute:
-    """A set of states of one substrate."""
+    """A set of states of one substrate: the states listed in elements or,
+    with is_subspace (quantum only), every state in the span of the
+    orthonormal basis in elements.  An empty basis is the zero subspace, which
+    holds no state and shows up as the orthogonal rest of a full variable."""
 
     substrate: SubstrateSpec
-    representation: ExtensionalSet | Subspace
+    elements: tuple
+    is_subspace: bool = False
 
     def __post_init__(self):
-        rep = self.representation
-        if isinstance(rep, Subspace):
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        if self.is_subspace:
+            t = tol()
+            if elements:
+                if not all(isinstance(v, PureState) for v in elements):
+                    raise RepresentationError("subspace basis vectors must be PureState")
+                if len({v.dim for v in elements}) != 1:
+                    raise StateError("subspace basis dimension does not match substrate")
+                vecs = np.array([v.vector for v in elements])
+                gram = np.abs(vecs.conj() @ vecs.T)
+                if float(np.abs(gram - np.eye(len(vecs))).max()) > t:
+                    raise StateError("subspace basis is not orthonormal")
             if self.substrate.kind != QUANTUM:
                 raise RepresentationError("subspace attributes require a quantum substrate")
-            for v in rep.basis:
-                if v.dim != self.substrate.dim:
-                    raise StateError("subspace basis dimension does not match substrate")
+            if elements and elements[0].dim != self.substrate.dim:  # one dim by now
+                raise StateError("subspace basis dimension does not match substrate")
+        elif not elements:
+            raise StateError("an extensional attribute cannot be empty")
+        elif self.substrate.kind == CLASSICAL:
+            for s in elements:
+                if not self.substrate._holds(s):
+                    raise StateError(f"state {s!r} is not in the universe of {self.substrate.id!r}")
+            if len(set(elements)) != len(elements):
+                raise StateError("duplicate states in attribute")
         else:
-            if not rep.states:
-                raise StateError("an extensional attribute cannot be empty")
-            if self.substrate.kind == CLASSICAL:
-                for s in rep.states:
-                    if not self.substrate._holds(s):
-                        raise StateError(f"state {s!r} is not in the universe of {self.substrate.id!r}")
-                if len(set(rep.states)) != len(rep.states):
-                    raise StateError("duplicate states in attribute")
-            else:
-                for s in rep.states:
-                    if not isinstance(s, (PureState, MixedState)):
-                        raise RepresentationError("quantum attribute states must be PureState or MixedState")
-                    if s.dim != self.substrate.dim:
-                        raise StateError("state dimension does not match substrate")
-                if len(rep.states) > 1 and next(_equal_pairs(rep.states), None):
-                    raise StateError("duplicate states in attribute (up to phase)")
-
-    @property
-    def is_subspace(self) -> bool:
-        return isinstance(self.representation, Subspace)
+            for s in elements:
+                if not isinstance(s, (PureState, MixedState)):
+                    raise RepresentationError("quantum attribute states must be PureState or MixedState")
+                if s.dim != self.substrate.dim:
+                    raise StateError("state dimension does not match substrate")
+            if len(elements) > 1 and next(_equal_pairs(elements), None):
+                raise StateError("duplicate states in attribute (up to phase)")
 
     @property
     def states(self) -> tuple:
         if self.is_subspace:
             raise RepresentationError("a subspace attribute has no finite state list")
-        return self.representation.states
+        return self.elements
 
     @property
     def basis(self) -> tuple:
         if not self.is_subspace:
             raise RepresentationError("not a subspace attribute")
-        return self.representation.basis
+        return self.elements
 
 
 def _single_state(attr: Attribute, error=DomainError,
@@ -266,7 +251,7 @@ def _single_state(attr: Attribute, error=DomainError,
     basis, or the one state an extensional attribute lists; error(message)
     otherwise.  With pure_message, the listed state must also be pure, or
     error(pure_message) is raised."""
-    states = attr.basis if attr.is_subspace else attr.states
+    states = attr.elements
     if pure_message is not None and not attr.is_subspace and (
             len(states) != 1 or not isinstance(states[0], PureState)):
         raise error(pure_message)
@@ -276,29 +261,23 @@ def _single_state(attr: Attribute, error=DomainError,
 
 
 def extensional_attribute(substrate: SubstrateSpec, states) -> Attribute:
-    return Attribute(substrate, ExtensionalSet(tuple(states)))
+    return Attribute(substrate, states)
 
 
 def subspace_attribute(substrate: SubstrateSpec, basis) -> Attribute:
-    return Attribute(substrate, Subspace(tuple(basis)))
+    return Attribute(substrate, basis, is_subspace=True)
 
 
-def _trusted_extensional(substrate: SubstrateSpec, states: tuple) -> Attribute:
-    """extensional_attribute, unchecked: for states known to be valid and distinct."""
-    return _trusted(Attribute, substrate=substrate,
-                    representation=_trusted(ExtensionalSet, states=states))
-
-
-def _trusted_subspace(substrate: SubstrateSpec, basis: tuple) -> Attribute:
-    """subspace_attribute, unchecked: for a basis known to be orthonormal."""
-    return _trusted(Attribute, substrate=substrate,
-                    representation=_trusted(Subspace, basis=basis))
+def _trusted_attribute(substrate: SubstrateSpec, elements: tuple,
+                       is_subspace: bool = False) -> Attribute:
+    """Attribute, unchecked: for listed states known to be valid and
+    distinct, or a basis known to be orthonormal."""
+    return _trusted(Attribute, substrate=substrate, elements=elements, is_subspace=is_subspace)
 
 
 def _holds_mixed(attr: Attribute) -> bool:
     """Whether an extensional attribute lists a mixed state."""
-    rep = attr.representation
-    return isinstance(rep, ExtensionalSet) and any(isinstance(s, MixedState) for s in rep.states)
+    return not attr.is_subspace and any(isinstance(s, MixedState) for s in attr.elements)
 
 
 def attribute_span(attr: Attribute) -> np.ndarray:
@@ -386,9 +365,8 @@ def attribute_subset(a: Attribute, b: Attribute) -> bool:
     """Every state of a is a state of b."""
     if a.substrate.kind == CLASSICAL:
         return set(a.states) <= set(b.states)
-    if a.is_subspace:
-        return b.is_subspace and all(contains_state(b, v) for v in a.basis)
-    return all(contains_state(b, s) for s in a.states)
+    # a subspace is never a subset of listed states
+    return (b.is_subspace or not a.is_subspace) and all(contains_state(b, s) for s in a.elements)
 
 
 def attribute_equal(a: Attribute, b: Attribute) -> bool:
@@ -408,15 +386,16 @@ def product_attribute(a: Attribute, b: Attribute) -> Attribute:
             for s in a.states
             for r in b.states
         )
-        return _trusted_extensional(substrate, states)
+        return _trusted_attribute(substrate, states)
     if a.is_subspace or b.is_subspace:
         if not (a.is_subspace and b.is_subspace):
             raise RepresentationError("cannot mix subspace and extensional factors in a product")
-        return _trusted_subspace(substrate, tuple(tensor(u, v) for u in a.basis for v in b.basis))
+        basis = tuple(tensor(u, v) for u in a.basis for v in b.basis)
+        return _trusted_attribute(substrate, basis, is_subspace=True)
     states = tuple(tensor(s, r) for s in a.states for r in b.states)
     if _holds_mixed(a) or _holds_mixed(b):
         return extensional_attribute(substrate, states)
-    return _trusted_extensional(substrate, states)
+    return _trusted_attribute(substrate, states)
 
 
 def attribute_union(parts) -> Attribute:

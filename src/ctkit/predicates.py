@@ -33,7 +33,7 @@ from .kernel import (
     _holds_mixed,
     _row_basis,
     _single_state,
-    _trusted_subspace,
+    _trusted_attribute,
     attribute_equal,
     attribute_projector,
     attribute_span,
@@ -250,7 +250,7 @@ def bar(x: Attribute, model) -> Attribute:
     span = attribute_span(x)
     # the rows of vh past the span's rows are orthogonal to it (all of them for a zero span)
     rest = np.linalg.svd(span)[2][span.shape[0]:]
-    return _trusted_subspace(x.substrate, _svd_states(rest))
+    return _trusted_attribute(x.substrate, _svd_states(rest), is_subspace=True)
 
 
 def _svd_states(rows) -> tuple:
@@ -265,7 +265,7 @@ def span_closure(v: Variable | Attribute) -> Attribute:
     stacked = np.vstack([p for p in parts if p.size] or [np.zeros((0, substrate.dim))])
     if stacked.shape[0] == 0:
         return subspace_attribute(substrate, ())
-    return _trusted_subspace(substrate, _svd_states(_row_basis(stacked)))
+    return _trusted_attribute(substrate, _svd_states(_row_basis(stacked)), is_subspace=True)
 
 
 def is_observable(v: Variable, model) -> PredicateReport:
@@ -463,8 +463,7 @@ def check_measurement_consistency(
     span_proj = attribute_projector(span_closure(z))
     outcomes_log = []
     for probe in probes:
-        states = probe.basis if probe.is_subspace else probe.states
-        for s in states:
+        for s in probe.elements:
             if abs(1.0 - expectation(s, span_proj)) > atol:
                 raise DomainError("probe leaves the span closure of the variable")
             readings = []

@@ -77,7 +77,8 @@ def check_union(parts):
 
 
 def check_subspace(basis, atol: float) -> None:
-    """Raise what `Subspace(basis)` must raise, one inner product at a time."""
+    """Raise what `subspace_attribute` must raise about the basis, one inner
+    product at a time."""
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             ip = abs(np.vdot(u.vector, v.vector))

@@ -42,7 +42,7 @@ from ctkit import (
 )
 from ctkit import kernel
 from ctkit.errors import CtError, StateError
-from ctkit.kernel import Subspace, _first_overlap, _first_span_overlap
+from ctkit.kernel import _first_overlap, _first_span_overlap
 from ctkit.predicates import _superinformation_pair
 from ctkit.tolerance import tol
 
@@ -188,7 +188,7 @@ def test_subspace_bases_agree_with_the_loop(seed, dim, data):
     pool = state_pool(dim, rng)
     idx = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=dim + 1))
     basis = [pool[k] for k in idx]
-    got = outcome(lambda: Subspace(basis))
+    got = outcome(lambda: subspace_attribute(quantum_substrate("s", dim), basis))
     want = outcome(lambda: ref.check_subspace(basis, tol()))
     assert got[0] == want[0]
     if got[0] != "ok":

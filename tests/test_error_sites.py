@@ -17,6 +17,7 @@ from ctkit import (
     PureState,
     PreconditionError,
     QuantumModel,
+    RepresentationError,
     StateError,
     UnsupportedInputError,
     apply_measurer,
@@ -168,6 +169,57 @@ CASES.update({
     "nan_payoff_shift": (
         lambda: transform_game(Game(_x(), _two_states(), QUBIT), "shift", k=float("nan")),
         DisjointnessError, "label nan does not equal itself"),
+})
+
+
+# ---------------------------------------------------------------------------
+# The attribute record's own checks, and its two accessors
+
+BIT = classical_substrate("c", ["a", "b"])
+CASES.update({
+    "empty_extensional_attribute": (
+        lambda: extensional_attribute(QUBIT, []),
+        StateError, "an extensional attribute cannot be empty"),
+    "classical_state_outside_universe": (
+        lambda: extensional_attribute(BIT, ["z"]),
+        StateError, "state 'z' is not in the universe of 'c'"),
+    "duplicate_classical_states": (
+        lambda: extensional_attribute(BIT, ["a", "b", "a"]),
+        StateError, "duplicate states in attribute"),
+    "duplicate_quantum_states_up_to_phase": (
+        lambda: extensional_attribute(QUBIT, [ZERO, PureState(-1j * ZERO.vector)]),
+        StateError, "duplicate states in attribute (up to phase)"),
+    "quantum_entry_not_a_state": (
+        lambda: extensional_attribute(QUBIT, [ZERO, "x"]),
+        RepresentationError, "quantum attribute states must be PureState or MixedState"),
+    "state_dimension_mismatch": (
+        lambda: extensional_attribute(QUBIT, [basis_state(3, 0)]),
+        StateError, "state dimension does not match substrate"),
+    "subspace_on_classical_substrate": (
+        lambda: subspace_attribute(BIT, []),
+        RepresentationError, "subspace attributes require a quantum substrate"),
+    "subspace_basis_dimension_mismatch": (
+        lambda: subspace_attribute(QUBIT, [basis_state(3, 0), basis_state(3, 1)]),
+        StateError, "subspace basis dimension does not match substrate"),
+    "subspace_orthonormality_before_substrate_kind": (
+        lambda: subspace_attribute(BIT, [ZERO, plus()]),
+        StateError, "subspace basis is not orthonormal"),
+    "subspace_attribute_states": (
+        lambda: subspace_attribute(QUBIT, [ZERO]).states,
+        RepresentationError, "a subspace attribute has no finite state list"),
+    "extensional_attribute_basis": (
+        lambda: _two_states().basis,
+        RepresentationError, "not a subspace attribute"),
+    # these three used to escape as AttributeError or numpy's ValueError
+    "subspace_basis_entry_not_a_state": (
+        lambda: subspace_attribute(QUBIT, [ZERO, "x"]),
+        RepresentationError, "subspace basis vectors must be PureState"),
+    "subspace_basis_entry_mixed": (
+        lambda: subspace_attribute(QUBIT, [MixedState(np.eye(2) / 2)]),
+        RepresentationError, "subspace basis vectors must be PureState"),
+    "subspace_basis_unequal_lengths": (
+        lambda: subspace_attribute(QUBIT, [basis_state(2, 0), basis_state(3, 0)]),
+        StateError, "subspace basis dimension does not match substrate"),
 })
 
 

@@ -1,6 +1,5 @@
 """JSON model documents: resolution, scalar grammar, error paths."""
 
-import copy
 import json
 import random
 from fractions import Fraction
@@ -20,6 +19,7 @@ from ctkit.cli import main
 from ctkit.modelspec import real_token, sqrt_radicand
 
 from conftest import FIXTURE_DIR, plus
+from mutator import mutate
 
 
 def write_doc(tmp_path, doc, name="model.json"):
@@ -269,45 +269,6 @@ def test_non_finite_amplitudes_are_refused(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # Seeded fuzz: mutated fixtures parse or raise CtError, never anything else
-
-_FUZZ_VALUES = ({}, [], None, True, 0, 1, -1, 2.5, "", "x", "1/0", "sqrt(1/2)",
-                [0, 1], ["x"], [{}], {"kind": "set"}, float("nan"), float("inf"))
-
-
-def _paths(node, path=()):
-    yield path
-    children = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _paths(child, path + (key,))
-
-
-def mutate(doc, rng):
-    """One random edit of a JSON document: replace a value (by a stock value,
-    a declared name or another node), drop it, or repeat a list entry."""
-    doc = copy.deepcopy(doc)
-    paths = list(_paths(doc))[1:]
-    path = paths[rng.randrange(len(paths))]
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    key = path[-1]
-    names = [n for sec in ("states", "attributes") for n in doc.get(sec, {})]
-    op = rng.randrange(4)
-    if op == 0:
-        parent[key] = rng.choice(_FUZZ_VALUES + tuple(names))
-    elif op == 1:
-        del parent[key]
-    elif op == 2:
-        other = doc
-        for k in paths[rng.randrange(len(paths))]:
-            other = other[k]
-        parent[key] = copy.deepcopy(other)
-    elif isinstance(parent, list):
-        parent.insert(key, copy.deepcopy(parent[key]))
-    else:
-        parent[key + "_copy"] = copy.deepcopy(parent[key])
-    return doc
 
 
 def test_mutated_fixtures_parse_or_raise_ct_errors(tmp_path, capsys):
