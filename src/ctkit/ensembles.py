@@ -10,6 +10,8 @@ precision is the fallback and is flagged on the row that used it; it sums
 weights in log space (lgamma), so it has no ceiling on N and never
 overflows.  Either way the count vectors are taken a line at a time (all
 counts fixed but the last two), and ENUMERATION_GUARD bounds that work.
+
+A partition of unity reads its weights off span rows (`kernel._member_weights`).
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
+    _member_weights,
     _single_state,
-    attribute_projector,
     attribute_span,
 )
 from .predicates import PredicateReport, _report
@@ -384,8 +386,8 @@ def partition_of_unity(z, x: Variable) -> PartitionOfUnity:
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("partitions of unity live on the quantum backend")
     state = _as_state(z)
-    projs = [(label, attribute_projector(attr)) for label, attr in x.members]
-    raw = [(label, max(0.0, expectation(state, p))) for label, p in projs]
+    weights = _member_weights(state, x.attributes)
+    raw = [(label, max(0.0, float(w))) for label, w in zip(x.labels, weights)]
     total = sum(v for _, v in raw)
     if abs(total - 1.0) > tol():
         raise DomainError(

@@ -33,8 +33,9 @@ from .kernel import (
     SubstrateSpec,
     Variable,
     _check_labels,
+    _member_weights,
     _single_state,
-    attribute_projector,
+    _trusted_attribute,
     attribute_span,
     coarsen_variable,
     extensional_attribute,
@@ -63,10 +64,10 @@ from .quantum import (
 from .states import (
     MixedState,
     PureState,
+    _readonly,
     _trusted,
     apply_unitary,
     basis_state,
-    expectation,
     normalized,
     states_equal,
     tensor,
@@ -327,8 +328,7 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
     u_rep = controlled_map(flags, swaps, measurer.target_dim, PreconditionError, "replacement")
     final = u_rep.apply(measured, factors=(1, 0))
     rho_src = intrinsic_part(final, 0)
-    p_first = attribute_projector(h.attribute(first))
-    sharp_ok = expectation(rho_src, p_first) >= 1.0 - atol
+    sharp_ok = _member_weights(rho_src, (h.attribute(first),))[0] >= 1.0 - atol
     end_value = game_value(make_game(x, h.attribute(first)))
     value_ok = abs(end_value - v) <= atol
     return DerivationStep(
@@ -386,8 +386,9 @@ def derive_value_mn(m: int, n: int, payoffs) -> DerivationTrace:
     if x1 == x2 or m == 0 or m == n:
         return _degenerate_trace(m, n, x1, x2, final)
 
-    steps = [*_symmetric_base_steps(x1, x2)]
-    steps.extend(_appendix_steps(m, n, x1, x2, final))
+    x = _payoff_variable(x1, x2)
+    steps = [*_symmetric_base_steps(x, x1, x2)]
+    steps.extend(_appendix_steps(x, m, n, x1, x2, final))
     return DerivationTrace(steps=tuple(steps), final_value=final)
 
 
@@ -418,8 +419,9 @@ def _degenerate_trace(m, n, x1, x2, final) -> DerivationTrace:
     return DerivationTrace(steps=(step,), final_value=final)
 
 
-def _symmetric_base_steps(x1: Fraction, x2: Fraction):
-    """Steps 1-3: shift and reflection force the symmetric value (x1+x2)/2."""
+def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
+    """Steps 1-3: shift and reflection force the symmetric value (x1+x2)/2;
+    x is the payoff variable of x1 and x2."""
     atol = tol()
     k = -(x1 + x2)
     v_sym = (x1 + x2) / 2
@@ -453,7 +455,6 @@ def _symmetric_base_steps(x1: Fraction, x2: Fraction):
     )
 
     # symmetric base: S fixes y+, so the two sides close to (x1+x2)/2
-    x = _payoff_variable(x1, x2)
     members = tuple((l, _member_state(a)) for l, a in x.members)
     s_unitary = permutation_computation({x1: x2, x2: x1}, members)
     y_plus = normalized([1, 1])
@@ -488,9 +489,9 @@ def _block_labels(m: int, n: int) -> list[Fraction]:
             + [Fraction(j - m) - Fraction(n - m - 1, 2) for j in range(m, n)])
 
 
-def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction):
+def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
+                    final: Fraction):
     atol = tol()
-    x = _payoff_variable(x1, x2)
     b1, b2 = (_member_state(a) for a in x.attributes)
     amp1 = math.sqrt(m / n)
     amp2 = math.sqrt((n - m) / n)
@@ -525,19 +526,11 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
     )
     rho_o = intrinsic_part(measured, 1)
     invariant = float(np.abs(reversal @ rho_o.matrix @ reversal.T - rho_o.matrix).max()) <= atol
-    target_sub = quantum_substrate(f"o-register[{n}]", n)
-    buckets: dict = {}
-    for j, lam in enumerate(labels):
-        buckets.setdefault(lam, []).append(basis_state(n, j))
-    x_o = variable(target_sub, tuple(
-        (lam, extensional_attribute(target_sub, tuple(states)))
-        for lam, states in sorted(buckets.items())
-    ))
+    x_o = _target_variable(labels)
     part_o = partition_of_unity(rho_o, x_o)
     value_o = _weighted_labels(part_o)
-    mirrored = all(
-        abs(part_o.value(lam) - part_o.value(-lam)) <= atol for lam in x_o.labels
-    )
+    weight_o = part_o.as_dict()
+    mirrored = all(abs(weight_o[lam] - weight_o[-lam]) <= atol for lam in x_o.labels)
     zero_ok = abs(value_o) <= atol
     yield DerivationStep(
         rule="EqualValue",
@@ -585,6 +578,20 @@ def _appendix_steps(m: int, n: int, x1: Fraction, x2: Fraction, final: Fraction)
         check=uniform and arithmetic,
         computation={"branches": len(branch_payoffs), "mean": str(mean)},
     )
+
+
+def _target_variable(labels) -> Variable:
+    """The o-register observable: label lam holds the standard kets |j>
+    with labels[j] == lam, in sorted label order.  Distinct standard kets
+    are orthonormal, so the kets, members and variable are built unchecked."""
+    n = len(labels)
+    sub = quantum_substrate(f"o-register[{n}]", n)
+    kets = _readonly(np.eye(n, dtype=complex))
+    buckets: dict = {}
+    for j, lam in enumerate(labels):
+        buckets.setdefault(lam, []).append(_trusted(PureState, vector=kets[j], dims=(n,)))
+    return _trusted(Variable, substrate=sub, members=tuple(
+        (lam, _trusted_attribute(sub, tuple(states))) for lam, states in sorted(buckets.items())))
 
 
 def _in_block(i: int, j: int, m: int) -> bool:

@@ -32,6 +32,9 @@ that decides those.  Repeats within one attribute, and within a union of
 attributes, follow the same rule: the Gram matrix nominates, `states_equal`
 decides.
 
+Weights Tr(rho P_a) are read from span rows, without projectors
+(`_member_weights`).
+
 Validate at the boundary, trust inside.  Every public constructor, and so
 every object of a model document, is checked when it is built.  An object
 the library derives from checked objects is built by `_trusted`, without a
@@ -311,6 +314,35 @@ def attribute_projector(attr: Attribute) -> np.ndarray:
     """Orthogonal projector sum_i |b_i><b_i| onto the attribute's span."""
     basis = attribute_span(attr)
     return basis.T @ basis.conj()
+
+
+def _weight_rows(attr: Attribute) -> np.ndarray:
+    """Orthonormal rows spanning a quantum attribute, for weights only.  A
+    lone pure state v is its own row, v/|v|, with no SVD: the SVD's row is
+    that one times a phase, and no weight sees a row's phase."""
+    elements = attr.elements
+    if not attr.is_subspace and len(elements) == 1 and isinstance(elements[0], PureState):
+        vec = elements[0].vector
+        return (vec / np.linalg.norm(vec))[None, :]
+    return attribute_span(attr)
+
+
+def _member_weights(state: State, attributes) -> np.ndarray:
+    """Tr(rho P_a) for each quantum attribute a, in order, read from the
+    stacked span rows R of all of them with one product: a pure state's row
+    r gives |<r|psi>|^2, a mixed state's the row sum of (conj(R) rho) o R.
+    The rows are summed per attribute with `np.bincount`, so an attribute
+    of empty span weighs exactly 0.  No d x d projector is formed."""
+    spans = [_weight_rows(a) for a in attributes]
+    rows = np.concatenate(spans)
+    if state.dim != rows.shape[1]:
+        raise StateError("state dimension does not match substrate")
+    owners = np.repeat(np.arange(len(spans)), [len(s) for s in spans])
+    if isinstance(state, PureState):
+        per_row = np.abs(rows.conj() @ state.vector) ** 2
+    else:
+        per_row = np.sum((rows.conj() @ state.matrix) * rows, axis=1).real
+    return np.bincount(owners, weights=per_row, minlength=len(spans))
 
 
 def contains_state(attr: Attribute, state: State, atol: float | None = None) -> bool:

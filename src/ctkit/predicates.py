@@ -31,6 +31,7 @@ from .kernel import (
     _first_overlap,
     _first_span_overlap,
     _holds_mixed,
+    _member_weights,
     _row_basis,
     _single_state,
     _trusted_attribute,
@@ -335,8 +336,8 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("restriction is defined on the quantum backend")
     state = _single_state(y)
-    members = [(label, attr) for label, attr in x.members
-               if expectation(state, attribute_projector(attr)) > tol()]
+    weights = _member_weights(state, x.attributes)
+    members = [member for member, weight in zip(x.members, weights) if weight > tol()]
     if not members:
         raise DomainError("restriction is empty: y has no overlap with any member")
     return _trusted(Variable, substrate=x.substrate, members=tuple(members))

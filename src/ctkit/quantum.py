@@ -42,7 +42,7 @@ from .kernel import (
     Variable,
     _first_span_overlap,
     _guard_choices,
-    attribute_projector,
+    _member_weights,
     attribute_span,
 )
 from .states import (
@@ -749,7 +749,7 @@ def basis_members(labels, dim: int | None = None):
 def sharp_value(state: State, x: Variable, atol: float | None = None):
     """The label whose attribute holds the whole state, or None."""
     atol = tol() if atol is None else atol
-    for label, attr in x.members:
-        if expectation(state, attribute_projector(attr)) >= 1.0 - atol:
+    for label, weight in zip(x.labels, _member_weights(state, x.attributes)):
+        if weight >= 1.0 - atol:
             return label
     return None

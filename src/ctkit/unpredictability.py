@@ -21,8 +21,8 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
+    _member_weights,
     _single_state,
-    attribute_projector,
     variable,
 )
 from .predicates import (
@@ -38,7 +38,7 @@ from .quantum import (
     comparer_for_measurers,
     sharp_value,
 )
-from .states import PureState, expectation, partial_trace, tensor
+from .states import PureState, partial_trace, tensor
 from .tolerance import tol
 
 PREDICTOR_EXISTS = "exists"
@@ -101,11 +101,8 @@ def predictor_feasible(problem: PredictorProblem, model) -> PredictorVerdict:
                 f"input {zl!r} is neither sharp in the observable nor a "
                 f"generalised mixture of it"
             )
-        weights = {
-            xl: expectation(state, attribute_projector(a))
-            for xl, a in x.members
-        }
-        support = {xl: w for xl, w in weights.items() if w > atol}
+        weights = _member_weights(state, x.attributes)
+        support = {xl: float(w) for xl, w in zip(x.labels, weights) if w > atol}
         mixtures.append((zl, support))
 
     if not mixtures:

@@ -1,8 +1,11 @@
 """Differential check: one fixed case list run against two copies of the library.
 
 The cases are the commands of `tests/test_golden.py`, the six demos, and
-mutated model documents (`tests/mutator.py`, seed 10) each put through
-`check-model`, `predict` and `decision-support`.  Each source tree runs the
+two families of model documents from `tests/mutator.py`, each document put
+through `check-model`, `predict` and `decision-support`: mutated documents
+(`mutate`, seed 10), which mostly exercise the loader's refusals, and
+perturbed documents (`perturb`, seed 13), edited within the grammar so
+that most reach a verdict.  Each source tree runs the
 whole list in one subprocess, with that tree's `src` first on the path and
 this repository's root as the working directory, so the fixtures, the demos
 and the documents are the same on both sides and only the library differs.
@@ -42,20 +45,23 @@ def golden_cases() -> list[dict]:
     return cases + [{"name": f"demo_{Path(demo).stem}", "demo": demo} for demo in DEMOS]
 
 
-def document_cases(directory: Path, count: int) -> list[dict]:
-    """count mutated fixtures written to directory, each as three cases:
-    check-model, predict (README's `--observable X --state skew`, which
-    only the qubit fixture's mutants can pass) and decision-support."""
-    from mutator import mutated_documents
+def document_cases(directory: Path, count: int, family: str = "doc") -> list[dict]:
+    """count mutated (family "doc") or perturbed (family "perturbed")
+    fixtures written to directory, each as three cases: check-model, predict
+    (README's `--observable X --state skew`, which only the qubit fixture's
+    edits can pass) and decision-support."""
+    from mutator import mutated_documents, perturbed_documents
     fixtures = sorted((ROOT / "fixtures").glob("*.json"))
+    documents = {"doc": mutated_documents, "perturbed": perturbed_documents}[family]
     cases = []
-    for i, doc in enumerate(mutated_documents(fixtures, count)):
-        path = directory / f"doc_{i:03d}.json"
+    for i, doc in enumerate(documents(fixtures, count)):
+        path = directory / f"{family}_{i:03d}.json"
         path.write_text(json.dumps(doc))
         for command, extra in (("check-model", []),
                                ("predict", ["--observable", "X", "--state", "skew"]),
                                ("decision-support", [])):
-            cases.append({"name": f"{command}_doc_{i:03d}", "argv": [command, str(path), *extra]})
+            cases.append({"name": f"{command}_{family}_{i:03d}",
+                          "argv": [command, str(path), *extra]})
     return cases
 
 
@@ -127,7 +133,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", type=Path, help="root of the other source tree")
     parser.add_argument("--documents", type=int, default=DOCUMENTS,
-                        help=f"mutated documents to run (default {DOCUMENTS})")
+                        help=f"documents of each family to run (default {DOCUMENTS})")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
@@ -137,7 +143,8 @@ def main(argv=None) -> int:
         parser.error("--against must name a tree with src/ctkit")
     sys.path.insert(1, str(ROOT / "src"))  # test_golden imports ctkit
     with tempfile.TemporaryDirectory() as tmp:
-        cases = golden_cases() + document_cases(Path(tmp), args.documents)
+        cases = (golden_cases() + document_cases(Path(tmp), args.documents)
+                 + document_cases(Path(tmp), args.documents, "perturbed"))
         theirs = run_tree(args.against / "src", cases)
         ours = run_tree(ROOT / "src", cases)
     changed = differing(cases, theirs, ours)

@@ -38,6 +38,7 @@ from ctkit import (
     product_attribute,
     quantum_substrate,
     restricted_variable,
+    sharp_value,
     subspace_attribute,
     tensor,
     transform_game,
@@ -169,6 +170,12 @@ CASES.update({
     "nan_payoff_shift": (
         lambda: transform_game(Game(_x(), _two_states(), QUBIT), "shift", k=float("nan")),
         DisjointnessError, "label nan does not equal itself"),
+    "partition_of_unity_state_dimension": (
+        lambda: partition_of_unity(basis_state(3, 0), _x()),
+        StateError, "state dimension does not match substrate"),
+    "sharp_value_state_dimension": (
+        lambda: sharp_value(basis_state(3, 0), _x()),
+        StateError, "state dimension does not match substrate"),
 })
 
 

@@ -3,10 +3,11 @@
 The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, cloning
 and permutation tasks, restricted, product, diagonal, relabeled and union
-variables) skip it; each such site is compared here with the validating
-constructor given the same fields, which must accept them and build an
-object equal field by field, arrays included.  Products holding a mixed
-state keep their checks, and the tolerance edge is pinned.
+variables, the value derivation's o-register observable) skip it; each such
+site is compared here with the validating constructor given the same
+fields, which must accept them and build an object equal field by field,
+arrays included.  Products holding a mixed state keep their checks, and
+the tolerance edge is pinned.
 """
 
 import dataclasses
@@ -253,6 +254,24 @@ def test_trusted_diagonal_variables_match_the_constructor():
                                              tuple((l, l) for l in y.labels)]
     for diagonal in diagonals:
         assert_trusted(diagonal)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 8), (31, 64)])
+def test_trusted_target_register_matches_the_constructors(m, n):
+    """The value derivation's o-register observable, taken from its
+    partition_of_unity call, against `variable` over `basis_state` kets."""
+    with mock.patch.object(games, "partition_of_unity",
+                           wraps=games.partition_of_unity) as part:
+        assert games.derive_value_mn(m, n, (1, 0)).all_checks_pass
+    (x_o,) = [call.args[1] for call in part.call_args_list
+              if call.args[1].substrate.id == f"o-register[{n}]"]
+    assert_trusted(x_o)
+    buckets = {}
+    for j, lam in enumerate(games._block_labels(m, n)):
+        buckets.setdefault(lam, []).append(basis_state(n, j))
+    sub = quantum_substrate(f"o-register[{n}]", n)
+    assert_same(x_o, variable(sub, [(lam, extensional_attribute(sub, states))
+                                    for lam, states in sorted(buckets.items())]))
 
 
 # ---------------------------------------------------------------------------
