@@ -316,10 +316,12 @@ def attribute_projector(attr: Attribute) -> np.ndarray:
     return basis.T @ basis.conj()
 
 
-def _weight_rows(attr: Attribute) -> np.ndarray:
-    """Orthonormal rows spanning a quantum attribute, for weights only.  A
-    lone pure state v is its own row, v/|v|, with no SVD: the SVD's row is
-    that one times a phase, and no weight sees a row's phase."""
+def _span_rows(attr: Attribute) -> np.ndarray:
+    """Orthonormal rows spanning a quantum attribute, up to each row's phase.
+    A lone pure state v is its own row, v/|v|, with no SVD: the SVD's row is
+    that one times a phase.  No weight sees a row's phase, and a measurer's
+    control basis sets it (`quantum.completed_basis`); a unitary that maps
+    the row itself must use `attribute_span`."""
     elements = attr.elements
     if not attr.is_subspace and len(elements) == 1 and isinstance(elements[0], PureState):
         vec = elements[0].vector
@@ -327,21 +329,25 @@ def _weight_rows(attr: Attribute) -> np.ndarray:
     return attribute_span(attr)
 
 
-def _member_weights(state: State, attributes) -> np.ndarray:
-    """Tr(rho P_a) for each quantum attribute a, in order, read from the
-    stacked span rows R of all of them with one product: a pure state's row
-    r gives |<r|psi>|^2, a mixed state's the row sum of (conj(R) rho) o R.
-    The rows are summed per attribute with `np.bincount`, so an attribute
-    of empty span weighs exactly 0.  No d x d projector is formed."""
-    spans = [_weight_rows(a) for a in attributes]
-    rows = np.concatenate(spans)
+def _row_weights(state: State, rows: np.ndarray) -> np.ndarray:
+    """<r|rho|r> for each row r of rows, with one product: |<psi|r>|^2 for a
+    pure state (no conjugate copy of the rows), the row sums of
+    (conj(R) rho) o R for a mixed one."""
     if state.dim != rows.shape[1]:
         raise StateError("state dimension does not match substrate")
-    owners = np.repeat(np.arange(len(spans)), [len(s) for s in spans])
     if isinstance(state, PureState):
-        per_row = np.abs(rows.conj() @ state.vector) ** 2
-    else:
-        per_row = np.sum((rows.conj() @ state.matrix) * rows, axis=1).real
+        return np.abs(rows @ state.vector.conj()) ** 2
+    return np.sum((rows.conj() @ state.matrix) * rows, axis=1).real
+
+
+def _member_weights(state: State, attributes) -> np.ndarray:
+    """Tr(rho P_a) for each quantum attribute a, in order, read from the
+    stacked span rows of all of them (`_row_weights`).  The rows are summed
+    per attribute with `np.bincount`, so an attribute of empty span weighs
+    exactly 0.  No d x d projector is formed."""
+    spans = [_span_rows(a) for a in attributes]
+    owners = np.repeat(np.arange(len(spans)), [len(s) for s in spans])
+    per_row = _row_weights(state, np.concatenate(spans))
     return np.bincount(owners, weights=per_row, minlength=len(spans))
 
 
@@ -409,7 +415,12 @@ def product_attribute(a: Attribute, b: Attribute) -> Attribute:
     """Attribute of the composite substrate with each factor in its own attribute.
 
     Unchecked (see the module docstring) unless a factor lists a mixed state."""
-    substrate = compose_substrates(a.substrate, b.substrate)
+    return _product_attribute(a, b, compose_substrates(a.substrate, b.substrate))
+
+
+def _product_attribute(a: Attribute, b: Attribute, substrate: SubstrateSpec) -> Attribute:
+    """`product_attribute` on a composite of a's and b's substrates built
+    once by the caller, for a sweep of products over the same two."""
     if a.substrate.kind == CLASSICAL:
         def flat(state, sub):
             return state if sub.factors else (state,)

@@ -32,6 +32,7 @@ from .kernel import (
     _first_span_overlap,
     _holds_mixed,
     _member_weights,
+    _product_attribute,
     _row_basis,
     _single_state,
     _trusted_attribute,
@@ -95,15 +96,29 @@ def _cloning_tasks(v: Variable, receptives, side_effects: bool = True):
     task is not checked again, unless a factor lists a mixed state (see
     `kernel`) or the receptive lives on a substrate of another size."""
     s2 = compose_substrates(v.substrate, v.substrate)
-    outputs = [product_attribute(attr, attr) for attr in v.attributes]
+    product = _products_on(s2)
+    outputs = [product(attr, attr) for attr in v.attributes]
     mixed = any(map(_holds_mixed, v.attributes))
     for receptive in receptives:
-        pairs = tuple((product_attribute(attr, receptive), out)
+        pairs = tuple((product(attr, receptive), out)
                       for attr, out in zip(v.attributes, outputs))
         if mixed or _holds_mixed(receptive) or receptive.substrate.size() != v.substrate.size():
             yield task(s2, pairs, side_effects=side_effects)
         else:
             yield _trusted(Task, substrate=s2, pairs=pairs, side_effects=side_effects)
+
+
+def _products_on(composite: SubstrateSpec):
+    """`product_attribute`, on the given composite of two substrates for
+    factors on exactly those two, and on a composite of their own for any
+    other factors: the public route's products, with one composite."""
+    sub_a, sub_b = composite.factors
+
+    def product(a: Attribute, b: Attribute) -> Attribute:
+        if a.substrate == sub_a and b.substrate == sub_b:
+            return _product_attribute(a, b, composite)
+        return product_attribute(a, b)
+    return product
 
 
 def _cloning_verdicts(v: Variable, model):
@@ -145,9 +160,10 @@ def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
 def product_variable(v1: Variable, v2: Variable) -> Variable:
     """Members (l1, l2) -> x1 x x2 on the composite substrate; unchecked
     unless a member lists a mixed state (see `kernel`)."""
-    members = tuple(((l1, l2), product_attribute(a1, a2))
-                    for l1, a1 in v1.members for l2, a2 in v2.members)
     substrate = compose_substrates(v1.substrate, v2.substrate)
+    product = _products_on(substrate)
+    members = tuple(((l1, l2), product(a1, a2))
+                    for l1, a1 in v1.members for l2, a2 in v2.members)
     if any(map(_holds_mixed, v1.attributes + v2.attributes)):
         return variable(substrate, members)
     return _trusted(Variable, substrate=substrate, members=members)

@@ -43,14 +43,15 @@ from .kernel import (
     _first_span_overlap,
     _guard_choices,
     _member_weights,
-    attribute_span,
+    _row_weights,
+    _span_rows,
 )
 from .states import (
     MixedState,
     PureState,
     State,
+    _check_density_size,
     basis_state,
-    expectation,
     partial_trace,
 )
 from .tolerance import tol
@@ -360,12 +361,14 @@ class ControlledMap:
         return out
 
     def projector(self, k: int) -> np.ndarray:
+        _check_density_size(self.control_dim)
         rows = self.rows(k)
         return rows.T @ rows.conj()
 
     @property
     def unitary(self) -> np.ndarray:
         """The dense operator; its size is (control_dim * target_dim)**2."""
+        _check_density_size(self.control_dim * self.target_dim)
         out = np.kron(self.projector(len(self.maps)), np.eye(self.target_dim))
         for k, t_map in enumerate(self.maps):
             out = out + np.kron(self.projector(k), t_map)
@@ -460,17 +463,34 @@ def _orthogonal(vectors, atol: float) -> bool:
 
 def basis_swap(dim: int, a: int, b: int) -> np.ndarray:
     """The permutation matrix exchanging basis states a and b."""
-    perm = np.arange(dim)
+    return _swapped_rows(np.eye(dim, dtype=complex), a, b)
+
+
+def _swapped_rows(eye: np.ndarray, a: int, b: int) -> np.ndarray:
+    """A copy of eye with rows a and b exchanged."""
+    perm = np.arange(eye.shape[0])
     perm[[a, b]] = perm[[b, a]]
-    return np.eye(dim, dtype=complex)[perm]
+    return eye[perm]
 
 
 def _unitary_with_first_column(flag: np.ndarray) -> np.ndarray:
-    """A matrix whose first column is flag, unitary when flag is a unit vector:
-    QR against the standard basis, with the first column's phase put back."""
-    q, r = np.linalg.qr(np.column_stack([flag, np.eye(flag.size)]))
-    q[:, 0] *= r[0, 0]
-    return q
+    """A matrix whose first column is flag, unitary when flag is a unit vector.
+
+    One Householder reflection times a phase, in O(n^2):
+    phase (I - 2 w w^dag / |w|^2) with phase = -f0/|f0| (-1 when f0 = 0) and
+    w = e0 - conj(phase) f sends e0 to f.  That sign of the phase makes
+    w0 = 1 + |f0| >= 1, so w never cancels to rounding noise, even when f
+    is close to a multiple of e0.  The first column is then set to flag
+    itself: exact, and not unitary when flag is not a unit vector.
+    """
+    f0 = flag[0]
+    phase = -f0 / abs(f0) if f0 != 0 else -1.0
+    w = -np.conj(phase) * flag
+    w[0] += 1.0
+    out = np.eye(flag.size, dtype=complex) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
+    out *= phase
+    out[:, 0] = flag
+    return out
 
 
 @dataclass(frozen=True)
@@ -537,7 +557,7 @@ def build_measurer(
     target basis index k.
     """
     atol = tol()
-    spans = [attribute_span(a) for a in x.attributes]
+    spans = [_span_rows(a) for a in x.attributes]
     hit = _first_span_overlap(spans, atol)
     if hit is not None:
         i, j, overlap = hit
@@ -570,8 +590,11 @@ def build_measurer(
         indices = [labeling[label] for label in x.labels]
         if len(set(indices)) != n or any(k < 0 or k >= target_dim for k in indices):
             raise PreconditionError("labeling must assign distinct in-range flags")
-        flags = [basis_state(target_dim, k).vector for k in indices]
-        maps = [basis_swap(target_dim, recv, k) for k in indices]
+        # flags and recv <-> k swaps are rows and row permutations of one identity
+        eye = np.eye(target_dim, dtype=complex)
+        eye.setflags(write=False)
+        flags = [eye[k] for k in indices]
+        maps = [_swapped_rows(eye, recv, k) for k in indices]
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),
@@ -628,6 +651,9 @@ class ComparerSpec:
 
     The yes outcome is the projector onto span{|x>_a |x>_b} over the shared
     label set, with each factor contributing its own basis vector for x.
+    Its orthonormal rows are stored, row k being kron(u_k, v_k), and
+    `compare` reads sum_k <u_k v_k|rho|u_k v_k> off them
+    (`kernel._row_weights`); the dense projector is built on request.
     """
 
     labels: tuple
@@ -635,12 +661,18 @@ class ComparerSpec:
     dim_b: int
     basis_a: tuple
     basis_b: tuple
-    projector: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The dense yes projector, (dim_a * dim_b)**2 entries; built on request."""
+        _check_density_size(self.dim_a * self.dim_b)
+        return self.rows.T @ self.rows.conj()
 
     def compare(self, state: State) -> ComparisonOutcome:
         if prod(state.dims) != self.dim_a * self.dim_b:
             raise PreconditionError("state size does not match the compared factors")
-        value = expectation(state, self.projector)
+        value = float(np.sum(_row_weights(state, self.rows)))
         atol = tol()
         if value >= 1.0 - atol:
             return ComparisonOutcome(SHARP_YES, value)
@@ -650,7 +682,10 @@ class ComparerSpec:
 
 
 def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -> ComparerSpec:
-    """Comparer over a shared label set; default bases are the standard ones."""
+    """Comparer over a shared label set; default bases are the standard ones.
+
+    Stores the n rows kron(u_k, v_k), n * dim_a * dim_b entries; nothing of
+    the projector's (dim_a * dim_b)**2 is formed."""
     labels = tuple(labels)
     n = len(labels)
     dim_a = dim_a if dim_a is not None else (basis_a[0].dim if basis_a else n)
@@ -667,11 +702,10 @@ def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -
     for basis in (basis_a, basis_b):
         if not _orthogonal([u.vector for u in basis], atol):
             raise PreconditionError("comparer bases must be orthonormal")
-    projector = np.zeros((dim_a * dim_b,) * 2, dtype=complex)
-    for u, v in zip(basis_a, basis_b):
-        w = np.kron(u.vector, v.vector)
-        projector += np.outer(w, w.conj())
-    return ComparerSpec(labels, dim_a, dim_b, basis_a, basis_b, projector)
+    a = np.array([u.vector for u in basis_a], dtype=complex).reshape(n, dim_a)
+    b = np.array([v.vector for v in basis_b], dtype=complex).reshape(n, dim_b)
+    rows = (a[:, :, None] * b[:, None, :]).reshape(n, dim_a * dim_b)
+    return ComparerSpec(labels, dim_a, dim_b, basis_a, basis_b, rows)
 
 
 def comparer_for_measurers(m1: MeasurerSpec, m2: MeasurerSpec, labels=None) -> ComparerSpec:

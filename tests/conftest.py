@@ -87,3 +87,9 @@ def plus():
 
 def minus():
     return ket(1, -1)
+
+
+def random_unitary(rng, d):
+    """A random d x d unitary, the QR factor of a complex Gaussian matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -60,3 +60,14 @@ def joint_operator(control, dims, factors):
             row_idx[c], row_idx[t] = divmod(local_row, d_t)
             out[flat[tuple(row_idx)], col] += amp
     return out
+
+
+def comparer_projector(basis_a, basis_b):
+    """sum_k |u_k v_k><u_k v_k| over paired kets of two factors, each
+    product ket written out with `np.kron` and added as a dense outer product."""
+    size = len(basis_a[0]) * len(basis_b[0])
+    out = np.zeros((size, size), dtype=complex)
+    for u, v in zip(basis_a, basis_b):
+        w = np.kron(u, v)
+        out += np.outer(w, w.conj())
+    return out

@@ -18,6 +18,7 @@ from ctkit import (
     PreconditionError,
     QuantumModel,
     RepresentationError,
+    SizeLimitError,
     StateError,
     UnsupportedInputError,
     apply_measurer,
@@ -28,6 +29,7 @@ from ctkit import (
     build_measurer,
     check_equal_value,
     classical_substrate,
+    comparer_for_measurers,
     compose_substrates,
     deviant_weight,
     extensional_attribute,
@@ -71,6 +73,19 @@ def _transform_game():
     x = _x()
     transform_game(Game(x, _two_states(), QUBIT), "permutation",
                    mapping={0: 1, 1: 0}, target="attribute")
+
+
+def _basis_measurer_256():
+    return build_measurer(basis_variable(quantum_substrate("q256", 256)))
+
+
+def _comparer_256():
+    m = _basis_measurer_256()
+    return comparer_for_measurers(m, m)
+
+
+OVER_BUDGET_65536 = ("a 65536 x 65536 density matrix needs 68719476736 bytes, "
+                     "over the budget of 268435456")
 
 
 def _predictor_with_mixed_member():
@@ -176,6 +191,13 @@ CASES.update({
     "sharp_value_state_dimension": (
         lambda: sharp_value(basis_state(3, 0), _x()),
         StateError, "state dimension does not match substrate"),
+    # these two used to allocate (or die with numpy's MemoryError for) 64 GiB
+    "measurer_unitary_over_density_budget": (
+        lambda: _basis_measurer_256().unitary,
+        SizeLimitError, OVER_BUDGET_65536),
+    "comparer_projector_over_density_budget": (
+        lambda: _comparer_256().projector,
+        SizeLimitError, OVER_BUDGET_65536),
 })
 
 

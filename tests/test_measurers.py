@@ -7,12 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctkit import (
     MixedState,
+    NotMeasurableError,
     PureState,
     SizeLimitError,
     apply_measurer,
+    attribute_projector,
+    basis_state,
     build_adder,
     build_counting_constructor,
     build_measurer,
@@ -24,17 +29,14 @@ from ctkit import (
     variable,
 )
 from ctkit.ensembles import COUNTING_JOINT_BYTES
+from ctkit.quantum import _unitary_with_first_column, basis_swap
 from ctkit.states import DENSITY_BYTES
+from ctkit.tolerance import tol
 
 import measurer_oracle as oracle
-from conftest import basis_variable, state_variable
+from conftest import basis_variable, random_unitary, state_variable
 
 RNG_SEED = 20150711
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def complex_basis_variable(rng, d, labels=None):
@@ -207,3 +209,93 @@ def test_density_guard_refuses_the_counting_joint_before_allocating(qubit):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert 16 * 4096 ** 2 <= DENSITY_BYTES < 16 * 24576 ** 2
+
+
+# ---------------------------------------------------------------------------
+# Construction: flag maps, member spans and the standard labelling
+
+
+def test_flag_map_of_one_entry_is_the_flag():
+    flag = np.array([np.exp(0.3j)])
+    assert np.array_equal(_unitary_with_first_column(flag), flag[:, None])
+
+
+def _flag_map_ok(flag):
+    u = _unitary_with_first_column(flag)
+    assert np.abs(u[:, 0] - flag).max() <= 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(flag.size)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+def test_flag_map_of_special_flags(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    phase = np.exp(2j * np.pi * rng.random())
+    e0 = np.eye(n, dtype=complex)[0]
+    rest = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rest[0] = 0
+    rest /= np.linalg.norm(rest)
+    _flag_map_ok(phase * e0)  # the map is a phase
+    _flag_map_ok(rest)  # f0 = 0
+    for s in (1e-4, 1e-9, 1e-15):  # within s of a multiple of e0
+        _flag_map_ok(phase * (np.sqrt(1 - s * s) * e0 + s * rest))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 16, 100, 1024]))
+def test_flag_map_of_random_flags(seed, n):
+    rng = np.random.default_rng(seed)
+    flag = rng.normal(size=n) + 1j * rng.normal(size=n)
+    _flag_map_ok(flag / np.linalg.norm(flag))
+
+
+def test_a_flag_off_the_unit_sphere_still_breaks_unitarity(qubit):
+    with pytest.raises(NotMeasurableError,
+                       match=r"^measurer construction lost unitarity \(a target map is not unitary\)$"):
+        build_measurer(basis_variable(qubit), flag_states={0: np.array([2, 0]), 1: np.array([0, 2])})
+
+
+MEMBER_KINDS = ("lone", "lone", "several", "subspace", "mixed")
+
+
+def mixed_kind_variable(rng, d, kinds):
+    """Members spanning disjoint blocks of a random basis: lone pure states
+    with a random phase and a norm of 1 - 0.9 tol, 1 or 1 + 0.9 tol, a
+    member listing two states and their sum, a subspace of rank 1 or 2, and
+    a member listing a mixed state of rank 2."""
+    sub = quantum_substrate(f"m{d}", d)
+    cols = list(random_unitary(rng, d).T)
+    members = []
+    for kind in kinds:
+        size = {"lone": 1, "several": 2, "mixed": 2}.get(kind, int(rng.integers(1, 3)))
+        if len(cols) < size:
+            break
+        rows, cols = cols[:size], cols[size:]
+        if kind == "lone":
+            scale = (1.0 + rng.choice([-0.9, 0.0, 0.9]) * tol()) * np.exp(2j * np.pi * rng.random())
+            attr = extensional_attribute(sub, [PureState(rows[0] * scale)])
+        elif kind == "several":
+            both = (rows[0] + rows[1]) / np.sqrt(2)
+            attr = extensional_attribute(sub, [PureState(r) for r in (*rows, both)])
+        elif kind == "subspace":
+            attr = subspace_attribute(sub, [PureState(r) for r in rows])
+        else:
+            attr = extensional_attribute(sub, [MixedState(random_density(rng, rows))])
+        members.append(attr)
+    return variable(sub, list(enumerate(members)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7),
+       st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=5))
+def test_measurer_spans_match_the_attribute_projectors(seed, d, kinds):
+    rng = np.random.default_rng(seed)
+    x = mixed_kind_variable(rng, d, kinds)
+    m = build_measurer(x)
+    for k, attr in enumerate(x.attributes):
+        assert np.abs(m.control.projector(k) - attribute_projector(attr)).max() <= 1e-12
+    assert np.abs(m.unitary - oracle.local_operator(m.control)).max() <= 1e-12
+    # the default labelling: basis flags, and swaps of the receptive index 0 with k
+    n = len(x)
+    for k in range(n):
+        assert np.array_equal(m.flags[k], basis_state(n, k).vector)
+        assert np.array_equal(m.control.maps[k], basis_swap(n, 0, k))

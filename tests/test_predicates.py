@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from ctkit import (
     UNKNOWN,
     DomainError,
+    InvalidCompositionError,
     MeasurerConformanceError,
     MixedState,
+    PureState,
     RepresentationError,
     bar,
     basis_state,
     blank_attribute,
     build_measurer,
     check_measurement_consistency,
+    compose_substrates,
     detect_superinformation,
     distinguishing_task,
     extensional_attribute,
@@ -27,10 +30,13 @@ from ctkit import (
     is_measurable,
     is_observable,
     normalized,
+    product_attribute,
     product_variable,
+    quantum_substrate,
     restricted_variable,
     span_closure,
     subspace_attribute,
+    task,
     variable,
 )
 
@@ -489,8 +495,8 @@ def test_cloning_candidates_share_the_outputs():
     v = state_variable(sub, [(k, normalized(rng.normal(size=d) + 1j * rng.normal(size=d)))
                              for k in range(12)])
     model = QuantumModel(sub)
-    with mock.patch.object(predicates, "product_attribute",
-                           wraps=predicates.product_attribute) as product:
+    with mock.patch.object(predicates, "_product_attribute",
+                           wraps=predicates._product_attribute) as product:
         report = is_information_variable(v, model)
     # 12 (x, x) outputs once, then 12 inputs for each of the 13 candidates
     assert product.call_count == 12 + 13 * 12
@@ -508,11 +514,69 @@ def test_information_variable_stops_at_the_first_clonable_candidate(x_basis, qub
 
     import ctkit.predicates as predicates
 
-    with mock.patch.object(predicates, "product_attribute",
-                           wraps=predicates.product_attribute) as product:
+    with mock.patch.object(predicates, "_product_attribute",
+                           wraps=predicates._product_attribute) as product:
         report = is_information_variable(x_basis, qubit_model)
     # the two (x, x) outputs and the blank's two inputs; no later candidate is built
     assert product.call_count == 2 + 2
     assert report.verdict
     assert list(report.evidence["cloning"]) == ["blank"]
     assert report.evidence["receptive"] == "blank"
+
+
+def _same_attribute(a, b):
+    if (a.substrate, a.is_subspace, len(a.elements)) != (b.substrate, b.is_subspace, len(b.elements)):
+        return False
+    return all(type(s) is type(r) and s.dims == r.dims and np.array_equal(
+        s.vector if isinstance(s, PureState) else s.matrix,
+        r.vector if isinstance(r, PureState) else r.matrix) for s, r in zip(a.elements, b.elements))
+
+
+def _public_cloning_task(v, receptive):
+    """The cloning task built through `product_attribute`, one composite per product."""
+    pairs = [(product_attribute(a, receptive), product_attribute(a, a)) for a in v.attributes]
+    return task(compose_substrates(v.substrate, v.substrate), pairs, side_effects=True)
+
+
+def test_a_cloning_sweep_composes_its_substrates_once():
+    from unittest import mock
+
+    import ctkit.kernel as kernel
+    import ctkit.predicates as predicates
+
+    rng = np.random.default_rng(14)
+    d = 4
+    sub, twin, big = (quantum_substrate(name, dim) for name, dim in (("q", d), ("q'", d), ("q8", 8)))
+    v = state_variable(sub, [(k, normalized(rng.normal(size=d) + 1j * rng.normal(size=d)))
+                             for k in range(3)])
+    receptives = [blank_attribute(sub), *v.attributes,
+                  extensional_attribute(twin, [basis_state(d, 1)])]  # same size, other substrate
+    other_size = extensional_attribute(big, [basis_state(8, 0)])
+    calls = []
+    compose = kernel.compose_substrates
+
+    def counted(a, b):
+        calls.append((a.id, b.id))
+        return compose(a, b)
+
+    with mock.patch.object(kernel, "compose_substrates", counted), \
+            mock.patch.object(predicates, "compose_substrates", counted):
+        tasks = list(predicates._cloning_tasks(v, receptives))
+        with pytest.raises(InvalidCompositionError, match="task attribute on a different substrate"):
+            next(predicates._cloning_tasks(v, [other_size]))
+        prod = product_variable(v, v)
+    # one shared composite per sweep, and one per product with a receptive on another substrate
+    assert calls == [("q", "q")] + [("q", "q'")] * 3 + [("q", "q")] + [("q", "q8")] * 3 + [("q", "q")]
+    with pytest.raises(InvalidCompositionError, match="task attribute on a different substrate"):
+        _public_cloning_task(v, other_size)
+    assert len(tasks) == len(receptives)
+    for receptive, got in zip(receptives, tasks):
+        want = _public_cloning_task(v, receptive)
+        assert (got.substrate, got.side_effects) == (want.substrate, want.side_effects)
+        assert len(got.pairs) == len(want.pairs)
+        assert all(_same_attribute(a, b) and _same_attribute(c, e)
+                   for (a, c), (b, e) in zip(got.pairs, want.pairs))
+    factors = [(a1, a2) for a1 in v.attributes for a2 in v.attributes]
+    assert prod.labels == tuple((l1, l2) for l1 in v.labels for l2 in v.labels)
+    assert all(_same_attribute(got, product_attribute(a1, a2))
+               for got, (a1, a2) in zip(prod.attributes, factors))
