@@ -5,10 +5,17 @@ underlying possibility verdicts or subspace computations, so a verdict can be
 re-derived without rerunning the search.  The quantum fast paths (pairwise
 span orthogonality in place of the task oracle) are used only where a test
 proves them equivalent to the oracle route.
+
+The information-variable sweeps ask the oracle only what earlier answers do
+not fix: a computation variable is decided by its n-1 star transpositions
+(l0 lk), which generate the permutation group, and a quantum member that
+lists one unit pure state r takes the blank's cloning verdict, since its
+cloning inputs have the blank's Gram matrix G_x <r|r> = G_x (see
+`is_computation_variable` and `_cloning_verdicts`).  `tests/sweep_oracle.py`
+keeps the exhaustive sweeps as the reference.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,6 +42,7 @@ from .kernel import (
     _product_attribute,
     _row_basis,
     _single_state,
+    _slack,
     _trusted_attribute,
     attribute_equal,
     attribute_projector,
@@ -122,10 +130,35 @@ def _products_on(composite: SubstrateSpec):
 
 
 def _cloning_verdicts(v: Variable, model):
-    """(name, verdict) of cloning v onto the blank, then onto each member."""
-    names, receptives = zip(("blank", blank_attribute(v.substrate)), *v.members)
-    for name, clone in zip(names, _cloning_tasks(v, receptives)):
-        yield name, is_task_possible(clone, model)
+    """(name, verdict) of cloning v onto the blank, then onto each member.
+
+    The blank |0> is a unit pure state, so on the quantum route the inputs
+    x (x) blank have the Gram matrix G_x of v's member states, and the
+    outputs x (x) x are the same for every receptive.  A member r that lists
+    one unit pure state gives inputs with the Gram matrix G_x <r|r> = G_x,
+    so the oracle, which decides from those Gram matrices alone, would
+    repeat the blank's verdict: r takes that verdict and its cloning task is
+    not built.  A member that lists several states, a mixed state or a
+    subspace keeps its own oracle call, and so does every classical member
+    (its states are labels, not pure states), whose witness names the
+    receptive's label.
+    """
+    blank = blank_attribute(v.substrate)
+    shares = [_unit_pure(r) for r in v.attributes]
+    tasks = _cloning_tasks(v, (blank, *(r for r, same in zip(v.attributes, shares) if not same)))
+    first = is_task_possible(next(tasks), model)
+    yield "blank", first
+    for label, same in zip(v.labels, shares):
+        yield label, first if same else is_task_possible(next(tasks), model)
+
+
+def _unit_pure(attr: Attribute) -> bool:
+    """Whether attr lists one pure state whose norm is 1 up to rounding."""
+    if attr.is_subspace or len(attr.elements) != 1:
+        return False
+    (state,) = attr.elements
+    return isinstance(state, PureState) and \
+        abs(float(np.vdot(state.vector, state.vector).real) - 1.0) <= _slack(state.dim)
 
 
 def cloning_task(v: Variable, receptive: Attribute, side_effects: bool = True) -> Task:
@@ -176,14 +209,15 @@ def product_variable(v1: Variable, v2: Variable) -> Variable:
 def is_computation_variable(v: Variable, model) -> PredicateReport:
     """Every relabeling of v must be a possible task (side effects allowed).
 
-    Transpositions generate the permutation group, so one verdict per
-    transposition is recorded as evidence.
+    The star transpositions (l0 lk), k = 1..n-1, of the first label l0
+    generate the permutation group, since (a b) = (l0 a)(l0 b)(l0 a), and a
+    serial composition of possible tasks is possible.  So their n-1
+    verdicts, in label order, decide every relabeling and are recorded as
+    evidence.
     """
-    labels = v.labels
-    checks = {}
-    for a, b in itertools.combinations(labels, 2):
-        swap = {a: b, b: a}
-        checks[(a, b)] = is_task_possible(permutation_task(v, swap), model)
+    first, *rest = v.labels
+    checks = {(first, b): is_task_possible(permutation_task(v, {first: b, b: first}), model)
+              for b in rest}
     ok = all(verdict.status == POSSIBLE for verdict in checks.values())
     return _report("is_computation_variable", v, ok, {"transpositions": checks})
 
@@ -193,7 +227,11 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
 
     The cloning check runs first: a non-orthogonal pair fails it with a
     clean amplitude-ratio certificate, so the later permutation sweep never
-    reaches the oracle's unknown branch.
+    reaches the oracle's unknown branch.  The receptives are the blank, then
+    each member in label order, until one clones; a quantum member that
+    lists one unit pure state shares the blank's Gram matrices and so its
+    verdict (see `_cloning_verdicts`).  The computation check then asks
+    about the n-1 star transpositions only (see `is_computation_variable`).
     """
     clone_checks = {}
     clone_ok = None

@@ -50,6 +50,7 @@ from .states import (
     MixedState,
     PureState,
     State,
+    _check_bytes,
     _check_density_size,
     basis_state,
     partial_trace,
@@ -554,7 +555,8 @@ def build_measurer(
     labeling maps each label to a target basis index; flag_states may instead
     map labels to arbitrary orthonormal target vectors (used where the output
     alphabet is itself structured).  Defaults: label k of the variable gets
-    target basis index k.
+    target basis index k.  The n target maps, n * target_dim**2 entries, are
+    held to the `states.DENSITY_BYTES` budget before any is built.
     """
     atol = tol()
     spans = [_span_rows(a) for a in x.attributes]
@@ -573,6 +575,8 @@ def build_measurer(
         else:
             sample = next(iter(flag_states.values()))
             target_dim = sample.dim if isinstance(sample, PureState) else len(sample)
+    _check_bytes(16 * n * target_dim * target_dim,
+                 f"a measurer of {n} target maps of {target_dim} x {target_dim}")
     if flag_states is not None:
         flags = []
         for label in x.labels:
@@ -685,11 +689,13 @@ def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -
     """Comparer over a shared label set; default bases are the standard ones.
 
     Stores the n rows kron(u_k, v_k), n * dim_a * dim_b entries; nothing of
-    the projector's (dim_a * dim_b)**2 is formed."""
+    the projector's (dim_a * dim_b)**2 is formed.  Rows over the
+    `states.DENSITY_BYTES` budget are refused before anything is allocated."""
     labels = tuple(labels)
     n = len(labels)
     dim_a = dim_a if dim_a is not None else (basis_a[0].dim if basis_a else n)
     dim_b = dim_b if dim_b is not None else (basis_b[0].dim if basis_b else n)
+    _check_bytes(16 * n * dim_a * dim_b, f"a comparer of {n} rows of length {dim_a * dim_b}")
 
     def default_basis(dim):
         return tuple(basis_state(dim, k) for k in range(n))

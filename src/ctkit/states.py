@@ -40,12 +40,14 @@ DENSITY_BYTES = 256 * 2 ** 20
 def _check_density_size(dim: int) -> None:
     """Raise SizeLimitError, before anything is allocated, for a dim x dim
     density matrix over the DENSITY_BYTES budget."""
-    needed = 16 * dim * dim
+    _check_bytes(16 * dim * dim, f"a {dim} x {dim} density matrix")
+
+
+def _check_bytes(needed: int, what: str) -> None:
+    """Raise SizeLimitError when what, which takes needed bytes of complex
+    entries, is over the DENSITY_BYTES budget."""
     if needed > DENSITY_BYTES:
-        raise SizeLimitError(
-            f"a {dim} x {dim} density matrix needs {needed} bytes, over the "
-            f"budget of {DENSITY_BYTES}"
-        )
+        raise SizeLimitError(f"{what} needs {needed} bytes, over the budget of {DENSITY_BYTES}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ writes the projector out as a sum of dense outer products.  Both are run
 over random complex orthonormal bases of unequal factor sizes, pure and
 mixed states inside, outside and across the yes space, and the comparers
 of flag-state measurers.  A 256-outcome comparer, whose projector would
-take 64 GiB, builds and compares in well under a second.
+take 64 GiB, builds and compares in well under a second; 512 outcomes,
+whose rows or measurer maps would take 2 GiB, are refused before anything
+is allocated.
 """
 
 import time
@@ -143,3 +145,20 @@ def test_a_256_outcome_comparer_builds_and_compares_at_once():
     assert elapsed < 1.0
     with pytest.raises(SizeLimitError):
         c.projector
+
+
+def test_rows_and_maps_over_the_budget_are_refused_before_allocating():
+    x = basis_variable(quantum_substrate("q512", 512))
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="comparer of 512 rows"):
+            build_comparer(range(512))
+        with pytest.raises(SizeLimitError, match="measurer of 512 target maps"):
+            build_measurer(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each would take 2 GiB; the measurer's span check holds a few 4 MiB arrays
+    assert peak < 32 * 2 ** 20
+    assert time.perf_counter() - started < 1.0

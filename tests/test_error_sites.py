@@ -198,6 +198,15 @@ CASES.update({
     "comparer_projector_over_density_budget": (
         lambda: _comparer_256().projector,
         SizeLimitError, OVER_BUDGET_65536),
+    # the 256-outcome rows and maps sit exactly at the budget and still build
+    "comparer_rows_over_density_budget": (
+        lambda: build_comparer(range(512)),
+        SizeLimitError, "a comparer of 512 rows of length 262144 needs 2147483648 bytes, "
+                        "over the budget of 268435456"),
+    "measurer_maps_over_density_budget": (
+        lambda: build_measurer(basis_variable(quantum_substrate("q512", 512))),
+        SizeLimitError, "a measurer of 512 target maps of 512 x 512 needs 2147483648 bytes, "
+                        "over the budget of 268435456"),
 })
 
 

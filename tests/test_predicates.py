@@ -498,8 +498,9 @@ def test_cloning_candidates_share_the_outputs():
     with mock.patch.object(predicates, "_product_attribute",
                            wraps=predicates._product_attribute) as product:
         report = is_information_variable(v, model)
-    # 12 (x, x) outputs once, then 12 inputs for each of the 13 candidates
-    assert product.call_count == 12 + 13 * 12
+    # 12 (x, x) outputs once, then the blank's 12 inputs; every member is a
+    # lone unit state, so it takes the blank's verdict and builds no inputs
+    assert product.call_count == 12 + 12
     assert not report.verdict
     assert set(report.evidence) == {"cloning", "computation"}
     assert list(report.evidence["cloning"]) == ["blank", *v.labels]
