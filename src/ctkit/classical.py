@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RepresentationError
+from .errors import RepresentationError, SizeLimitError
 from .kernel import (
     CLASSICAL,
     IMPOSSIBLE,
@@ -23,7 +23,6 @@ from .kernel import (
     PossibilityVerdict,
     SubstrateSpec,
     Task,
-    _guard_choices,
 )
 
 BACKEND = "classical"
@@ -32,7 +31,7 @@ _DONE = object()  # end of an input's options
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """Finite classical substrate plus the choice-function search guard."""
+    """Finite classical substrate; assignment_guard is the matching's node budget."""
 
     substrate: SubstrateSpec
     assignment_guard: int = 10**6
@@ -62,8 +61,6 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
     demands = _flat_inputs(task)
     outs = [tuple(attr_out.states) for _, attr_out in task.pairs]
 
-    _guard_choices((len(outs[idx]) for _, idx in demands), model.assignment_guard)
-
     if task.side_effects:
         # Any choice function will do; collisions become ancilla garbage.
         assignment = {state: outs[idx][0] for state, idx in demands}
@@ -81,7 +78,7 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
         )
 
     # Without side effects: an injective choice is a matching of every input.
-    owner, stuck, nodes = _match([outs[idx] for _, idx in demands])
+    owner, stuck, nodes = _match([outs[idx] for _, idx in demands], model.assignment_guard)
     if stuck is None:
         target = {u: t for t, u in owner.items()}
         assignment = {state: target[u] for u, (state, _) in enumerate(demands)}
@@ -106,7 +103,7 @@ def classical_possible(task: Task, model: ClassicalModel) -> PossibilityVerdict:
     return PossibilityVerdict(IMPOSSIBLE, certificate=certificate, backend=BACKEND, nodes=nodes)
 
 
-def _match(options):
+def _match(options, budget: int):
     """Match every input u to a distinct output from options[u] (Kuhn's method).
 
     Inputs are placed in order.  Each placement is an iterative depth-first
@@ -118,7 +115,8 @@ def _match(options):
     input; stuck is None when every input is placed, and otherwise (inputs,
     outputs) reached by the search that failed.  Each of those outputs is
     held by one of those inputs and the root holds none, so the outputs are
-    fewer: a violation of Hall's condition.  nodes counts the edges looked at.
+    fewer: a violation of Hall's condition.  nodes counts the edges looked at,
+    and SizeLimitError is raised once it passes budget.
     """
     owner: dict = {}
     nodes = 0
@@ -135,6 +133,8 @@ def _match(options):
                     via.pop()
                 continue
             nodes += 1
+            if nodes > budget:
+                raise SizeLimitError(f"the search exceeds the node budget of {budget}")
             if t in reached:
                 continue
             reached[t] = owner.get(t)

@@ -42,7 +42,7 @@ from .quantum import (
     completed_basis,
     intrinsic_part,
 )
-from .states import MixedState, PureState, basis_state, expectation, tensor
+from .states import MixedState, PureState, _check_bytes, basis_state, expectation, tensor
 from .tolerance import PARTITION_SUM_TOL, tol
 
 ENUMERATION_GUARD = 10_000_000
@@ -93,12 +93,8 @@ def build_counting_constructor(x, n: int, basis: Variable,
     d = basis.substrate.dim
     if d ** n > guard:
         raise SizeLimitError(f"{d}**{n} product states exceed the enumeration guard")
-    needed = 16 * (d ** n * (n + 1) + (n + 1) ** 3)
-    if needed > COUNTING_JOINT_BYTES:
-        raise SizeLimitError(
-            f"a {d}**{n} x {n + 1} joint state needs {needed} bytes, over the "
-            f"counting constructor's budget of {COUNTING_JOINT_BYTES}"
-        )
+    _check_bytes(16 * (d ** n * (n + 1) + (n + 1) ** 3), f"a {d}**{n} x {n + 1} joint state",
+                 COUNTING_JOINT_BYTES)
     spans = []
     for label, attr in basis.members:
         span = attribute_span(attr)

@@ -366,8 +366,6 @@ def derive_value(g: Game) -> DerivationTrace:
     snap = Fraction(float(f1)).limit_denominator(10 ** 6)
     if abs(float(snap) - float(f1)) > 1e-9:
         raise UnsupportedInputError("irrational weights are out of the derivation's scope")
-    if snap.denominator > 64:
-        raise SizeLimitError(f"weight denominator {snap.denominator} exceeds 64")
     return derive_value_mn(snap.numerator, snap.denominator, (l1, l2))
 
 

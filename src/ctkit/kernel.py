@@ -66,7 +66,6 @@ from .errors import (
     InvalidCompositionError,
     LabelArithmeticError,
     RepresentationError,
-    SizeLimitError,
     StateError,
 )
 from .states import MixedState, PureState, State, _trusted, basis_state, states_equal, tensor
@@ -715,17 +714,6 @@ def parallel_task(a: Task, b: Task) -> Task:
 
 # ---------------------------------------------------------------------------
 # Possibility verdicts
-
-
-def _guard_choices(option_counts, guard: int) -> int:
-    """The size of a choice space, the product of its option counts; a
-    SizeLimitError as soon as a partial product exceeds guard."""
-    total = 1
-    for count in option_counts:
-        total *= count
-        if total > guard:
-            raise SizeLimitError(f"choice-function space exceeds the guard of {guard}")
-    return total
 
 
 POSSIBLE = "possible"

@@ -12,7 +12,7 @@ with its negative eigenvector as the certificate; when only the free
 entries are in doubt the oracle says so instead of guessing.  The choices
 of output are searched input by input against one Gram matrix of all
 candidates, and a partial choice is dropped as soon as one pair of its
-inputs fails.
+inputs fails.  The options visited count against the model's node budget.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     PreconditionError,
     ReceptiveStateError,
     RepresentationError,
+    SizeLimitError,
     StateError,
     TransformError,
 )
@@ -41,7 +42,6 @@ from .kernel import (
     Task,
     Variable,
     _first_span_overlap,
-    _guard_choices,
     _member_weights,
     _row_weights,
     _span_rows,
@@ -66,6 +66,8 @@ NON_SHARP = "non-sharp"
 
 @dataclass(frozen=True)
 class QuantumModel:
+    """Quantum substrate; assignment_guard is the choice search's node budget."""
+
     substrate: SubstrateSpec
     assignment_guard: int = 10**6
 
@@ -214,7 +216,7 @@ def _full_check(g_in: np.ndarray, g_out: np.ndarray, side_effects: bool, atol: f
     return IMPOSSIBLE, None, cert
 
 
-def _choice_search(g_in: np.ndarray, g_cand: np.ndarray, options, pair_bad, accept) -> int:
+def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: int) -> int:
     """Depth-first search over the output choices, in product order.
 
     Input k takes one candidate from options[k].  All its options are tested
@@ -224,7 +226,8 @@ def _choice_search(g_in: np.ndarray, g_cand: np.ndarray, options, pair_bad, acce
     search by returning true; it must reject any choice with a pair that
     pair_bad flags.  Once every input left has a single option the one full
     choice below is handed to accept untested.  Returns the nodes visited,
-    one per option.  The stack is explicit, so any number of inputs will do.
+    one per option, or raises SizeLimitError once they pass budget.  The
+    stack is explicit, so any number of inputs will do.
     """
     n = len(options)
     if n == 0:
@@ -240,6 +243,8 @@ def _choice_search(g_in: np.ndarray, g_cand: np.ndarray, options, pair_bad, acce
         nonlocal nodes
         opts = options[k]
         nodes += len(opts)
+        if nodes > budget:
+            raise SizeLimitError(f"the search exceeds the node budget of {budget}")
         if k == 0 or k >= settled:
             return list(range(len(opts)))[::-1]
         bad = pair_bad(g_in[:k, k, None], g_cand[taken[:k]][:, opts]).any(axis=0)
@@ -272,9 +277,9 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
     """
     atol = tol()
     ins, cands, options = _task_demands(task)
-    total = _guard_choices(map(len, options), model.assignment_guard)
     g_in = gram(ins).matrix
-    g_cand = gram(cands).matrix if total > 1 else None  # one choice: nothing to prune
+    # one choice: nothing to prune
+    g_cand = gram(cands).matrix if any(len(opts) > 1 for opts in options) else None
 
     def pair_bad(gi, go):
         if task.side_effects:
@@ -295,7 +300,7 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
             unknown = cert
         return found is not None
 
-    nodes = _choice_search(g_in, g_cand, options, pair_bad, accept)
+    nodes = _choice_search(g_in, g_cand, options, pair_bad, accept, model.assignment_guard)
     if found is not None:
         return PossibilityVerdict(POSSIBLE, witness=found, backend=BACKEND, nodes=nodes)
     if unknown is not None:

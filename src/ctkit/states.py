@@ -43,11 +43,11 @@ def _check_density_size(dim: int) -> None:
     _check_bytes(16 * dim * dim, f"a {dim} x {dim} density matrix")
 
 
-def _check_bytes(needed: int, what: str) -> None:
+def _check_bytes(needed: int, what: str, budget: int = DENSITY_BYTES) -> None:
     """Raise SizeLimitError when what, which takes needed bytes of complex
-    entries, is over the DENSITY_BYTES budget."""
-    if needed > DENSITY_BYTES:
-        raise SizeLimitError(f"{what} needs {needed} bytes, over the budget of {DENSITY_BYTES}")
+    entries, is over budget."""
+    if needed > budget:
+        raise SizeLimitError(f"{what} needs {needed} bytes, over the budget of {budget}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

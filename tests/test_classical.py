@@ -75,19 +75,44 @@ def test_wide_output_gives_a_choice(light):
     assert verdict.witness["assignment"]["red"] in ("amber", "green")
 
 
+def _pigeonhole_task(n):
+    """n inputs, each onto the same n - 1 outputs, without side effects."""
+    sub = classical_substrate("pigeons", [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n - 1)])
+    holes = attr(sub, *(f"b{i}" for i in range(n - 1)))
+    return task(sub, [(attr(sub, f"a{i}"), holes) for i in range(n)])
+
+
 def test_assignment_guard_trips():
+    # with side effects each input takes its first option: no search, no budget
     sub = classical_substrate("wide", list(range(10)))
     everything = attr(sub, *range(10))
     t = task(sub, [(everything, everything)], side_effects=True)
-    with pytest.raises(SizeLimitError):
-        is_task_possible(t, ClassicalModel(sub, assignment_guard=10))
+    model = ClassicalModel(sub, assignment_guard=1)
+    verdict = is_task_possible(t, model)
+    assert verdict.status == POSSIBLE and verdict.nodes == 10
+    assert replay_witness(t, model, verdict)
+    # the matching counts its edge looks: 255 for ten pigeons in nine holes
+    pigeons = _pigeonhole_task(10)
+    with pytest.raises(SizeLimitError, match="node budget of 254"):
+        is_task_possible(pigeons, ClassicalModel(pigeons.substrate, assignment_guard=254))
+    verdict = is_task_possible(pigeons, ClassicalModel(pigeons.substrate, assignment_guard=255))
+    assert verdict.status == IMPOSSIBLE and verdict.nodes == 255
+
+
+def test_seven_inputs_onto_ten_outputs_at_the_default_budget():
+    # a choice space of 10**7, decided by the matching in 84 edge looks
+    sub = classical_substrate("s", [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(10)])
+    t = task(sub, [(attr(sub, *(f"a{i}" for i in range(7))),
+                    attr(sub, *(f"b{i}" for i in range(10))))])
+    model = ClassicalModel(sub)
+    verdict = is_task_possible(t, model)
+    assert verdict.status == POSSIBLE and verdict.nodes == 84
+    assert replay_witness(t, model, verdict)
 
 
 def test_pigeonhole_matching_visits_at_most_inputs_times_edges():
-    sub = classical_substrate("pigeons", [f"a{i}" for i in range(10)] + [f"b{i}" for i in range(9)])
-    holes = attr(sub, *(f"b{i}" for i in range(9)))
-    t = task(sub, [(attr(sub, f"a{i}"), holes) for i in range(10)])
-    verdict = is_task_possible(t, ClassicalModel(sub, assignment_guard=10**12))
+    t = _pigeonhole_task(10)
+    verdict = is_task_possible(t, ClassicalModel(t.substrate, assignment_guard=10**12))
     assert verdict.status == IMPOSSIBLE
     assert "10 input states compete for 9" in verdict.certificate
     assert 0 < verdict.nodes <= 10 * (10 * 9)

@@ -8,6 +8,7 @@ import pytest
 
 import ctkit.kernel as kernel
 from ctkit import (
+    ClassicalModel,
     CtError,
     DisjointnessError,
     DomainError,
@@ -33,6 +34,7 @@ from ctkit import (
     compose_substrates,
     deviant_weight,
     extensional_attribute,
+    is_task_possible,
     partial_trace,
     partition_of_unity,
     permutation_computation,
@@ -42,6 +44,7 @@ from ctkit import (
     restricted_variable,
     sharp_value,
     subspace_attribute,
+    task,
     tensor,
     transform_game,
     unpredictability_certificate,
@@ -207,6 +210,10 @@ CASES.update({
         lambda: build_measurer(basis_variable(quantum_substrate("q512", 512))),
         SizeLimitError, "a measurer of 512 target maps of 512 x 512 needs 2147483648 bytes, "
                         "over the budget of 268435456"),
+    "counting_joint_over_its_budget": (
+        lambda: build_counting_constructor(0, 18, _x()),
+        SizeLimitError, "a 2**18 x 19 joint state needs 79801520 bytes, "
+                        "over the budget of 67108864"),
 })
 
 
@@ -258,6 +265,26 @@ CASES.update({
     "subspace_basis_unequal_lengths": (
         lambda: subspace_attribute(QUBIT, [basis_state(2, 0), basis_state(3, 0)]),
         StateError, "subspace basis dimension does not match substrate"),
+})
+
+
+# ---------------------------------------------------------------------------
+# Both oracles count the nodes they visit against assignment_guard
+
+
+def _swap(sub, a, b):
+    """The task a -> b, b -> a: two inputs of one option each, two nodes."""
+    one, two = extensional_attribute(sub, [a]), extensional_attribute(sub, [b])
+    return task(sub, [(one, two), (two, one)])
+
+
+CASES.update({
+    "classical_search_over_node_budget": (
+        lambda: is_task_possible(_swap(BIT, "a", "b"), ClassicalModel(BIT, assignment_guard=1)),
+        SizeLimitError, "the search exceeds the node budget of 1"),
+    "quantum_search_over_node_budget": (
+        lambda: is_task_possible(_swap(QUBIT, ZERO, ONE), QuantumModel(QUBIT, assignment_guard=1)),
+        SizeLimitError, "the search exceeds the node budget of 1"),
 })
 
 

@@ -244,6 +244,13 @@ def test_derivation_input_checks():
         derive_value_mn(1, 2, (0, "payoff"))
 
 
+def test_derive_value_refuses_a_weight_denominator_over_64(qubit):
+    x = payoff_variable(qubit, labels=(10, -2))
+    g = make_game(x, held(qubit, ket(np.sqrt(1 / 65), np.sqrt(64 / 65))))
+    with pytest.raises(SizeLimitError, match="^weight denominator 65 exceeds 64$"):
+        derive_value(g)
+
+
 def test_derive_value_reads_the_game(qubit):
     x = payoff_variable(qubit, labels=(10, -2))
     g = make_game(x, held(qubit, ket(np.sqrt(1 / 3), np.sqrt(2 / 3))))

@@ -13,6 +13,7 @@ from ctkit import (
     PreconditionError,
     QuantumModel,
     ReceptiveStateError,
+    SizeLimitError,
     TransformError,
     apply_measurer,
     basis_members,
@@ -234,6 +235,18 @@ def test_choice_search_over_wide_outputs(qubit, qubit_model):
     verdict = is_task_possible(t, qubit_model)
     assert verdict.status == POSSIBLE
     assert verdict.witness["choice"][1] == 1
+
+
+def test_node_budget_counts_the_options_the_search_visits():
+    # five orthonormal inputs onto the same four basis states: 4**5 choices,
+    # every one of them refused after 260 visited options
+    sub = quantum_substrate("q8", 8)
+    outs = extensional_attribute(sub, [basis_state(8, j) for j in range(4)])
+    t = task(sub, [(single(sub, basis_state(8, k)), outs) for k in range(5)])
+    with pytest.raises(SizeLimitError, match="node budget of 259"):
+        is_task_possible(t, QuantumModel(sub, assignment_guard=259))
+    verdict = is_task_possible(t, QuantumModel(sub, assignment_guard=260))
+    assert verdict.status == IMPOSSIBLE and verdict.nodes == 260
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,17 @@ def test_lone_unit_members_share_the_blank_verdict_and_others_keep_their_own():
     assert [verdict is first for _, verdict in verdicts[1:]] == kinds
 
 
+def test_a_multi_state_cloning_sweep_is_decided_at_the_default_budget():
+    # the first member's cloning task has a choice space of over 10**6; its
+    # search visits 548 nodes
+    v, model = _quantum_variable(5, "multi-state", 3, 4)
+    report = is_information_variable(v, model)
+    assert report.verdict is False
+    cloning = report.evidence["cloning"]
+    assert [verdict.nodes for verdict in cloning.values()] == [68, 548, 132, 68, 852]
+    assert not any(verdict.possible for verdict in cloning.values())
+
+
 # ---------------------------------------------------------------------------
 # Work: oracle calls per sweep
 
