@@ -47,8 +47,8 @@ from .tolerance import PARTITION_SUM_TOL, tol
 
 ENUMERATION_GUARD = 10_000_000
 # One complex128 joint vector of the counting constructor (d**n source states
-# times n+1 flags) plus its n+1 dense flag maps must fit in this many bytes;
-# applying the measurer holds a few such vectors at once.
+# times n+1 flags) plus n+1 flag maps counted as dense must fit in this many
+# bytes; applying the measurer holds a few such vectors at once.
 COUNTING_JOINT_BYTES = 64 * 2 ** 20
 EXACT_DENOMINATOR_BOUND = 10 ** 6
 RENDER_DENOMINATOR_BOUND = 10 ** 18

@@ -237,19 +237,21 @@ def build_adder(x: Variable, payoff_labels) -> AdderSpec:
     index = {l: i for i, l in enumerate(payoff_labels)}
     shifts = []
     for label in x.labels:
-        shift = np.zeros((d_p, d_p))
-        used_out = set()
+        # shift[j] = i sends i to j; sums off the register fill the free j in order
+        shift = np.full(d_p, -1)
         pending = []
         for i, p in enumerate(payoff_labels):
-            j = index.get(p + label)
+            try:
+                j = index.get(p + label)
+            except TypeError:
+                raise LabelArithmeticError(
+                    f"payoff register label {p!r} cannot be added to variable label {label!r}"
+                ) from None
             if j is None:
                 pending.append(i)
             else:
-                shift[j, i] = 1.0
-                used_out.add(j)
-        free_out = [j for j in range(d_p) if j not in used_out]
-        for i, j in zip(pending, free_out):
-            shift[j, i] = 1.0
+                shift[j] = i
+        shift[np.flatnonzero(shift < 0)[:len(pending)]] = pending
         shifts.append(shift)
     spans = [attribute_span(a) for a in x.attributes]
     control = controlled_map(spans, shifts, x.substrate.dim, PreconditionError, "adder")
@@ -320,7 +322,7 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
     # flag k of the record controls the swap of member k with the first
     members = tuple((l, _member_state(a)) for l, a in h.members)
     first = h.labels[0]
-    swaps = [np.eye(h.substrate.dim)] + [
+    swaps = [np.arange(h.substrate.dim)] + [
         permutation_computation(transposition_map(h.labels, first, label), members)
         for label in h.labels[1:]
     ]
@@ -516,14 +518,13 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     labels = _block_labels(m, n)
     sums_zero = (sum(labels[:m]) == 0 and sum(labels[m:]) == 0)
     flip = [*range(m - 1, -1, -1), *range(n - 1, m - 1, -1)]  # an involution
-    reversal = np.eye(n)[flip]
     negates = all(labels[flip[j]] == -labels[j] for j in range(n))
     fixes_o = (
-        states_equal(PureState(reversal @ o1.vector), o1)
-        and states_equal(PureState(reversal @ o2.vector), o2)
+        states_equal(PureState(o1.vector[flip]), o1)
+        and states_equal(PureState(o2.vector[flip]), o2)
     )
     rho_o = intrinsic_part(measured, 1)
-    invariant = float(np.abs(reversal @ rho_o.matrix @ reversal.T - rho_o.matrix).max()) <= atol
+    invariant = float(np.abs(rho_o.matrix[np.ix_(flip, flip)] - rho_o.matrix).max()) <= atol
     x_o = _target_variable(labels)
     part_o = partition_of_unity(rho_o, x_o)
     value_o = _weighted_labels(part_o)

@@ -339,12 +339,12 @@ class ControlledMap:
     The control space carries the orthonormal basis kron(*bases), one ket
     per row.  classes gives each basis row's class: P_k is the projector onto
     the rows of class k and T_k = maps[k] is a target_dim x target_dim
-    unitary; rows of class len(maps) complete the basis and act as the
-    identity.  A control that is a product of small factors (the n replicas
-    of the counting constructor) keeps one basis per factor, so nothing of
-    size control_dim**2 is ever held.  apply contracts the basis change and
-    the per-class maps on the factor axes; `unitary` builds the dense
-    operator only on request.
+    unitary, or the index vector p of a target permutation (T x = x[p]);
+    rows of class len(maps) complete the basis and act as the identity.  A
+    control that is a product of small factors (the n replicas of the
+    counting constructor) keeps one basis per factor, so nothing of size
+    control_dim**2 is ever held.  apply contracts the basis change and the
+    per-class maps on the factor axes; `unitary` builds the dense operator.
     """
 
     bases: tuple
@@ -377,7 +377,8 @@ class ControlledMap:
         _check_density_size(self.control_dim * self.target_dim)
         out = np.kron(self.projector(len(self.maps)), np.eye(self.target_dim))
         for k, t_map in enumerate(self.maps):
-            out = out + np.kron(self.projector(k), t_map)
+            dense = np.eye(self.target_dim)[t_map] if t_map.ndim == 1 else t_map
+            out = out + np.kron(self.projector(k), dense)
         return out
 
     def _per_factor(self, mats, x: np.ndarray) -> np.ndarray:
@@ -404,7 +405,7 @@ class ControlledMap:
             rows = np.flatnonzero(self.classes == k)
             if rows.size:
                 block = x[:, rows]
-                out[:, rows] = (t_map @ block.reshape(self.target_dim, -1)).reshape(block.shape)
+                out[:, rows] = block[t_map] if t_map.ndim == 1 else np.tensordot(t_map, block, 1)
         out = self._per_factor([b.T for b in self.bases], out)
         return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
 
@@ -426,8 +427,10 @@ def completed_basis(spans, dim: int, error, what: str):
     """Stack the span rows and complete them to an orthonormal basis.
 
     Returns (basis, classes): span k's rows get class k, the completing rows
-    class len(spans).  Unitarity is checked on this dim x dim basis only.
+    class len(spans).  Unitarity is checked on this dim x dim basis only,
+    which is held to the `states.DENSITY_BYTES` budget before the SVD.
     """
+    _check_bytes(16 * dim * dim, f"a {dim} x {dim} control basis")
     spans = [np.asarray(s, dtype=complex).reshape(-1, dim) for s in spans]
     stacked = np.vstack(spans) if spans else np.zeros((0, dim), dtype=complex)
     # the rows of vh past the rank are orthogonal to every span row
@@ -453,11 +456,15 @@ def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
     `error` when the spans or any map are not unitary building blocks.
     """
     basis, classes = completed_basis(spans, dim, error, what)
-    maps = tuple(np.asarray(t, dtype=complex) for t in maps)
+    maps = tuple(np.asarray(t) for t in maps)
     target_dim = maps[0].shape[0]
     for t_map in maps:
-        if t_map.shape != (target_dim, target_dim) or float(
-                np.abs(t_map.conj().T @ t_map - np.eye(target_dim)).max()) > 1e-9:
+        if t_map.ndim == 1:
+            ok = t_map.dtype.kind in "iu" and np.array_equal(np.sort(t_map), np.arange(target_dim))
+        else:
+            ok = t_map.shape == (target_dim, target_dim) and float(
+                np.abs(t_map.conj().T @ t_map - np.eye(target_dim)).max()) <= 1e-9
+        if not ok:
             raise error(f"{what} construction lost unitarity (a target map is not unitary)")
     return ControlledMap((basis,), classes, maps, target_dim)
 
@@ -468,15 +475,10 @@ def _orthogonal(vectors, atol: float) -> bool:
 
 
 def basis_swap(dim: int, a: int, b: int) -> np.ndarray:
-    """The permutation matrix exchanging basis states a and b."""
-    return _swapped_rows(np.eye(dim, dtype=complex), a, b)
-
-
-def _swapped_rows(eye: np.ndarray, a: int, b: int) -> np.ndarray:
-    """A copy of eye with rows a and b exchanged."""
-    perm = np.arange(eye.shape[0])
+    """Index vector p (T x = x[p]) of the permutation exchanging basis states a and b."""
+    perm = np.arange(dim)
     perm[[a, b]] = perm[[b, a]]
-    return eye[perm]
+    return perm
 
 
 def _unitary_with_first_column(flag: np.ndarray) -> np.ndarray:
@@ -506,8 +508,8 @@ class MeasurerSpec:
     The unitary acts on source (x) target and sends |v>|recv> to |v>|flag_k>
     for any v in the k-th attribute's span.  It is stored as a controlled
     map: the source basis completed from the attribute spans, one class per
-    label, and per label a target unitary taking recv to the flag (the
-    permutation exchanging them when the flag is a basis state).  The
+    label, and per label a target map taking recv to the flag: the swap's
+    index vector for a basis-state flag, else a dense reflection.  The
     completing rest of the source space leaves the target alone.
     """
 
@@ -574,19 +576,20 @@ def build_measurer(
         )
     n = len(x.members)
     recv = 0
-    if target_dim is None:
-        if flag_states is None:
-            target_dim = n
-        else:
-            sample = next(iter(flag_states.values()))
-            target_dim = sample.dim if isinstance(sample, PureState) else len(sample)
-    _check_bytes(16 * n * target_dim * target_dim,
-                 f"a measurer of {n} target maps of {target_dim} x {target_dim}")
     if flag_states is not None:
         flags = []
         for label in x.labels:
-            v = flag_states[label]
+            v = _entry(flag_states, "flag_states", label)
             flags.append(v.vector if isinstance(v, PureState) else np.asarray(v, dtype=complex))
+        target_dim = flags[0].size if target_dim is None else target_dim
+        for label, flag in zip(x.labels, flags):
+            if flag.shape != (target_dim,):
+                raise PreconditionError(f"the flag state of label {label!r} has shape "
+                                        f"{flag.shape}, not ({target_dim},)")
+    target_dim = n if target_dim is None else target_dim
+    _check_bytes(16 * n * target_dim * target_dim,
+                 f"a measurer of {n} target maps of {target_dim} x {target_dim}")
+    if flag_states is not None:
         if not _orthogonal(flags, atol):
             raise NotMeasurableError("flag states must be pairwise orthogonal")
         maps = [_unitary_with_first_column(f) for f in flags]
@@ -596,20 +599,29 @@ def build_measurer(
                 f"target dimension {target_dim} cannot hold {n} outcome flags"
             )
         labeling = labeling or {label: k for k, label in enumerate(x.labels)}
-        indices = [labeling[label] for label in x.labels]
+        indices = [_entry(labeling, "labeling", label) for label in x.labels]
+        for label, k in zip(x.labels, indices):
+            if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+                raise PreconditionError(
+                    f"labeling gives label {label!r} the non-integer index {k!r}")
         if len(set(indices)) != n or any(k < 0 or k >= target_dim for k in indices):
             raise PreconditionError("labeling must assign distinct in-range flags")
-        # flags and recv <-> k swaps are rows and row permutations of one identity
-        eye = np.eye(target_dim, dtype=complex)
-        eye.setflags(write=False)
-        flags = [eye[k] for k in indices]
-        maps = [_swapped_rows(eye, recv, k) for k in indices]
+        flags = np.eye(target_dim, dtype=complex)[indices]
+        flags.setflags(write=False)
+        maps = [basis_swap(target_dim, recv, k) for k in indices]
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),
         control=controlled_map(spans, maps, x.substrate.dim),
         receptive_index=recv,
     )
+
+
+def _entry(mapping: dict, name: str, label):
+    """mapping[label], or a PreconditionError naming the label it lacks."""
+    if label not in mapping:
+        raise PreconditionError(f"{name} has no entry for label {label!r}")
+    return mapping[label]
 
 
 def _receptive_weight(joint: State, factor: int, index: int) -> float:
@@ -710,7 +722,11 @@ def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -
     if len(basis_a) != n or len(basis_b) != n:
         raise PreconditionError("need one basis vector per label on each factor")
     atol = tol()
-    for basis in (basis_a, basis_b):
+    for side, basis, dim in (("a", basis_a, dim_a), ("b", basis_b, dim_b)):
+        for label, u in zip(labels, basis):
+            if u.dim != dim:
+                raise PreconditionError(f"the factor-{side} basis vector of label {label!r} "
+                                        f"has dimension {u.dim}, not {dim}")
         if not _orthogonal([u.vector for u in basis], atol):
             raise PreconditionError("comparer bases must be orthonormal")
     a = np.array([u.vector for u in basis_a], dtype=complex).reshape(n, dim_a)
@@ -724,6 +740,9 @@ def comparer_for_measurers(m1: MeasurerSpec, m2: MeasurerSpec, labels=None) -> C
     labels = tuple(labels) if labels is not None else tuple(
         l for l in m1.labels if l in m2.labels
     )
+    for l in labels:
+        if l not in m1.labels or l not in m2.labels:
+            raise PreconditionError(f"label {l!r} is not an outcome of both measurers")
     basis_a = tuple(m1.flag_state(l) for l in labels)
     basis_b = tuple(m2.flag_state(l) for l in labels)
     return build_comparer(labels, basis_a, basis_b, m1.target_dim, m2.target_dim)

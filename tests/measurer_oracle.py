@@ -1,10 +1,11 @@
 """Dense reference operators for structured measurers, built by a separate route.
 
 The library stores a measurer (or any projector-controlled map) as a control
-basis, one class per basis ket and one small target unitary per class, and
-applies it by contracting on the factor axes of a joint state.  Everything
-here instead writes the operator out in full: each control basis ket is a
-Kronecker product of its per-factor rows, the local operator is the sum of
+basis, one class per basis ket and one small target map per class (a dense
+unitary, or a permutation held as its index vector), and applies it by
+contracting on the factor axes of a joint state.  Everything here instead
+writes the operator out in full: each control basis ket is a Kronecker
+product of its per-factor rows, the local operator is the sum of
 |b_i><b_i| (x) T_class(i) over all kets, and the operator on a joint state is
 assembled column by column from explicit multi-indices.  Nothing here calls
 the library's contraction, partial trace or unitary embedding code.
@@ -29,9 +30,10 @@ def control_kets(control):
 
 def local_operator(control):
     """sum_i |b_i><b_i| (x) T_class(i) on control (x) target; the rest class
-    (index len(maps)) acts as the identity."""
+    (index len(maps)) acts as the identity.  A map held as an index vector p
+    (T x = x[p]) is read as the permutation matrix np.eye(d_t)[p]."""
     d_t = control.target_dim
-    maps = list(control.maps) + [np.eye(d_t)]
+    maps = [np.eye(d_t)[t] if np.ndim(t) == 1 else t for t in control.maps] + [np.eye(d_t)]
     kets = control_kets(control)
     size = len(kets) * d_t
     out = np.zeros((size, size), dtype=complex)

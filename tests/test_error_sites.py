@@ -13,6 +13,7 @@ from ctkit import (
     DisjointnessError,
     DomainError,
     Game,
+    LabelArithmeticError,
     MixedState,
     NotMeasurableError,
     PureState,
@@ -25,6 +26,7 @@ from ctkit import (
     apply_measurer,
     attribute_union,
     basis_state,
+    build_adder,
     build_comparer,
     build_counting_constructor,
     build_measurer,
@@ -32,6 +34,7 @@ from ctkit import (
     classical_substrate,
     comparer_for_measurers,
     compose_substrates,
+    controlled_map,
     deviant_weight,
     extensional_attribute,
     is_task_possible,
@@ -214,6 +217,43 @@ CASES.update({
         lambda: build_counting_constructor(0, 18, _x()),
         SizeLimitError, "a 2**18 x 19 joint state needs 79801520 bytes, "
                         "over the budget of 67108864"),
+    "control_basis_over_density_budget": (
+        lambda: build_measurer(state_variable(
+            quantum_substrate("q8192", 8192),
+            [(0, basis_state(8192, 0)), (1, basis_state(8192, 1))])),
+        SizeLimitError, "a 8192 x 8192 control basis needs 1073741824 bytes, "
+                        "over the budget of 268435456"),
+})
+
+
+# ---------------------------------------------------------------------------
+# The measurer, comparer and adder builders name the entry they cannot use
+
+CASES.update({
+    "measurer_labeling_missing_label": (
+        lambda: build_measurer(_x(), labeling={0: 0}),
+        PreconditionError, "labeling has no entry for label 1"),
+    "measurer_labeling_non_integer_index": (
+        lambda: build_measurer(_x(), labeling={0: 0, 1: "b"}),
+        PreconditionError, "labeling gives label 1 the non-integer index 'b'"),
+    "measurer_flag_states_missing_label": (
+        lambda: build_measurer(_x(), flag_states={0: ZERO}),
+        PreconditionError, "flag_states has no entry for label 1"),
+    "measurer_flag_states_unequal_lengths": (
+        lambda: build_measurer(_x(), flag_states={0: ZERO, 1: basis_state(3, 1)}),
+        PreconditionError, "the flag state of label 1 has shape (3,), not (2,)"),
+    "comparer_basis_vector_dimension": (
+        lambda: build_comparer((0, 1), basis_a=(basis_state(3, 0), basis_state(3, 1)), dim_a=2),
+        PreconditionError, "the factor-a basis vector of label 0 has dimension 3, not 2"),
+    "comparer_for_measurers_unshared_label": (
+        lambda: comparer_for_measurers(build_measurer(_x()), build_measurer(_x()), labels=(0, 5)),
+        PreconditionError, "label 5 is not an outcome of both measurers"),
+    "adder_register_label_arithmetic": (
+        lambda: build_adder(_x(), ("a", "b")),
+        LabelArithmeticError, "payoff register label 'a' cannot be added to variable label 0"),
+    "controlled_map_index_vector_repeats": (
+        lambda: controlled_map([ZERO.vector.reshape(1, 2)], [np.array([0, 0])], 2),
+        NotMeasurableError, "measurer construction lost unitarity (a target map is not unitary)"),
 })
 
 

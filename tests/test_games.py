@@ -180,6 +180,25 @@ def test_adder_is_unitary_even_off_register(qubit):
     assert max(abs(out.vector)) == pytest.approx(1.0)
 
 
+def test_adder_unitary_is_the_explicit_shift_permutations(qubit):
+    # register (-1, 0, 1, 2), indices 0..3.  Label -1: sums -1, 0, 1 land on
+    # indices 0, 1, 2 and -2 falls off, so input 0 takes the free output 3.
+    # Label 2: sums 1, 2 land on 2, 3 and 3, 4 fall off, so inputs 2, 3 take
+    # the free outputs 0, 1 in order.  Column i of a shift is the image of i.
+    adder = build_adder(payoff_variable(qubit, labels=(-1, 2)), (-1, 0, 1, 2))
+    shift_minus_one = np.array([[0, 1, 0, 0],
+                                [0, 0, 1, 0],
+                                [0, 0, 0, 1],
+                                [1, 0, 0, 0]])
+    shift_two = np.array([[0, 0, 1, 0],
+                          [0, 0, 0, 1],
+                          [1, 0, 0, 0],
+                          [0, 1, 0, 0]])
+    expected = np.zeros((8, 8))
+    expected[:4, :4], expected[4:, 4:] = shift_minus_one, shift_two
+    assert np.array_equal(adder.unitary, expected)
+
+
 def test_adder_rejects_duplicate_register_labels(qubit):
     with pytest.raises(LabelArithmeticError):
         build_adder(payoff_variable(qubit), (0, 0, 1))

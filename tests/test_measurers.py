@@ -21,6 +21,7 @@ from ctkit import (
     build_adder,
     build_counting_constructor,
     build_measurer,
+    controlled_map,
     extensional_attribute,
     intrinsic_part,
     quantum_substrate,
@@ -209,6 +210,51 @@ def test_density_guard_refuses_the_counting_joint_before_allocating(qubit):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert 16 * 4096 ** 2 <= DENSITY_BYTES < 16 * 24576 ** 2
+
+
+def two_member_variable(dim):
+    sub = quantum_substrate(f"q{dim}", dim)
+    return state_variable(sub, [(0, basis_state(dim, 0)), (1, basis_state(dim, 1))])
+
+
+def test_control_basis_guard_refuses_before_the_svd():
+    # the completed control basis is dim x dim: 1 GiB at 8192, 256 MiB (the
+    # whole budget) at 4096
+    x = two_member_variable(8192)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="a 8192 x 8192 control basis"):
+            build_measurer(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    m = build_measurer(two_member_variable(4096))
+    assert m.source_dim == 4096
+
+
+def test_basis_measurer_of_256_members_holds_index_vectors():
+    x = basis_variable(quantum_substrate("q256", 256))
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        m = build_measurer(x)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.2
+    assert peak < 16 * 2 ** 20
+    assert all(t_map.shape == (256,) for t_map in m.control.maps)
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 2], [0, 1, 3], [0, 1], [1, 0, 2, 3],
+                                 [0.0, 1.0, 2.0], [True, False, True]])
+def test_controlled_map_refuses_an_index_vector_that_is_no_permutation(bad):
+    spans = [basis_state(2, 0).vector.reshape(1, 2)]
+    with pytest.raises(NotMeasurableError, match=r"^measurer construction lost unitarity "
+                                                 r"\(a target map is not unitary\)$"):
+        controlled_map(spans, [np.array([1, 0, 2]), np.array(bad)], 2)
 
 
 # ---------------------------------------------------------------------------
