@@ -29,6 +29,7 @@ from .kernel import (
     Attribute,
     Variable,
     _member_weights,
+    _row_weights,
     _single_state,
     attribute_span,
 )
@@ -42,13 +43,13 @@ from .quantum import (
     completed_basis,
     intrinsic_part,
 )
-from .states import MixedState, PureState, _check_bytes, basis_state, expectation, tensor
+from .states import MixedState, PureState, _check_bytes, basis_state, tensor
 from .tolerance import PARTITION_SUM_TOL, tol
 
 ENUMERATION_GUARD = 10_000_000
 # One complex128 joint vector of the counting constructor (d**n source states
-# times n+1 flags) plus n+1 flag maps counted as dense must fit in this many
-# bytes; applying the measurer holds a few such vectors at once.
+# times n+1 flags) must fit in this many bytes; the flag maps are index
+# vectors, and applying the measurer holds a few such vectors at once.
 COUNTING_JOINT_BYTES = 64 * 2 ** 20
 EXACT_DENOMINATOR_BOUND = 10 ** 6
 RENDER_DENOMINATOR_BOUND = 10 ** 18
@@ -73,8 +74,7 @@ def _check_replicas(n) -> None:
         raise DomainError("the ensemble must contain at least one replica")
 
 
-def build_counting_constructor(x, n: int, basis: Variable,
-                               guard: int = ENUMERATION_GUARD) -> MeasurerSpec:
+def build_counting_constructor(x, n: int, basis: Variable) -> MeasurerSpec:
     """The measurer writing f(x; s) onto a fresh register, for s over n replicas.
 
     basis is the per-replica observable: one single-state member per label.
@@ -82,8 +82,8 @@ def build_counting_constructor(x, n: int, basis: Variable,
     factor of dimension d**n) with n+1 outcome flags labeled i/n.  A product
     basis state's class is its count of x, built by a broadcast recurrence;
     product states touching the rest of a replica's space act trivially.
-    Flag k is the target basis state k.  Both d**n <= guard and the byte
-    budget COUNTING_JOINT_BYTES are checked before anything is allocated.
+    Flag k is the target basis state k.  The joint vector is held to the byte
+    budget COUNTING_JOINT_BYTES before anything is allocated.
     """
     if basis.substrate.kind != QUANTUM:
         raise RepresentationError("the counting constructor is a quantum device")
@@ -91,10 +91,7 @@ def build_counting_constructor(x, n: int, basis: Variable,
         raise DomainError(f"{x!r} is not a label of the counted observable")
     _check_replicas(n)
     d = basis.substrate.dim
-    if d ** n > guard:
-        raise SizeLimitError(f"{d}**{n} product states exceed the enumeration guard")
-    _check_bytes(16 * (d ** n * (n + 1) + (n + 1) ** 3), f"a {d}**{n} x {n + 1} joint state",
-                 COUNTING_JOINT_BYTES)
+    _check_bytes(16 * d ** n * (n + 1), f"a {d}**{n} x {n + 1} joint state", COUNTING_JOINT_BYTES)
     spans = []
     for label, attr in basis.members:
         span = attribute_span(attr)
@@ -421,8 +418,7 @@ class ConvergenceReport:
 
 
 def verify_E1_E2(z, x: Variable, n_sweep, epsilon,
-                 final_bound: float = 0.005,
-                 guard: int = ENUMERATION_GUARD) -> ConvergenceReport:
+                 final_bound: float = 0.005) -> ConvergenceReport:
     """Deviant weights along an N-sweep must shrink toward zero.
 
     The partition entries are snapped to small rationals when they are within
@@ -434,7 +430,7 @@ def verify_E1_E2(z, x: Variable, n_sweep, epsilon,
     probabilities = exact_probabilities(snapped) if None not in snapped else None
     if probabilities is None:
         probabilities = [float(v) for _, v in part.items]
-    rows = [deviant_weight(None, n, epsilon, probabilities=probabilities, guard=guard)
+    rows = [deviant_weight(None, n, epsilon, probabilities=probabilities)
             for n in sorted(int(n) for n in n_sweep)]
     monotone = all(
         cur.exact <= prev.exact if None not in (prev.exact, cur.exact)
@@ -458,8 +454,8 @@ def intrinsic_partition_preserved(y, x: Variable) -> PredicateReport:
     part_y = partition_of_unity(state, x)
     part_src = partition_of_unity(intrinsic_part(out, 0), x)
     rho_tgt = intrinsic_part(out, 1)
-    tgt_raw = [(l, max(0.0, expectation(rho_tgt, measurer.flag_projector(l))))
-               for l in x.labels]
+    tgt_raw = [(l, max(0.0, float(w)))
+               for l, w in zip(x.labels, _row_weights(rho_tgt, np.array(measurer.flags)))]
     tgt_total = sum(v for _, v in tgt_raw)
     atol = tol()
     ok = abs(tgt_total - 1.0) <= atol

@@ -351,17 +351,15 @@ def _member_weights(state: State, attributes) -> np.ndarray:
 
 
 def contains_state(attr: Attribute, state: State, atol: float | None = None) -> bool:
-    """Membership of a single state in an attribute."""
+    """Membership of a single state in an attribute.  In a subspace, read off
+    its span rows: a pure state when |Pv| = sqrt(sum of row weights) >= 1 - atol,
+    a mixture when Tr(P rho) >= 1 - atol and it is pure within it."""
     atol = tol() if atol is None else atol
     if attr.is_subspace:
-        proj = attribute_projector(attr)
+        weight = float(np.sum(_row_weights(state, attribute_span(attr))))
         if isinstance(state, PureState):
-            return float(np.linalg.norm(proj @ state.vector)) >= 1.0 - atol
-        # a mixture belongs to a subspace attribute only if it is pure within it
-        mat = state.density().matrix
-        if float(np.real(np.trace(proj @ mat))) < 1.0 - atol:
-            return False
-        return float(np.linalg.eigvalsh(mat).max()) >= 1.0 - atol
+            return weight ** 0.5 >= 1.0 - atol
+        return weight >= 1.0 - atol and float(np.linalg.eigvalsh(state.matrix).max()) >= 1.0 - atol
     if attr.substrate.kind == CLASSICAL:
         return state in attr.states
     return any(states_equal(s, state, atol) for s in attr.states)

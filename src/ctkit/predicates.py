@@ -41,11 +41,11 @@ from .kernel import (
     _member_weights,
     _product_attribute,
     _row_basis,
+    _row_weights,
     _single_state,
     _slack,
     _trusted_attribute,
     attribute_equal,
-    attribute_projector,
     attribute_span,
     attribute_subset,
     attributes_disjoint,
@@ -59,7 +59,7 @@ from .kernel import (
     variable,
 )
 from .quantum import MeasurerSpec, apply_measurer, intrinsic_part
-from .states import PureState, _readonly, _trusted, basis_state, expectation, tensor
+from .states import PureState, _readonly, _trusted, basis_state, tensor
 from .tolerance import tol
 
 
@@ -401,8 +401,9 @@ def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:
     """Is z a (possibly trivial) generalised mixture of the variable h?
 
     Non-trivially: z disjoint from and not inside any member, with the span
-    projector of h sharp in z.  Classically the span adds nothing beyond the
-    union, so only membership survives.
+    projector of h sharp in z, read off the span rows of h: each state's row
+    weights sum to 1, and a subspace's overlaps O with the rows have O O^dag = I.
+    Classically the span adds nothing beyond the union, so only membership survives.
     """
     report = partial(PredicateReport, "is_generalised_mixture",
                      _subject(z.substrate.id, "z vs", h.labels))
@@ -418,14 +419,14 @@ def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:
             return report(False, {"failed": "not disjoint", "member": label, "witness": witness})
         if attribute_subset(z, attr):
             return report(False, {"failed": "contained in a member", "member": label})
-    proj = attribute_projector(span_closure(h))
+    rows = attribute_span(span_closure(h))
     atol = tol()
     if z.is_subspace:
-        span = attribute_span(z)
-        worst = 1.0 if not span.size else \
-            float(np.abs(span.conj() @ proj @ span.T - np.eye(span.shape[0])).max())
+        overlaps = attribute_span(z).conj() @ rows.T
+        worst = 1.0 if not overlaps.size else \
+            float(np.abs(overlaps @ overlaps.conj().T - np.eye(len(overlaps))).max())
     else:
-        worst = max(abs(1.0 - expectation(s, proj)) for s in z.states)
+        worst = max(abs(1.0 - float(np.sum(_row_weights(s, rows)))) for s in z.states)
     return report(worst <= atol, {"span_sharpness_gap": worst})
 
 
@@ -515,23 +516,20 @@ def check_measurement_consistency(
             spec, cover = item, None
         normalized.append((spec, _normalize_cover(z, spec, cover)))
 
-    span_proj = attribute_projector(span_closure(z))
+    span_rows = attribute_span(span_closure(z))
     outcomes_log = []
     for probe in probes:
         for s in probe.elements:
-            if abs(1.0 - expectation(s, span_proj)) > atol:
+            if abs(1.0 - float(np.sum(_row_weights(s, span_rows)))) > atol:
                 raise DomainError("probe leaves the span closure of the variable")
             readings = []
             for spec, cover in normalized:
                 joint = tensor(s, spec.receptive_state())
                 out = apply_measurer(spec, joint)
-                rho_t = intrinsic_part(out, 1)
+                weights = _row_weights(intrinsic_part(out, 1), np.array(spec.flags))
                 sharp_at = None
                 for zl in z.labels:
-                    w = sum(
-                        expectation(rho_t, spec.flag_projector(il))
-                        for il in cover.get(zl, ())
-                    )
+                    w = sum(weights[spec.labels.index(il)] for il in cover.get(zl, ()))
                     if w >= 1.0 - atol:
                         sharp_at = zl
                         break

@@ -409,12 +409,23 @@ class ControlledMap:
         out = self._per_factor([b.T for b in self.bases], out)
         return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
 
+    def _check_factors(self, state: State, factors, dims) -> None:
+        """PreconditionError unless dims split the state and give its two
+        distinct factors the control and target dimensions."""
+        c, t = factors
+        if prod(dims) != state.dim or c == t or any(not 0 <= f < len(dims) for f in factors) \
+                or (dims[c], dims[t]) != (self.control_dim, self.target_dim):
+            raise PreconditionError(
+                f"joint dims {state.dims} do not expose a ({self.control_dim},{self.target_dim}) "
+                f"pair at factors {factors}")
+
     def apply(self, state: State, factors=(0, 1), dims=None) -> State:
         """U on the (control, target) factor pair of a joint state.
 
         dims overrides the factor split of the state (its own dims are kept
         on the result)."""
         dims = state.dims if dims is None else tuple(dims)
+        self._check_factors(state, factors, dims)
         if isinstance(state, PureState):
             vec = self._on_rows(state.vector.reshape(-1, 1), dims, factors)
             return PureState(vec.reshape(-1), state.dims)
@@ -427,22 +438,22 @@ def completed_basis(spans, dim: int, error, what: str):
     """Stack the span rows and complete them to an orthonormal basis.
 
     Returns (basis, classes): span k's rows get class k, the completing rows
-    class len(spans).  Unitarity is checked on this dim x dim basis only,
-    which is held to the `states.DENSITY_BYTES` budget before the SVD.
+    class len(spans).  Unitarity is checked on the k x k Gram matrix of the
+    span rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.
     """
     _check_bytes(16 * dim * dim, f"a {dim} x {dim} control basis")
     spans = [np.asarray(s, dtype=complex).reshape(-1, dim) for s in spans]
     stacked = np.vstack(spans) if spans else np.zeros((0, dim), dtype=complex)
-    # the rows of vh past the rank are orthogonal to every span row
+    dev = float(np.abs(stacked @ stacked.conj().T - np.eye(len(stacked))).max(initial=0.0))
+    if dev > 1e-9:
+        raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
+    # past k orthonormal span rows, vh's rows complete them to a basis
     rest = np.linalg.svd(stacked)[2][stacked.shape[0]:]
     basis = np.vstack([stacked, rest])
     # |b><b| ignores phases: make each row's largest entry real positive, so
     # a basis of standard kets is exactly the identity and costs nothing
     lead = basis[np.arange(basis.shape[0]), np.abs(basis).argmax(axis=1)]
     basis = basis / (lead / np.abs(lead))[:, None]
-    dev = float(np.abs(basis @ basis.conj().T - np.eye(basis.shape[0])).max())
-    if basis.shape[0] != dim or dev > 1e-9:
-        raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
     classes = np.repeat(np.arange(len(spans) + 1), [s.shape[0] for s in spans] + [rest.shape[0]])
     return basis, classes
 
@@ -638,15 +649,8 @@ def _receptive_weight(joint: State, factor: int, index: int) -> float:
 
 def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0, 1)) -> State:
     """Run the measurement unitary; the target factor must be receptive."""
-    src_f, tgt_f = factors
-    dims = joint.dims
-    if any(not 0 <= f < len(dims) for f in factors) or \
-            dims[src_f] != m.source_dim or dims[tgt_f] != m.target_dim:
-        raise PreconditionError(
-            f"joint dims {dims} do not expose a ({m.source_dim},{m.target_dim}) "
-            f"pair at factors {factors}"
-        )
-    if _receptive_weight(joint, tgt_f, m.receptive_index) < 1.0 - tol():
+    m.control._check_factors(joint, factors, joint.dims)
+    if _receptive_weight(joint, factors[1], m.receptive_index) < 1.0 - tol():
         raise ReceptiveStateError("target factor is not in the receptive state")
     return m.control.apply(joint, factors)
 

@@ -94,7 +94,7 @@ def test_counting_constructor_guards(qubit, bit):
     with pytest.raises(RepresentationError):
         build_counting_constructor(0, 2, basis_variable(bit))
     with pytest.raises(SizeLimitError):
-        build_counting_constructor(0, 3, x, guard=4)
+        build_counting_constructor(0, 18, x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ctkit import (
     SizeLimitError,
     StateError,
     UnsupportedInputError,
+    apply_adder,
     apply_measurer,
     attribute_union,
     basis_state,
@@ -215,7 +216,7 @@ CASES.update({
                         "over the budget of 268435456"),
     "counting_joint_over_its_budget": (
         lambda: build_counting_constructor(0, 18, _x()),
-        SizeLimitError, "a 2**18 x 19 joint state needs 79801520 bytes, "
+        SizeLimitError, "a 2**18 x 19 joint state needs 79691776 bytes, "
                         "over the budget of 67108864"),
     "control_basis_over_density_budget": (
         lambda: build_measurer(state_variable(
@@ -254,6 +255,42 @@ CASES.update({
     "controlled_map_index_vector_repeats": (
         lambda: controlled_map([ZERO.vector.reshape(1, 2)], [np.array([0, 0])], 2),
         NotMeasurableError, "measurer construction lost unitarity (a target map is not unitary)"),
+})
+
+
+# ---------------------------------------------------------------------------
+# A control basis is checked on its span rows: |0> and |+> are not orthonormal
+
+
+def _zero_and_plus():
+    return state_variable(QUBIT, [(0, ZERO), (1, plus())])
+
+
+CASES.update({
+    "adder_control_not_orthonormal": (
+        lambda: build_adder(_zero_and_plus(), (0, 1, 2)),
+        PreconditionError, "adder construction lost unitarity (deviation 0.707)"),
+    "counting_constructor_control_not_orthonormal": (
+        lambda: build_counting_constructor(0, 2, _zero_and_plus()),
+        NotMeasurableError, "counting constructor construction lost unitarity (deviation 0.707)"),
+    "controlled_map_control_not_orthonormal": (
+        lambda: controlled_map([ZERO.vector.reshape(1, 2), plus().vector.reshape(1, 2)],
+                               [np.arange(2)] * 2, 2),
+        NotMeasurableError, "measurer construction lost unitarity (deviation 0.707)"),
+})
+
+
+# ---------------------------------------------------------------------------
+# A controlled map is applied only to two distinct factors of its dimensions
+
+CASES.update({
+    # these two used to escape as numpy's ValueError
+    "measurer_applied_to_one_factor_twice": (
+        lambda: apply_measurer(build_measurer(_x()), tensor(PAIR, ZERO), factors=(0, 0)),
+        PreconditionError, "joint dims (2, 2, 2) do not expose a (2,2) pair at factors (0, 0)"),
+    "adder_applied_to_a_joint_of_another_size": (
+        lambda: apply_adder(build_adder(_x(), (0, 1, 2)), PAIR),
+        PreconditionError, "joint dims (2, 2) do not expose a (2,3) pair at factors (0, 1)"),
 })
 
 

@@ -67,3 +67,42 @@ def test_the_check_sees_an_unreferenced_private_function():
 def test_every_private_function_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced_private_functions(sources) == []
+
+
+DENSE_WEIGHT_ROUTES = {"attribute_projector", "expectation", "flag_projector"}
+
+
+def _dense_weight_calls(source: str) -> list[str]:
+    """Calls, by name or attribute, of a route that reads a weight through a
+    d x d operator, outside the definitions of those routes."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name in DENSE_WEIGHT_ROUTES:
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in DENSE_WEIGHT_ROUTES:
+                found.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_sees_a_dense_weight_call():
+    source = ("def expectation(s, op):\n    return expectation(s, op)\n\n"
+              "def weight(s, a, m):\n    p = attribute_projector(a)\n"
+              "    return states.expectation(s, p) + m.flag_projector(0).sum()\n")
+    assert _dense_weight_calls(source) == [
+        "attribute_projector (line 5)", "expectation (line 6)", "flag_projector (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_library_weight_goes_through_a_dense_operator(path):
+    """Weights are read off span rows (`kernel._row_weights`); the dense
+    routes stay public, and `tests/weight_oracle.py` uses them as reference."""
+    assert _dense_weight_calls(path.read_text()) == []

@@ -345,3 +345,13 @@ def test_measurer_spans_match_the_attribute_projectors(seed, d, kinds):
     for k in range(n):
         assert np.array_equal(m.flags[k], basis_state(n, k).vector)
         assert np.array_equal(m.control.maps[k], basis_swap(n, 0, k))
+
+
+def test_a_two_member_measurer_at_4096_checks_its_span_rows_only():
+    # unitarity is read off the 2 x 2 Gram matrix of the span rows, not off a
+    # 4096 x 4096 product of the completed basis
+    x = two_member_variable(4096)
+    started = time.perf_counter()
+    m = build_measurer(x)
+    assert time.perf_counter() - started < 2.0
+    assert m.source_dim == 4096
