@@ -8,14 +8,18 @@ the CLI, the amplitude route and verify_E1_E2); only then do statements like
 over the natural denominator L**N, computed in integers throughout.  Double
 precision is the fallback and is flagged on the row that used it; it sums
 weights in log space (lgamma), so it has no ceiling on N and never
-overflows.  Either way the count vectors are taken a line at a time (all
-counts fixed but the last two), and ENUMERATION_GUARD bounds that work.
+overflows.  Either way one walk over the head counts (every count but the
+last two; fixing them all leaves a line) serves both arithmetics.  It skips
+each subtree whose fixed counts already put every vector below it past
+epsilon, by a Cauchy-Schwarz bound, and adds that subtree's total in closed
+form by the multinomial theorem.  A surviving line sums only its band of
+vectors within epsilon, by binary splitting when the band is long.
+ENUMERATION_GUARD bounds the work of the walk without skipping.
 
 A partition of unity reads its weights off span rows (`kernel._member_weights`).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -197,53 +201,120 @@ def _normalized_probabilities(c) -> list:
     return probs if probs is not None else [q / total_f for q in float_q]
 
 
-def _heads(total: int, parts: int):
-    """Tuples of `parts` non-negative counts summing to at most `total`."""
-    head, left = [0] * parts, total
-    while True:
-        yield tuple(head)
-        i = parts - 1
-        while i >= 0 and left == 0:
-            left, head[i] = head[i], 0
-            i -= 1
-        if i < 0:
-            return
-        head[i] += 1
-        left -= 1
+def _subtrees(n: int, dev: list, rest: list, limit, scale, weight, grow):
+    """The head counts, depth first, without the subtrees that lie outside the ball.
+
+    The head is every outcome but the last two; fixing all its counts leaves
+    a line.  dev[x][k] is the squared offset of head outcome x at count k and
+    rest[x][m] that of the mass left after x + 1 head counts when m replicas
+    remain, both in the caller's arithmetic.  With P the squared offsets
+    fixed so far and R the outcomes left, Cauchy-Schwarz bounds the squared
+    offsets still to come below by rest/R, so a node with
+    scale * (R*P + rest) > R * limit deviates as a whole.  Yields
+    (w, m, P, fixed, whole) for each such node (whole) and for each other
+    line, m the replicas left and w the node's weight: grow(parent, last, m,
+    k, x) gives it from its parent's weight and from that of its sibling at
+    count k - 1 (None at k = 0), starting from weight at the root.
+    """
+    heads = len(dev)
+    left, offset, weights, count = [n] * heads, [0] * heads, [weight] * heads, [-1] * heads
+    last = [None] * heads
+    x = 0
+    while x >= 0:
+        m, k = left[x], count[x] + 1
+        if k > m:
+            x -= 1
+            continue
+        count[x] = k
+        p = offset[x] + dev[x][k]
+        w = last[x] = grow(weights[x], last[x] if k else None, m, k, x)
+        outcomes = heads + 1 - x
+        if scale * (outcomes * p + rest[x][m - k]) > outcomes * limit:
+            yield w, m - k, p, x + 1, True
+        elif x + 1 == heads:
+            yield w, m - k, p, heads, False
+        else:
+            x += 1
+            left[x], offset[x], weights[x], count[x] = m - k, p, w, -1
+
+
+# Bands of at least this many terms are binary-split; shorter ones are walked.
+_SPLIT_TERMS = 128
+
+
+def _ratios(m: int, u: int, v: int, a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) over the term ratios (m-i)*u / ((i+1)*v) of a binomial band, i in
+    [a, b): the products of their numerators and of their denominators, and T
+    with T/Q = sum over j in [a, b) of the ratios a..j-1 multiplied together."""
+    if b - a == 1:
+        q = (a + 1) * v
+        return (m - a) * u, q, q
+    c = (a + b) // 2
+    p1, q1, t1 = _ratios(m, u, v, a, c)
+    p2, q2, t2 = _ratios(m, u, v, c, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _band(m: int, lo: int, hi: int, u: int, v: int) -> int:
+    """sum_{j=lo..hi} C(m, j) u^j v^(m-j), for v > 0.
+
+    Short bands are walked by the binomial recurrence; from _SPLIT_TERMS
+    terms on, the ratios are multiplied out by binary splitting (Haible and
+    Papanikolaou, 1998), which ends in one exact division.
+    """
+    if lo > hi:
+        return 0
+    weight = math.comb(m, lo) * u ** lo * v ** (m - lo)
+    if hi - lo + 1 >= _SPLIT_TERMS:
+        _, q, t = _ratios(m, u, v, lo, hi + 1)
+        return weight * t // q
+    total = 0
+    for j in range(lo, hi + 1):
+        total += weight
+        weight = weight * (m - j) * u // ((j + 1) * v)
+    return total
 
 
 def _exact_lines(n: int, eps: Fraction, den: int, a: list) -> tuple[int, int]:
     """(deviant, within) weight numerators over den**n.
 
-    A line fixes the head counts k_x of all outcomes but the last two, which
-    take (j, m - j).  Its numerators are coef * C(m, j) a_u^j a_v^(m-j), coef
-    the multinomial n!/(prod k_x! m!) times prod a_x^k_x, so it totals
-    coef * (a_u + a_v)^m.  With c = m*L - n*(a_u + a_v) the vector deviates
-    unless eps.den * (2*j*L - mid)^2 <= room, where mid = m*L + n*(a_u - a_v)
-    and room = 2*eps.num*n^2*L^2 - eps.den*(2*sum_head (k_x*L - n*a_x)^2 + c^2):
-    the within j are |2*j*L - mid| <= isqrt(room // eps.den), exactly, ties
-    included.  Only they are walked, by the binomial recurrence.
+    Offsets are k_x*L - n*a_x, and a vector deviates when eps.den times the
+    sum of their squares exceeds limit = eps.num*n^2*L^2.  _subtrees walks
+    the head counts in integers; a node whose bound already deviates adds
+    its total coef * A^m by the multinomial theorem, A the mass left and
+    coef the multinomial n!/(prod k_x! m!) times prod a_x^k_x, carried from
+    each count to the next by coef * (m - k) * a_x / (k + 1).  On a
+    surviving line the last two outcomes take (j, m - j), and with
+    c = m*L - n*(a_u + a_v) the vector deviates unless
+    eps.den * (2*j*L - mid)^2 <= room, where mid = m*L + n*(a_u - a_v) and
+    room = 2*limit - eps.den*(2*P + c^2): the within j are
+    |2*j*L - mid| <= isqrt(room // eps.den), exactly, ties included.  Only
+    that band is summed (_band); the rest of the line's total
+    coef * (a_u + a_v)^m is deviant.  Two outcomes are one line, with no walk.
     """
     *top, u, v = a if len(a) > 1 else (0, *a)  # a lone outcome gets an empty partner
-    bound = 2 * eps.numerator * (n * den) ** 2
-    deviant = within = 0
-    for head in _heads(n, len(top)):
-        coef, m = 1, n
-        for k, ax in zip(head, top):
-            coef *= math.comb(m, k) * ax ** k
-            m -= k
+    limit = eps.numerator * (n * den) ** 2
+
+    def band(m, p):
         c = m * den - n * (u + v)
-        room = bound - eps.denominator * (
-            2 * sum((k * den - n * ax) ** 2 for k, ax in zip(head, top)) + c * c)
-        inside = 0
-        if room >= 0:
-            r, mid = math.isqrt(room // eps.denominator), m * den + n * (u - v)
-            lo, hi = max(0, -((r - mid) // (2 * den))), min(m, (mid + r) // (2 * den))
-            weight = coef * math.comb(m, lo) * u ** lo * v ** (m - lo) if lo <= hi else 0
-            for j in range(lo, hi + 1):
-                inside += weight
-                weight = weight * (m - j) * u // ((j + 1) * v)
-        deviant += coef * (u + v) ** m - inside
+        room = 2 * limit - eps.denominator * (2 * p + c * c)
+        if room < 0:
+            return 0
+        r, mid = math.isqrt(room // eps.denominator), m * den + n * (u - v)
+        return _band(m, max(0, -((r - mid) // (2 * den))), min(m, (mid + r) // (2 * den)), u, v)
+
+    if not top:
+        within = band(n, 0)
+        return (u + v) ** n - within, within
+    mass = [sum(a[x:]) for x in range(len(a))]
+    dev = [[(k * den - n * ax) ** 2 for k in range(n + 1)] for ax in top]
+    rest = [[(m * den - n * mass[x]) ** 2 for m in range(n + 1)] for x in range(1, len(a) - 1)]
+    deviant = within = 0
+    for coef, m, p, fixed, whole in _subtrees(
+            n, dev, rest, limit, eps.denominator, 1,
+            lambda coef, last, m, k, x: last * (m - k + 1) * top[x] // k if k else coef):
+        inside = 0 if whole else coef * band(m, p)
+        deviant += coef * mass[fixed] ** m - inside
         within += inside
     return deviant, within
 
@@ -251,27 +322,30 @@ def _exact_lines(n: int, eps: Fraction, den: int, a: list) -> tuple[int, int]:
 # A block of count vectors on the float path holds about ten 8-byte
 # temporaries per vector, within this many bytes.
 _FLOAT_BLOCK_BYTES = 4 * 2 ** 20
+# The float walk skips a subtree only past this multiple of epsilon, so no
+# vector that rounding could put within epsilon is skipped.
+_FLOAT_PRUNE_MARGIN = 1 + 1e-9
 
 
 def _float_lines(n: int, eps: float, kept: list) -> float:
-    """The float deviant weight over the lines of _exact_lines, in blocks.
+    """The float deviant weight over the walk of _exact_lines, in log space.
 
-    Each line's head deviation and log weight are computed once; its vectors
-    are classified by sum_x (k_x/n - p_x)**2 > eps, added in order of x, and
-    only the deviant weights are exponentiated and summed.
+    Offsets are k_x/n - p_x.  A subtree the walk skips (its bound past
+    eps * _FLOAT_PRUNE_MARGIN) adds exp(log coef + m log A).  The surviving
+    lines are taken in blocks: their vectors are classified by
+    sum_x (k_x/n - p_x)**2 > eps, added in order of x, and only the deviant
+    weights are exponentiated and summed.
     """
     if len(kept) == 1:  # the one count vector (n,)
         return math.exp(n * math.log(kept[0])) if (1.0 - kept[0]) ** 2 > eps else 0.0
     *top, u, v = kept
     lg = np.fromiter((math.lgamma(k + 1) for k in range(n + 1)), float, n + 1)
     step = max(1, _FLOAT_BLOCK_BYTES // 80)
-    lines, deviant = _heads(n, len(top)), 0.0
-    while chunk := list(itertools.islice(lines, max(1, step // (len(top) + 1)))):
-        heads = np.array(chunk, dtype=np.int64)
-        m = n - heads.sum(axis=1)
-        head_dev = sum(((heads[:, x] / n - p) ** 2 for x, p in enumerate(top)), np.zeros(len(m)))
-        head_log = lg[n] + heads @ np.log(np.array(top)) - lg[heads].sum(axis=1)
-        ends = np.cumsum(m + 1)
+
+    def deviant_in(lines) -> float:  # (log weight, offsets, replicas left) per line
+        head_log, head_dev, m = np.array(lines).T
+        m = m.astype(np.int64)
+        deviant, ends = 0.0, np.cumsum(m + 1)
         for start in range(0, int(ends[-1]), step):
             flat = np.arange(start, min(start + step, int(ends[-1])))
             line = np.searchsorted(ends, flat, side="right")
@@ -281,7 +355,27 @@ def _float_lines(n: int, eps: float, kept: list) -> float:
             line, j, rest = line[strays], j[strays], rest[strays]
             deviant += float(np.exp(head_log[line] + j * math.log(u) - lg[j]
                                     + rest * math.log(v) - lg[rest]).sum())
-    return deviant
+        return deviant
+
+    if not top:
+        return deviant_in([(lg[n], 0.0, n)])
+    mass = [sum(kept[x:]) for x in range(len(kept))]
+    counts = np.arange(n + 1) / n
+    dev = [((counts - p) ** 2).tolist() for p in top]
+    rest = [((counts - mass[x]) ** 2).tolist() for x in range(1, len(kept) - 1)]
+    logs, log_mass, lgs = [math.log(p) for p in top], [math.log(a) for a in mass], lg.tolist()
+    block, lines, deviant = max(1, step // (len(top) + 1)), [], 0.0
+    for w, m, p, fixed, whole in _subtrees(
+            n, dev, rest, eps * _FLOAT_PRUNE_MARGIN, 1, lgs[n],
+            lambda w, last, m, k, x: w + k * logs[x] - lgs[k]):
+        if whole:
+            deviant += math.exp(w - lgs[m] + m * log_mass[fixed])
+            continue
+        lines.append((w, p, m))
+        if len(lines) == block:
+            deviant += deviant_in(lines)
+            lines = []
+    return deviant + deviant_in(lines) if lines else deviant
 
 
 def deviant_weight(c, n: int, epsilon, probabilities=None,
@@ -292,10 +386,12 @@ def deviant_weight(c, n: int, epsilon, probabilities=None,
     weight of a count vector is the multinomial coefficient times the product
     of p_x^k_x.  probabilities may be passed directly (exact Fractions or
     floats), bypassing the amplitude route.  Outcomes of probability zero
-    never occur and are dropped first.  Both arithmetics take the count
-    vectors a line at a time: exact rows in integers over L**n, a_x = p_x*L
-    (_exact_lines; deviant plus within must come to L**n), double rows as
-    log-space weights in bounded blocks (_float_lines).
+    never occur and are dropped first.  Both arithmetics walk the head
+    counts with _subtrees, adding each subtree already past epsilon in
+    closed form and summing the band within epsilon of each surviving line:
+    exact rows in integers over L**n, a_x = p_x*L (_exact_lines; deviant
+    plus within must come to L**n), double rows as log-space weights in
+    bounded blocks (_float_lines).
     """
     eps = _as_fraction(epsilon)
     probs = list(probabilities) if probabilities is not None else _normalized_probabilities(c)

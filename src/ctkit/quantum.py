@@ -440,21 +440,23 @@ def completed_basis(spans, dim: int, error, what: str):
     Returns (basis, classes): span k's rows get class k, the completing rows
     class len(spans).  Unitarity is checked on the k x k Gram matrix of the
     span rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.
+    The SVD's vh is the basis buffer, so the peak stays near one basis.
     """
     _check_bytes(16 * dim * dim, f"a {dim} x {dim} control basis")
     spans = [np.asarray(s, dtype=complex).reshape(-1, dim) for s in spans]
     stacked = np.vstack(spans) if spans else np.zeros((0, dim), dtype=complex)
-    dev = float(np.abs(stacked @ stacked.conj().T - np.eye(len(stacked))).max(initial=0.0))
+    k = stacked.shape[0]
+    dev = float(np.abs(stacked @ stacked.conj().T - np.eye(k)).max(initial=0.0))
     if dev > 1e-9:
         raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
     # past k orthonormal span rows, vh's rows complete them to a basis
-    rest = np.linalg.svd(stacked)[2][stacked.shape[0]:]
-    basis = np.vstack([stacked, rest])
+    basis = np.linalg.svd(stacked)[2]
+    basis[:k] = stacked
     # |b><b| ignores phases: make each row's largest entry real positive, so
     # a basis of standard kets is exactly the identity and costs nothing
-    lead = basis[np.arange(basis.shape[0]), np.abs(basis).argmax(axis=1)]
-    basis = basis / (lead / np.abs(lead))[:, None]
-    classes = np.repeat(np.arange(len(spans) + 1), [s.shape[0] for s in spans] + [rest.shape[0]])
+    lead = basis[np.arange(dim), np.abs(basis).argmax(axis=1)]
+    basis /= (lead / np.abs(lead))[:, None]
+    classes = np.repeat(np.arange(len(spans) + 1), [s.shape[0] for s in spans] + [dim - k])
     return basis, classes
 
 

@@ -30,7 +30,7 @@ from ctkit import (
     variable,
 )
 from ctkit.ensembles import COUNTING_JOINT_BYTES
-from ctkit.quantum import _unitary_with_first_column, basis_swap
+from ctkit.quantum import _unitary_with_first_column, basis_swap, completed_basis
 from ctkit.states import DENSITY_BYTES
 from ctkit.tolerance import tol
 
@@ -183,7 +183,7 @@ def test_counting_guard_refuses_before_allocating(qubit):
     x = basis_variable(qubit)
     tracemalloc.start()
     try:
-        for n in (18, 40):  # over the byte budget; over the product-state guard too
+        for n in (18, 40):  # both joints are over the byte budget
             with pytest.raises(SizeLimitError):
                 build_counting_constructor(0, n, x)
         _, peak = tracemalloc.get_traced_memory()
@@ -355,3 +355,22 @@ def test_a_two_member_measurer_at_4096_checks_its_span_rows_only():
     m = build_measurer(x)
     assert time.perf_counter() - started < 2.0
     assert m.source_dim == 4096
+
+
+def test_the_control_basis_is_built_in_the_svd_buffer():
+    # a 2048 x 2048 complex basis is 64 MiB; a fresh stack beside the SVD's
+    # vh plus a re-phased copy would hold three of them at once
+    dim = 2048
+    spans = [basis_state(dim, 0).vector.reshape(1, dim), basis_state(dim, 1).vector.reshape(1, dim)]
+    tracemalloc.start()
+    try:
+        basis, classes = completed_basis(spans, dim, NotMeasurableError, "measurer")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.nbytes == 16 * dim * dim
+    assert peak <= 1.6 * basis.nbytes
+    assert np.array_equal(basis[:2], np.vstack(spans))
+    assert np.array_equal(classes, np.repeat([0, 1, 2], [1, 1, dim - 2]))
+    with pytest.raises(NotMeasurableError, match=r"^measurer construction lost unitarity"):
+        completed_basis([2 * spans[0]], dim, NotMeasurableError, "measurer")
