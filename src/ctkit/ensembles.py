@@ -474,15 +474,22 @@ def partition_of_unity(z, x: Variable) -> PartitionOfUnity:
     """
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("partitions of unity live on the quantum backend")
-    state = _as_state(z)
-    weights = _member_weights(state, x.attributes)
-    raw = [(label, max(0.0, float(w))) for label, w in zip(x.labels, weights)]
-    total = sum(v for _, v in raw)
-    if abs(total - 1.0) > tol():
-        raise DomainError(
-            f"state lies outside the span of the variable (coverage {total:.9f})"
-        )
-    return PartitionOfUnity(tuple((label, v / total) for label, v in raw))
+    weights = _partition_weights(_member_weights(_as_state(z), x.attributes), tol())
+    return PartitionOfUnity(tuple(zip(x.labels, weights.tolist())))
+
+
+def _partition_weights(weights: np.ndarray, atol: float) -> np.ndarray:
+    """Member weights clipped at 0 and divided by their sum, the coverage.
+    A coverage off 1 by more than atol puts the state outside the variable's
+    span.  The entries returned lie in [0, 1]."""
+    weights = np.where(weights > 0.0, weights, 0.0)
+    total = sum(weights.tolist())
+    if abs(total - 1.0) > atol:
+        raise DomainError(f"state lies outside the span of the variable (coverage {total:.9f})")
+    weights = weights / total
+    if weights.max(initial=0.0) > 1.0 + PARTITION_SUM_TOL:
+        raise DomainError("a partition entry is outside [0, 1]")
+    return weights
 
 
 def class_key(z, x: Variable) -> tuple:

@@ -4,7 +4,9 @@ A game pairs a payoff observable (real labels) with an attribute the player
 holds.  The engine evaluates values directly, rewrites games by shifts,
 reflections and permutations, and reproduces the two-payoff value theorem as
 a step-by-step derivation whose every step is certified by a quantum-backend
-computation rather than taken on faith.
+computation rather than taken on faith.  Its target register has integer
+labels in half units and standard kets as members, so the register's
+partition of unity is read off the diagonal of its reduced state.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .kernel import (
     _check_labels,
     _member_weights,
     _single_state,
-    _trusted_attribute,
     attribute_span,
     coarsen_variable,
     extensional_attribute,
@@ -43,7 +44,7 @@ from .kernel import (
     quantum_substrate,
     variable,
 )
-from .ensembles import partition_of_unity, verify_E1_E2
+from .ensembles import _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
     detect_superinformation,
     is_generalised_mixture,
@@ -64,7 +65,6 @@ from .quantum import (
 from .states import (
     MixedState,
     PureState,
-    _readonly,
     _trusted,
     apply_unitary,
     basis_state,
@@ -347,16 +347,26 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
 
 
 def _as_payoff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    """An exact payoff that also has a finite float, which the checks compare."""
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, float)):
+        raise UnsupportedInputError(f"cannot treat {value!r} as a payoff")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise UnsupportedInputError("payoff is too large for a float") from None
+    if not finite:
+        raise UnsupportedInputError(f"payoff {value!r} is not finite")
     if isinstance(value, float):
         frac = Fraction(value).limit_denominator(10 ** 6)
         if abs(float(frac) - value) > 1e-9:
             raise UnsupportedInputError(f"payoff {value!r} is not rational enough to derive with")
         return frac
-    raise UnsupportedInputError(f"cannot treat {value!r} as a payoff")
+    return Fraction(value)
+
+
+def _payoff_tol(x1: Fraction, x2: Fraction) -> float:
+    """tol() for a value computed in floats, whose rounding grows with the payoffs."""
+    return tol() * max(1.0, abs(float(x1)), abs(float(x2)))
 
 
 def derive_value(g: Game) -> DerivationTrace:
@@ -422,7 +432,7 @@ def _degenerate_trace(m, n, x1, x2, final) -> DerivationTrace:
 def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
     """Steps 1-3: shift and reflection force the symmetric value (x1+x2)/2;
     x is the payoff variable of x1 and x2."""
-    atol = tol()
+    atol = _payoff_tol(x1, x2)
     k = -(x1 + x2)
     v_sym = (x1 + x2) / 2
 
@@ -466,7 +476,8 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
         - game_value(transform_game(g, "permutation", mapping={x1: x2, x2: x1},
                                     target="attribute"))
     ) <= atol
-    direct = abs(game_value(g) - float(v_sym)) <= atol
+    value = game_value(g)
+    direct = abs(value - float(v_sym)) <= atol
     yield DerivationStep(
         rule="SymmetricBase",
         premises=("ShiftRule", "ReflectionRule", "S(y+) in y+"),
@@ -474,31 +485,34 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
         check=s_fixes and covariance and direct,
         computation={"swap_fixes_y_plus": s_fixes,
                      "permutation_covariance": covariance,
-                     "direct_value": game_value(g)},
+                     "direct_value": value},
     )
 
 
-def _block_labels(m: int, n: int) -> list[Fraction]:
-    """Reflection-symmetric payoff labels for the n-dim target register.
+def _block_labels(m: int, n: int) -> np.ndarray:
+    """Reflection-symmetric payoff labels for the n-dim target register, in
+    half units: h[j] is twice the label of |j>, so every entry is an integer.
 
     Block one (indices 0..m-1) and block two (m..n-1) are each centered on
     zero, so each block sums to zero and the per-block reversal negates the
     labels while fixing the uniform block states.
     """
-    return ([Fraction(j) - Fraction(m - 1, 2) for j in range(m)]
-            + [Fraction(j - m) - Fraction(n - m - 1, 2) for j in range(m, n)])
+    return np.concatenate([2 * np.arange(m) - (m - 1), 2 * np.arange(n - m) - (n - m - 1)])
 
 
 def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
                     final: Fraction):
+    """Steps 4-7; the o-register's partition is its reduced state's diagonal
+    summed per half-unit label (`_block_labels`)."""
     atol = tol()
     b1, b2 = (_member_state(a) for a in x.attributes)
     amp1 = math.sqrt(m / n)
     amp2 = math.sqrt((n - m) / n)
     y_state = normalized(amp1 * b1.vector + amp2 * b2.vector)
 
-    o1 = normalized([1.0 if j < m else 0.0 for j in range(n)])
-    o2 = normalized([1.0 if j >= m else 0.0 for j in range(n)])
+    block = np.arange(n) < m
+    o1 = normalized(block.astype(float))
+    o2 = normalized((~block).astype(float))
     measurer = build_measurer(x, flag_states={x1: o1, x2: o2})
     measured = apply_measurer(measurer, tensor(y_state, measurer.receptive_state()))
     s_vec = amp1 * np.kron(b1.vector, o1.vector) + amp2 * np.kron(b2.vector, o2.vector)
@@ -515,21 +529,21 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
 
     # target-factor value is zero: per-block reversal fixes o1, o2 and
     # negates the centered labels, so the partition is reflection invariant
-    labels = _block_labels(m, n)
-    sums_zero = (sum(labels[:m]) == 0 and sum(labels[m:]) == 0)
-    flip = [*range(m - 1, -1, -1), *range(n - 1, m - 1, -1)]  # an involution
-    negates = all(labels[flip[j]] == -labels[j] for j in range(n))
+    h = _block_labels(m, n)
+    sums_zero = bool(h[:m].sum() == 0 and h[m:].sum() == 0)
+    flip = np.r_[m - 1:-1:-1, n - 1:m - 1:-1]  # per-block reversal, an involution
+    negates = bool(np.array_equal(h[flip], -h))
     fixes_o = (
         states_equal(PureState(o1.vector[flip]), o1)
         and states_equal(PureState(o2.vector[flip]), o2)
     )
-    rho_o = intrinsic_part(measured, 1)
-    invariant = float(np.abs(rho_o.matrix[np.ix_(flip, flip)] - rho_o.matrix).max()) <= atol
-    x_o = _target_variable(labels)
-    part_o = partition_of_unity(rho_o, x_o)
-    value_o = _weighted_labels(part_o)
-    weight_o = part_o.as_dict()
-    mirrored = all(abs(weight_o[lam] - weight_o[-lam]) <= atol for lam in x_o.labels)
+    rho_o = intrinsic_part(measured, 1).matrix
+    invariant = float(np.abs(rho_o[np.ix_(flip, flip)] - rho_o).max()) <= atol
+    lams, owner = np.unique(h, return_inverse=True)
+    weight_o = _partition_weights(np.bincount(owner, weights=rho_o.diagonal().real), atol)
+    value_o = float(weight_o @ lams) / 2
+    mirrored = (bool(np.array_equal(lams, -lams[::-1]))  # unique labels ascend
+                and float(np.abs(weight_o - weight_o[::-1]).max()) <= atol)
     zero_ok = abs(value_o) <= atol
     yield DerivationStep(
         rule="EqualValue",
@@ -548,11 +562,10 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     # additivity: V over the summed payoff equals source value plus zero;
     # amps[i, j] = <b_i (x) e_j|s>
     amps = np.array([b1.vector, b2.vector]).conj() @ s_vec.reshape(2, n)
-    payoff_of = {0: x1, 1: x2}
-    total = float(sum(
-        abs(a) ** 2 * float(payoff_of[i] + labels[j]) for (i, j), a in np.ndenumerate(amps)))
+    payoffs = np.array([[float(x1)], [float(x2)]])
+    total = float(np.sum(np.abs(amps) ** 2 * (payoffs + h / 2)))
     source_value = _weighted_labels(partition_of_unity(intrinsic_part(measured, 0), x))
-    additive = abs(total - (source_value + value_o)) <= atol
+    additive = abs(total - (source_value + value_o)) <= _payoff_tol(x1, x2)
     yield DerivationStep(
         rule="Additivity",
         premises=("V{target} = 0",),
@@ -561,40 +574,20 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
         computation={"total_value": total, "source_value": source_value},
     )
 
-    # the n-branch expansion is uniform, so the symmetric result applies
-    uniform = all(
-        abs(abs(a) - (1.0 / math.sqrt(n) if _in_block(i, j, m) else 0.0)) <= atol
-        for (i, j), a in np.ndenumerate(amps)
-    )
-    branch_payoffs = [payoff_of[i] + labels[j]
-                      for i in range(2) for j in range(n) if _in_block(i, j, m)]
-    mean = sum(branch_payoffs, Fraction(0)) / n
-    arithmetic = (mean == final) and (len(branch_payoffs) == n)
+    # the n-branch expansion is uniform, so the symmetric result applies;
+    # branch (i, j) is there when e_j lies in block i
+    branch = np.array([block, ~block])
+    uniform = float(np.abs(np.abs(amps) - branch / math.sqrt(n)).max()) <= atol
+    branches = int(branch.sum())
+    mean = (m * x1 + (n - m) * x2 + Fraction(int(h.sum()), 2)) / n
+    arithmetic = mean == final and branches == n
     yield DerivationStep(
         rule="NonSymmetric",
         premises=("uniform n-branch expansion", "symmetric case value = branch mean"),
         conclusion=f"V{{G_X(y)}} = ({m}*{x1} + {n - m}*{x2})/{n} = {final}",
         check=uniform and arithmetic,
-        computation={"branches": len(branch_payoffs), "mean": str(mean)},
+        computation={"branches": branches, "mean": str(mean)},
     )
-
-
-def _target_variable(labels) -> Variable:
-    """The o-register observable: label lam holds the standard kets |j>
-    with labels[j] == lam, in sorted label order.  Distinct standard kets
-    are orthonormal, so the kets, members and variable are built unchecked."""
-    n = len(labels)
-    sub = quantum_substrate(f"o-register[{n}]", n)
-    kets = _readonly(np.eye(n, dtype=complex))
-    buckets: dict = {}
-    for j, lam in enumerate(labels):
-        buckets.setdefault(lam, []).append(_trusted(PureState, vector=kets[j], dims=(n,)))
-    return _trusted(Variable, substrate=sub, members=tuple(
-        (lam, _trusted_attribute(sub, tuple(states))) for lam, states in sorted(buckets.items())))
-
-
-def _in_block(i: int, j: int, m: int) -> bool:
-    return (i == 0 and j < m) or (i == 1 and j >= m)
 
 
 # ---------------------------------------------------------------------------

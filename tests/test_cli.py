@@ -238,6 +238,16 @@ def test_derive_rejects_three_payoffs(capsys):
     assert main(["derive", "--m", "1", "--n", "2", "--payoffs", "0,1,2"]) == 2
 
 
+def test_derive_checks_a_large_payoff_at_its_scale(capsys):
+    assert main(["derive", "--m", "20", "--n", "41", "--payoffs", "123456789,7"]) == 0
+    assert "check=fail" not in capsys.readouterr().out
+
+
+def test_derive_refuses_a_payoff_past_the_floats(capsys):
+    assert main(["derive", "--m", "1", "--n", "3", "--payoffs", "1e400,0"]) == 2
+    assert "payoff is too large for a float" in capsys.readouterr().err
+
+
 def test_decision_support_qubit_passes(capsys):
     report = run_command(["decision-support", QUBIT])
     out = capsys.readouterr().out

@@ -3,6 +3,8 @@ attribute or checks a list of vectors for pairwise orthogonality, at each
 public call given an argument it cannot use, and the classical attribute
 check against a composite universe."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from ctkit import (
     comparer_for_measurers,
     compose_substrates,
     controlled_map,
+    derive_value_mn,
     deviant_weight,
     extensional_attribute,
     is_task_possible,
@@ -192,6 +195,20 @@ CASES.update({
     "nan_payoff_shift": (
         lambda: transform_game(Game(_x(), _two_states(), QUBIT), "shift", k=float("nan")),
         DisjointnessError, "label nan does not equal itself"),
+    # NaN escaped as ValueError, the next two as OverflowError, and True
+    # was taken as payoff 1
+    "derive_nan_payoff": (
+        lambda: derive_value_mn(1, 3, (float("nan"), 0)),
+        UnsupportedInputError, "payoff nan is not finite"),
+    "derive_infinite_payoff": (
+        lambda: derive_value_mn(1, 3, (float("-inf"), 0)),
+        UnsupportedInputError, "payoff -inf is not finite"),
+    "derive_payoff_past_the_floats": (
+        lambda: derive_value_mn(1, 3, (Fraction(10) ** 400, 0)),
+        UnsupportedInputError, "payoff is too large for a float"),
+    "derive_bool_payoff": (
+        lambda: derive_value_mn(1, 3, (True, 0)),
+        UnsupportedInputError, "cannot treat True as a payoff"),
     "partition_of_unity_state_dimension": (
         lambda: partition_of_unity(basis_state(3, 0), _x()),
         StateError, "state dimension does not match substrate"),

@@ -34,6 +34,7 @@ from ctkit import (
     transform_game,
     variable,
 )
+from ctkit.tolerance import tol
 
 from conftest import basis_variable, ket, minus, plus, state_variable
 
@@ -261,6 +262,36 @@ def test_derivation_input_checks():
         derive_value_mn(1, 2, (0, 1, 2))
     with pytest.raises(UnsupportedInputError):
         derive_value_mn(1, 2, (0, "payoff"))
+
+
+@pytest.mark.parametrize("m, n, payoffs", [
+    (2, 3, (123456789, 7)),
+    (20, 41, (123456789, 7)),
+    (5, 12, (10 ** 9 + 7, -3)),
+    (3, 64, (10 ** 9 + 7, 0)),
+])
+def test_large_payoffs_pass_every_check(m, n, payoffs):
+    """Values of payoffs near x carry float rounding near x times epsilon;
+    the checks compare them at tol() scaled by the payoffs' size."""
+    trace = derive_value_mn(m, n, payoffs)
+    assert trace.all_checks_pass
+    assert trace.final_value == Fraction(m * payoffs[0] + (n - m) * payoffs[1], n)
+
+
+@pytest.mark.parametrize("factor, passes", [(0.5, True), (10, False)])
+def test_value_checks_hold_to_the_scaled_tolerance(factor, passes, monkeypatch):
+    """Every value read from a partition moved by factor x the scaled bound:
+    half of it passes, ten times it fails the direct value and Additivity
+    (the covariance compares two moved values and passes)."""
+    import ctkit.games
+
+    off = factor * tol() * 123456789
+    real = ctkit.games._weighted_labels
+    monkeypatch.setattr(ctkit.games, "_weighted_labels", lambda part: real(part) + off)
+    steps = {s.rule: s for s in derive_value_mn(20, 41, (123456789, 7)).steps}
+    assert steps["SymmetricBase"].computation["permutation_covariance"]
+    assert steps["SymmetricBase"].check is passes
+    assert steps["Additivity"].check is passes
 
 
 def test_derive_value_refuses_a_weight_denominator_over_64(qubit):

@@ -3,14 +3,16 @@
 The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, cloning
 and permutation tasks, restricted, product, diagonal, relabeled and union
-variables, the value derivation's o-register observable) skip it; each such
-site is compared here with the validating constructor given the same
-fields, which must accept them and build an object equal field by field,
-arrays included.  Products holding a mixed state keep their checks, and
-the tolerance edge is pinned.
+variables) skip it; each such site is compared here with the validating
+constructor given the same fields, which must accept them and build an
+object equal field by field, arrays included.  The value derivation builds
+no o-register observable: the partition it reads off the reduced state's
+diagonal is compared with the register the constructors build.  Products
+holding a mixed state keep their checks, and the tolerance edge is pinned.
 """
 
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,7 @@ from ctkit import (
     extensional_attribute,
     normalized,
     partial_trace,
+    partition_of_unity,
     permutation_task,
     product_attribute,
     product_variable,
@@ -257,21 +260,28 @@ def test_trusted_diagonal_variables_match_the_constructor():
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (3, 8), (31, 64)])
-def test_trusted_target_register_matches_the_constructors(m, n):
-    """The value derivation's o-register observable, taken from its
-    partition_of_unity call, against `variable` over `basis_state` kets."""
-    with mock.patch.object(games, "partition_of_unity",
-                           wraps=games.partition_of_unity) as part:
-        assert games.derive_value_mn(m, n, (1, 0)).all_checks_pass
-    (x_o,) = [call.args[1] for call in part.call_args_list
-              if call.args[1].substrate.id == f"o-register[{n}]"]
-    assert_trusted(x_o)
+def test_trusted_target_register_matches_the_constructors(m, n, monkeypatch):
+    """The value derivation's o-register partition, read off the reduced
+    state's diagonal, against `variable` over `basis_state` kets passed
+    through `partition_of_unity` with the same reduced state: the same
+    target value, and the same flags."""
+    reduced = {}
+    real = games.intrinsic_part
+    monkeypatch.setattr(games, "intrinsic_part",
+                        lambda joint, factor: reduced.setdefault(factor, real(joint, factor)))
+    step = games.derive_value_mn(m, n, (1, 0)).steps[4]
     buckets = {}
-    for j, lam in enumerate(games._block_labels(m, n)):
-        buckets.setdefault(lam, []).append(basis_state(n, j))
+    for j, half in enumerate(games._block_labels(m, n)):
+        buckets.setdefault(Fraction(int(half), 2), []).append(basis_state(n, j))
     sub = quantum_substrate(f"o-register[{n}]", n)
-    assert_same(x_o, variable(sub, [(lam, extensional_attribute(sub, states))
-                                    for lam, states in sorted(buckets.items())]))
+    x_o = variable(sub, [(lam, extensional_attribute(sub, states))
+                         for lam, states in sorted(buckets.items())])
+    weights = partition_of_unity(reduced[1], x_o).as_dict()
+    value = sum(float(w) * float(lam) for lam, w in weights.items())
+    assert step.computation["target_value"] == pytest.approx(value, rel=0, abs=1e-15)
+    mirrored = all(abs(w - weights[-lam]) <= tol() for lam, w in weights.items())
+    flags = [v for v in step.computation.values() if isinstance(v, bool)]
+    assert step.check and mirrored and abs(value) <= tol() and all(flags)
 
 
 # ---------------------------------------------------------------------------
