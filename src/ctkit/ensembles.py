@@ -47,7 +47,7 @@ from .quantum import (
     completed_basis,
     intrinsic_part,
 )
-from .states import MixedState, PureState, _check_bytes, basis_state, tensor
+from .states import MixedState, PureState, _check_bytes, tensor
 from .tolerance import PARTITION_SUM_TOL, tol
 
 ENUMERATION_GUARD = 10_000_000
@@ -113,15 +113,17 @@ def build_counting_constructor(x, n: int, basis: Variable) -> MeasurerSpec:
     present = np.flatnonzero(np.bincount(counts, minlength=rest + 1)[:rest])
     lookup = np.full(rest + 1, present.size)
     lookup[present] = np.arange(present.size)
+    flags = np.eye(rest, dtype=complex)[present]
+    flags.setflags(write=False)
     control = ControlledMap(
         bases=(replica,) * n,
         classes=lookup[counts],
-        maps=tuple(basis_swap(n + 1, 0, int(c)) for c in present),
+        maps=tuple(basis_swap(n + 1, 0, present)),
         target_dim=n + 1,
     )
     return MeasurerSpec(
         labels=tuple(Fraction(int(c), n) for c in present),
-        flags=tuple(basis_state(n + 1, int(c)).vector for c in present),
+        flags=tuple(flags),
         control=control,
     )
 

@@ -339,18 +339,32 @@ class ControlledMap:
     The control space carries the orthonormal basis kron(*bases), one ket
     per row.  classes gives each basis row's class: P_k is the projector onto
     the rows of class k and T_k = maps[k] is a target_dim x target_dim
-    unitary, or the index vector p of a target permutation (T x = x[p]);
-    rows of class len(maps) complete the basis and act as the identity.  A
-    control that is a product of small factors (the n replicas of the
-    counting constructor) keeps one basis per factor, so nothing of size
-    control_dim**2 is ever held.  apply contracts the basis change and the
-    per-class maps on the factor axes; `unitary` builds the dense operator.
+    unitary, a `FlagReflector`, or the index vector p of a target permutation
+    (T x = x[p]), a row of the (len(maps) + 1) x target_dim `table` whose
+    other rows are the identity; class len(maps) completes the basis.  A
+    control that is a product of small factors (the counting constructor's
+    replicas) keeps one basis per factor, so nothing of size control_dim**2
+    is held.  apply sends every row through table[classes] in one gather,
+    then each dense map or reflector through its class's rows.
     """
 
     bases: tuple
     classes: np.ndarray
     maps: tuple
     target_dim: int
+
+    def __post_init__(self):
+        n, classes = len(self.maps), np.asarray(self.classes)
+        if classes.shape != (self.control_dim,) or classes.dtype.kind not in "iu" \
+                or ((classes < 0) | (classes > n)).any():
+            raise PreconditionError(f"classes must give each of the {self.control_dim} "
+                                    f"control rows a class in 0..{n}")
+        same = np.arange(self.target_dim)
+        table = np.array([t if t.ndim == 1 else same for t in self.maps] + [same], np.intp)
+        table.setflags(write=False)
+        maps = tuple(table[k] if t.ndim == 1 else t for k, t in enumerate(self.maps))
+        vars(self).update(classes=classes, maps=maps, table=table,
+                          _dense=[(k, t) for k, t in enumerate(maps) if t.ndim == 2])
 
     @property
     def control_dim(self) -> int:
@@ -377,7 +391,7 @@ class ControlledMap:
         _check_density_size(self.control_dim * self.target_dim)
         out = np.kron(self.projector(len(self.maps)), np.eye(self.target_dim))
         for k, t_map in enumerate(self.maps):
-            dense = np.eye(self.target_dim)[t_map] if t_map.ndim == 1 else t_map
+            dense = np.eye(self.target_dim)[t_map] if t_map.ndim == 1 else np.asarray(t_map)
             out = out + np.kron(self.projector(k), dense)
         return out
 
@@ -400,12 +414,12 @@ class ControlledMap:
         # coordinates <b_i|.> of the control, then T_k on each class's rows
         x = self._per_factor([b.conj() for b in self.bases],
                              x.reshape(self.target_dim, self.control_dim, -1))
-        out = x.copy()
-        for k, t_map in enumerate(self.maps):
+        out = x[self.table.T[:, self.classes], np.arange(self.control_dim)]
+        for k, t_map in self._dense:
             rows = np.flatnonzero(self.classes == k)
             if rows.size:
                 block = x[:, rows]
-                out[:, rows] = block[t_map] if t_map.ndim == 1 else np.tensordot(t_map, block, 1)
+                out[:, rows] = t_map.dot(block.reshape(self.target_dim, -1)).reshape(block.shape)
         out = self._per_factor([b.T for b in self.bases], out)
         return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
 
@@ -466,20 +480,27 @@ def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
 
     spans[k] holds orthonormal kets (rows) spanning the range of P_k; the
     orthogonal rest of the control space acts as the identity.  Raises
-    `error` when the spans or any map are not unitary building blocks.
+    `error` when the spans or any map are not unitary building blocks (a
+    reflector's flag must be a unit vector, the table rows permutations).
     """
     basis, classes = completed_basis(spans, dim, error, what)
-    maps = tuple(np.asarray(t) for t in maps)
+    maps = tuple(t if isinstance(t, FlagReflector) else np.asarray(t) for t in maps)
     target_dim = maps[0].shape[0]
+    lost = error(f"{what} construction lost unitarity (a target map is not unitary)")
     for t_map in maps:
         if t_map.ndim == 1:
-            ok = t_map.dtype.kind in "iu" and np.array_equal(np.sort(t_map), np.arange(target_dim))
+            ok = t_map.dtype.kind in "iu" and t_map.shape == (target_dim,)
+        elif isinstance(t_map, FlagReflector):
+            ok = t_map.shape[0] == target_dim and abs(np.vdot(t_map.flag, t_map.flag) - 1) <= 1e-9
         else:
             ok = t_map.shape == (target_dim, target_dim) and float(
                 np.abs(t_map.conj().T @ t_map - np.eye(target_dim)).max()) <= 1e-9
         if not ok:
-            raise error(f"{what} construction lost unitarity (a target map is not unitary)")
-    return ControlledMap((basis,), classes, maps, target_dim)
+            raise lost
+    control = ControlledMap((basis,), classes, maps, target_dim)
+    if not (np.sort(control.table, axis=1) == np.arange(target_dim)).all():
+        raise lost
+    return control
 
 
 def _orthogonal(vectors, atol: float) -> bool:
@@ -487,29 +508,48 @@ def _orthogonal(vectors, atol: float) -> bool:
     return _first_span_overlap([np.reshape(v, (1, -1)) for v in vectors], atol) is None
 
 
-def basis_swap(dim: int, a: int, b: int) -> np.ndarray:
-    """Index vector p (T x = x[p]) of the permutation exchanging basis states a and b."""
-    perm = np.arange(dim)
-    perm[[a, b]] = perm[[b, a]]
+def basis_swap(dim: int, a: int, b) -> np.ndarray:
+    """Index vector p (T x = x[p]) of the permutation exchanging basis states
+    a and b; for an array of b, one such vector (row) per entry."""
+    b = np.asarray(b, dtype=np.intp)
+    perm = np.where(np.arange(dim) == b[..., None], a, np.arange(dim))
+    perm[..., a] = b
     return perm
 
 
-def _unitary_with_first_column(flag: np.ndarray) -> np.ndarray:
-    """A matrix whose first column is flag, unitary when flag is a unit vector.
+@dataclass(frozen=True)
+class FlagReflector:
+    """The target map phase (I - 2 w w^dag / |w|^2) taking e0 to the unit flag
+    f, held as (phase, w): phase = -f0/|f0| (-1 when f0 = 0) makes
+    w = e0 - conj(phase) f start with 1 + |f0| >= 1, so w never cancels to
+    rounding noise.  `dot` applies it in O(t) per column; numpy reads it as
+    the dense `_unitary_with_first_column(f)`, built on request."""
 
-    One Householder reflection times a phase, in O(n^2):
-    phase (I - 2 w w^dag / |w|^2) with phase = -f0/|f0| (-1 when f0 = 0) and
-    w = e0 - conj(phase) f sends e0 to f.  That sign of the phase makes
-    w0 = 1 + |f0| >= 1, so w never cancels to rounding noise, even when f
-    is close to a multiple of e0.  The first column is then set to flag
-    itself: exact, and not unitary when flag is not a unit vector.
-    """
-    f0 = flag[0]
-    phase = -f0 / abs(f0) if f0 != 0 else -1.0
-    w = -np.conj(phase) * flag
-    w[0] += 1.0
-    out = np.eye(flag.size, dtype=complex) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
-    out *= phase
+    flag: np.ndarray
+    ndim = 2
+
+    def __post_init__(self):
+        f0 = self.flag[0]
+        phase = -f0 / abs(f0) if f0 != 0 else -1.0
+        w = -np.conj(phase) * self.flag
+        w[0] += 1.0
+        vars(self).update(phase=phase, w=w, scale=2.0 / np.vdot(w, w).real, shape=(w.size,) * 2)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """The map times the (t, m) matrix x."""
+        return self.phase * (x - np.outer(self.w, self.scale * (self.w.conj() @ x)))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(_unitary_with_first_column(self.flag), dtype)
+
+
+def _unitary_with_first_column(flag: np.ndarray) -> np.ndarray:
+    """The dense `FlagReflector` of flag, in O(n^2), with its first column
+    then set to flag itself: exact, and not unitary when flag is not a unit
+    vector."""
+    r = FlagReflector(flag)
+    out = np.eye(flag.size, dtype=complex) - r.scale * np.outer(r.w, r.w.conj())
+    out *= r.phase
     out[:, 0] = flag
     return out
 
@@ -522,8 +562,8 @@ class MeasurerSpec:
     for any v in the k-th attribute's span.  It is stored as a controlled
     map: the source basis completed from the attribute spans, one class per
     label, and per label a target map taking recv to the flag: the swap's
-    index vector for a basis-state flag, else a dense reflection.  The
-    completing rest of the source space leaves the target alone.
+    row of the index table for a basis-state flag, else a `FlagReflector`.
+    The completing rest of the source space leaves the target alone.
     """
 
     labels: tuple
@@ -575,8 +615,8 @@ def build_measurer(
     labeling maps each label to a target basis index; flag_states may instead
     map labels to arbitrary orthonormal target vectors (used where the output
     alphabet is itself structured).  Defaults: label k of the variable gets
-    target basis index k.  The n target maps, n * target_dim**2 entries, are
-    held to the `states.DENSITY_BYTES` budget before any is built.
+    target basis index k.  The n flags, the (n + 1) x target_dim index table
+    and the reflectors' w are held to `states.DENSITY_BYTES` before any is built.
     """
     atol = tol()
     spans = [_span_rows(a) for a in x.attributes]
@@ -593,19 +633,19 @@ def build_measurer(
         flags = []
         for label in x.labels:
             v = _entry(flag_states, "flag_states", label)
-            flags.append(v.vector if isinstance(v, PureState) else np.asarray(v, dtype=complex))
+            flags.append(v.vector if isinstance(v, PureState) else np.array(v, dtype=complex))
         target_dim = flags[0].size if target_dim is None else target_dim
         for label, flag in zip(x.labels, flags):
             if flag.shape != (target_dim,):
                 raise PreconditionError(f"the flag state of label {label!r} has shape "
                                         f"{flag.shape}, not ({target_dim},)")
     target_dim = n if target_dim is None else target_dim
-    _check_bytes(16 * n * target_dim * target_dim,
-                 f"a measurer of {n} target maps of {target_dim} x {target_dim}")
+    per_entry = 8 * (n + 1) + (32 if flag_states is not None else 16) * n  # table, flags, w
+    _check_bytes(per_entry * target_dim, f"a measurer of {n} flags of dimension {target_dim}")
     if flag_states is not None:
         if not _orthogonal(flags, atol):
             raise NotMeasurableError("flag states must be pairwise orthogonal")
-        maps = [_unitary_with_first_column(f) for f in flags]
+        maps = [FlagReflector(f) for f in flags]
     else:
         if target_dim < n:
             raise PreconditionError(
@@ -619,9 +659,10 @@ def build_measurer(
                     f"labeling gives label {label!r} the non-integer index {k!r}")
         if len(set(indices)) != n or any(k < 0 or k >= target_dim for k in indices):
             raise PreconditionError("labeling must assign distinct in-range flags")
-        flags = np.eye(target_dim, dtype=complex)[indices]
+        flags = np.zeros((n, target_dim), dtype=complex)
+        flags[np.arange(n), indices] = 1.0
         flags.setflags(write=False)
-        maps = [basis_swap(target_dim, recv, k) for k in indices]
+        maps = basis_swap(target_dim, recv, indices)
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),

@@ -1,5 +1,5 @@
-"""Time a few large exact deviant-weight rows and value derivations in one
-or more source trees.
+"""Time a few large exact deviant-weight rows, value derivations and
+measurers in one or more source trees.
 
     python3 tests/row_timings.py . ../parent
 
@@ -8,8 +8,11 @@ path.  Deviant-weight rows, each the best of three calls: five outcomes at
 N = 119 and four at N = 380 (epsilon 1/30, as the benchmark's d = 4 tables
 use), three at N = 4000 (epsilon 1/100).  Derivations, each the best of
 five calls: `derive_value_mn` at m/n = 1/5, 21/64 and 31/64 with payoffs
-10 and -2.  The output is a report; the exit code is 0 whenever every tree
-ran.
+10 and -2.  Measurers, each the best of three: a 256-member basis measurer
+built and applied twice, a qubit measurer with two 2048-dimensional flag
+states built and applied once, and the 14-replica counting constructor
+built and applied once.  The output is a report; the exit code is 0
+whenever every tree ran.
 """
 
 import subprocess
@@ -44,6 +47,34 @@ for m, n in {derivations!r}:
         best = min(best, time.perf_counter() - started)
     passed = trace.all_checks_pass
     print(f"derive m={{m}} n={{n}}: {{best * 1e3:.2f}} ms  (all checks pass: {{passed}})")
+import numpy as np
+from ctkit import (PureState, apply_measurer, basis_state, build_counting_constructor,
+                   build_measurer, extensional_attribute, quantum_substrate, tensor, variable)
+def basis(dim):
+    sub = quantum_substrate(f"q{{dim}}", dim)
+    return variable(sub, [(k, extensional_attribute(sub, (basis_state(dim, k),)))
+                          for k in range(dim)])
+def basis_256(applies=2):
+    m = build_measurer(basis(256))
+    psi = PureState(np.full(256, 1 / 16))
+    for _ in range(applies):
+        apply_measurer(m, tensor(psi, m.receptive_state()))
+def flags_2048(t=2048):
+    half = (np.arange(t) < t // 2) / np.sqrt(t // 2)
+    m = build_measurer(basis(2), flag_states={{0: half, 1: half[::-1]}})
+    apply_measurer(m, tensor(PureState([0.6, 0.8]), m.receptive_state()))
+def counting_14(n=14):
+    m = build_counting_constructor(0, n, basis(2))
+    apply_measurer(m, tensor(PureState(np.full(2 ** n, 2 ** (-n / 2))), m.receptive_state()))
+for name, run in [("basis measurer d=256, build + 2 applies", basis_256),
+                  ("flag measurer t=2048, build + apply", flags_2048),
+                  ("counting constructor n=14, build + apply", counting_14)]:
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    print(f"{{name}}: {{best * 1e3:.2f}} ms")
 """
 
 

@@ -148,17 +148,17 @@ def test_a_256_outcome_comparer_builds_and_compares_at_once():
 
 
 def test_rows_and_maps_over_the_budget_are_refused_before_allocating():
-    x = basis_variable(quantum_substrate("q512", 512))
+    x = basis_variable(quantum_substrate("q2", 2))
     started = time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match="comparer of 512 rows"):
             build_comparer(range(512))
-        with pytest.raises(SizeLimitError, match="measurer of 512 target maps"):
-            build_measurer(x)
+        with pytest.raises(SizeLimitError, match="measurer of 2 flags of dimension 16777216"):
+            build_measurer(x, target_dim=2 ** 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # each would take 2 GiB; the measurer's span check holds a few 4 MiB arrays
+    # the rows would take 2 GiB, the measurer's flags and index table 0.9 GiB
     assert peak < 32 * 2 ** 20
     assert time.perf_counter() - started < 1.0

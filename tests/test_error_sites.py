@@ -11,6 +11,7 @@ import pytest
 import ctkit.kernel as kernel
 from ctkit import (
     ClassicalModel,
+    ControlledMap,
     CtError,
     DisjointnessError,
     DomainError,
@@ -228,8 +229,8 @@ CASES.update({
         SizeLimitError, "a comparer of 512 rows of length 262144 needs 2147483648 bytes, "
                         "over the budget of 268435456"),
     "measurer_maps_over_density_budget": (
-        lambda: build_measurer(basis_variable(quantum_substrate("q512", 512))),
-        SizeLimitError, "a measurer of 512 target maps of 512 x 512 needs 2147483648 bytes, "
+        lambda: build_measurer(_x(), target_dim=2 ** 24),
+        SizeLimitError, "a measurer of 2 flags of dimension 16777216 needs 939524096 bytes, "
                         "over the budget of 268435456"),
     "counting_joint_over_its_budget": (
         lambda: build_counting_constructor(0, 18, _x()),
@@ -308,6 +309,14 @@ CASES.update({
     "adder_applied_to_a_joint_of_another_size": (
         lambda: apply_adder(build_adder(_x(), (0, 1, 2)), PAIR),
         PreconditionError, "joint dims (2, 2) do not expose a (2,3) pair at factors (0, 1)"),
+    # a class past len(maps), or a class vector too short for the control,
+    # used to apply silently; the one-gather apply would index past its table
+    "controlled_map_class_out_of_range": (
+        lambda: ControlledMap((np.eye(2),), np.array([0, 5]), (np.array([1, 0]),), 2),
+        PreconditionError, "classes must give each of the 2 control rows a class in 0..1"),
+    "controlled_map_classes_too_short": (
+        lambda: ControlledMap((np.eye(2),), np.array([0]), (np.array([1, 0]),), 2),
+        PreconditionError, "classes must give each of the 2 control rows a class in 0..1"),
 })
 
 

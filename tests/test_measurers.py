@@ -30,7 +30,7 @@ from ctkit import (
     variable,
 )
 from ctkit.ensembles import COUNTING_JOINT_BYTES
-from ctkit.quantum import _unitary_with_first_column, basis_swap, completed_basis
+from ctkit.quantum import MeasurerSpec, _unitary_with_first_column, basis_swap, completed_basis
 from ctkit.states import DENSITY_BYTES
 from ctkit.tolerance import tol
 
@@ -72,11 +72,28 @@ def counting_measurer(rng):
     return build_counting_constructor("v", 3, x)
 
 
+def many_class_measurer(rng):
+    """One class per ket: the gather carries sixteen permutation classes."""
+    return build_measurer(complex_basis_variable(rng, 16))
+
+
+def mixed_map_measurer(rng):
+    """A `controlled_map` of the equal-value replacement's shape, index maps
+    beside one dense unitary, on spans of rank 2, 1 and 1 in dimension 5."""
+    u = random_unitary(rng, 5)
+    spans = [u[:, :2].T, u[:, 2:3].T, u[:, 3:4].T]
+    maps = [np.array([2, 0, 1]), random_unitary(rng, 3), np.array([0, 2, 1])]
+    control = controlled_map(spans, maps, 5)
+    return MeasurerSpec(labels=(0, 1, 2), flags=tuple(np.eye(3, dtype=complex)), control=control)
+
+
 BUILDERS = {
     "basis": basis_measurer,
     "partial": partial_measurer,
     "flags": flag_measurer,
     "counting": counting_measurer,
+    "many_classes": many_class_measurer,
+    "mixed_maps": mixed_map_measurer,
 }
 
 
@@ -298,6 +315,34 @@ def test_a_flag_off_the_unit_sphere_still_breaks_unitarity(qubit):
     with pytest.raises(NotMeasurableError,
                        match=r"^measurer construction lost unitarity \(a target map is not unitary\)$"):
         build_measurer(basis_variable(qubit), flag_states={0: np.array([2, 0]), 1: np.array([0, 2])})
+
+
+def test_two_flag_states_of_2048_build_and_apply_as_reflectors(qubit):
+    # two dense 2048 x 2048 flag maps would hold 128 MiB and take seconds
+    t = 2048
+    block = np.arange(t) < t // 2
+    flags = [block / np.sqrt(t // 2), ~block / np.sqrt(t // 2)]
+    amps = np.array([0.6, 0.8j])
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        m = build_measurer(basis_variable(qubit), flag_states={0: flags[0], 1: flags[1]})
+        out = apply_measurer(m, tensor(PureState(amps), m.receptive_state()))
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 8 * 2 ** 20
+    assert np.abs(out.vector.reshape(2, t) - amps[:, None] * np.array(flags)).max() <= 1e-12
+
+
+def test_the_dense_view_of_a_flag_measurer_is_built_from_the_reference_flag_maps(qubit):
+    m = flag_measurer(np.random.default_rng(RNG_SEED))
+    p0, p1 = (m.control.projector(k) for k in range(2))
+    dense = sum(np.kron(p, _unitary_with_first_column(f)) for p, f in zip((p0, p1), m.flags))
+    dense = dense + np.kron(np.eye(2) - p0 - p1, np.eye(4))
+    assert np.abs(m.unitary - dense).max() <= 1e-12
 
 
 MEMBER_KINDS = ("lone", "lone", "several", "subspace", "mixed")
