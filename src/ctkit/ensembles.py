@@ -35,7 +35,7 @@ from .kernel import (
     _member_weights,
     _row_weights,
     _single_state,
-    attribute_span,
+    _stacked_span_rows,
 )
 from .predicates import PredicateReport, _report
 from .quantum import (
@@ -81,9 +81,10 @@ def _check_replicas(n) -> None:
 def build_counting_constructor(x, n: int, basis: Variable) -> MeasurerSpec:
     """The measurer writing f(x; s) onto a fresh register, for s over n replicas.
 
-    basis is the per-replica observable: one single-state member per label.
-    The returned measurer acts on the n-replica product space (one source
-    factor of dimension d**n) with n+1 outcome flags labeled i/n.  A product
+    basis is the per-replica observable: one single-state member per label,
+    its stacked span rows the replica basis (no SVD when they fill it).  The
+    measurer acts on the n-replica product space (one source factor of
+    dimension d**n) with n+1 outcome flags labeled i/n.  A product
     basis state's class is its count of x, built by a broadcast recurrence;
     product states touching the rest of a replica's space act trivially.
     Flag k is the target basis state k.  The joint vector is held to the byte
@@ -96,17 +97,14 @@ def build_counting_constructor(x, n: int, basis: Variable) -> MeasurerSpec:
     _check_replicas(n)
     d = basis.substrate.dim
     _check_bytes(16 * d ** n * (n + 1), f"a {d}**{n} x {n + 1} joint state", COUNTING_JOINT_BYTES)
-    spans = []
-    for label, attr in basis.members:
-        span = attribute_span(attr)
-        if span.shape[0] != 1:
-            raise RepresentationError("counted members must be single states")
-        spans.append(span)
-    replica, member = completed_basis(spans, d, NotMeasurableError, "counting constructor")
+    rows, ranks = _stacked_span_rows(basis.attributes)
+    if (ranks != 1).any():
+        raise RepresentationError("counted members must be single states")
+    replica, member = completed_basis(rows, ranks, d, NotMeasurableError, "counting constructor")
     # per basis row: 1 for x, 0 for the other members, n+1 (saturating) for the rest
     rest = n + 1
     dtype = np.min_scalar_type(2 * rest)
-    step = np.where(member == len(spans), rest, member == basis.labels.index(x)).astype(dtype)
+    step = np.where(member == len(ranks), rest, member == basis.labels.index(x)).astype(dtype)
     counts = np.zeros(1, dtype=dtype)
     for _ in range(n):
         counts = np.minimum(counts[:, None] + step, rest).reshape(-1)

@@ -37,6 +37,7 @@ from .kernel import (
     _check_labels,
     _member_weights,
     _single_state,
+    _stacked_span_rows,
     attribute_span,
     coarsen_variable,
     extensional_attribute,
@@ -253,8 +254,8 @@ def build_adder(x: Variable, payoff_labels) -> AdderSpec:
                 shift[j] = i
         shift[np.flatnonzero(shift < 0)[:len(pending)]] = pending
         shifts.append(shift)
-    spans = [attribute_span(a) for a in x.attributes]
-    control = controlled_map(spans, shifts, x.substrate.dim, PreconditionError, "adder")
+    rows, counts = _stacked_span_rows(x.attributes)
+    control = controlled_map(rows, counts, shifts, x.substrate.dim, PreconditionError, "adder")
     return AdderSpec(source=x, payoff_labels=payoff_labels, control=control)
 
 
@@ -326,8 +327,8 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
         permutation_computation(transposition_map(h.labels, first, label), members)
         for label in h.labels[1:]
     ]
-    flags = [measurer.flag_state(label).vector for label in h.labels]
-    u_rep = controlled_map(flags, swaps, measurer.target_dim, PreconditionError, "replacement")
+    u_rep = controlled_map(np.array(measurer.flags), [1] * len(h), swaps, measurer.target_dim,
+                           PreconditionError, "replacement")
     final = u_rep.apply(measured, factors=(1, 0))
     rho_src = intrinsic_part(final, 0)
     sharp_ok = _member_weights(rho_src, (h.attribute(first),))[0] >= 1.0 - atol

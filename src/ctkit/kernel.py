@@ -287,18 +287,14 @@ def attribute_span(attr: Attribute) -> np.ndarray:
     if attr.substrate.kind != QUANTUM:
         raise RepresentationError("span is a quantum notion")
     if attr.is_subspace:
-        if not attr.basis:
-            return np.zeros((0, attr.substrate.dim), dtype=complex)
-        return np.array([v.vector for v in attr.basis])
+        return np.array([v.vector for v in attr.basis], complex).reshape(-1, attr.substrate.dim)
     rows = []
     for s in attr.states:
         if isinstance(s, PureState):
             rows.append(s.vector)
         else:
             vals, vecs = np.linalg.eigh(s.matrix)
-            for val, col in zip(vals, vecs.T):
-                if val > tol():
-                    rows.append(col)
+            rows.extend(vecs.T[vals > tol()])
     return _row_basis(np.array(rows))
 
 
@@ -315,19 +311,6 @@ def attribute_projector(attr: Attribute) -> np.ndarray:
     return basis.T @ basis.conj()
 
 
-def _span_rows(attr: Attribute) -> np.ndarray:
-    """Orthonormal rows spanning a quantum attribute, up to each row's phase.
-    A lone pure state v is its own row, v/|v|, with no SVD: the SVD's row is
-    that one times a phase.  No weight sees a row's phase, and a measurer's
-    control basis sets it (`quantum.completed_basis`); a unitary that maps
-    the row itself must use `attribute_span`."""
-    elements = attr.elements
-    if not attr.is_subspace and len(elements) == 1 and isinstance(elements[0], PureState):
-        vec = elements[0].vector
-        return (vec / np.linalg.norm(vec))[None, :]
-    return attribute_span(attr)
-
-
 def _row_weights(state: State, rows: np.ndarray) -> np.ndarray:
     """<r|rho|r> for each row r of rows, with one product: |<psi|r>|^2 for a
     pure state (no conjugate copy of the rows), the row sums of
@@ -339,15 +322,36 @@ def _row_weights(state: State, rows: np.ndarray) -> np.ndarray:
     return np.sum((rows.conj() @ state.matrix) * rows, axis=1).real
 
 
+def _stacked_span_rows(attributes) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning each quantum attribute in turn, up to each
+    row's phase, and how many rows each has.  The lone pure states v are
+    normalised together, each its own row v/|v| with no SVD; the rest take
+    `attribute_span`.  No weight sees a row's phase, and a measurer's control
+    basis sets it (`quantum.completed_basis`); a unitary that maps the row
+    itself must use `attribute_span`."""
+    spans = [None if not a.is_subspace and len(a.elements) == 1
+             and isinstance(a.elements[0], PureState) else attribute_span(a) for a in attributes]
+    counts = np.array([1 if s is None else len(s) for s in spans], np.intp)
+    lone = [a.elements[0].vector for a, s in zip(attributes, spans) if s is None]
+    if lone:
+        lone = np.array(lone, dtype=complex)
+        lone /= np.linalg.norm(lone, axis=1)[:, None]
+        if len(lone) == len(spans):
+            return lone, counts
+    units = iter(lone)
+    return np.concatenate([next(units)[None, :] if s is None else s for s in spans]), counts
+
+
 def _member_weights(state: State, attributes) -> np.ndarray:
     """Tr(rho P_a) for each quantum attribute a, in order, read from the
-    stacked span rows of all of them (`_row_weights`).  The rows are summed
-    per attribute with `np.bincount`, so an attribute of empty span weighs
-    exactly 0.  No d x d projector is formed."""
-    spans = [_span_rows(a) for a in attributes]
-    owners = np.repeat(np.arange(len(spans)), [len(s) for s in spans])
-    per_row = _row_weights(state, np.concatenate(spans))
-    return np.bincount(owners, weights=per_row, minlength=len(spans))
+    stacked span rows of all of them (`_stacked_span_rows`, `_row_weights`)
+    and, unless each has one row, summed per attribute with `np.bincount`, so
+    an empty span weighs exactly 0.  No d x d projector is formed."""
+    rows, counts = _stacked_span_rows(attributes)
+    per_row = _row_weights(state, rows)
+    if (counts == 1).all():
+        return per_row
+    return np.bincount(np.repeat(np.arange(len(counts)), counts), per_row, len(counts))
 
 
 def contains_state(attr: Attribute, state: State, atol: float | None = None) -> bool:
@@ -544,19 +548,16 @@ def _first_overlap(attrs) -> tuple[int, int, Any] | None:
     return None
 
 
-def _first_span_overlap(spans, atol: float) -> tuple[int, int, float] | None:
-    """The first pair (i, j, overlap), i < j, of spans (orthonormal rows) with
-    an overlap max |<u|v>| above atol, in the order of the loop over i and
-    then j > i; None when the spans are pairwise orthogonal.  Empty spans
-    overlap nothing."""
-    spans = list(spans)
-    rows = [s for s in spans if s.size]
-    if len(rows) < 2:
+def _first_span_overlap(rows: np.ndarray, counts, atol: float) -> tuple[int, int, float] | None:
+    """The first pair (i, j, overlap), i < j, of spans with an overlap
+    max |<u|v>| above atol, in the order of the loop over i and then j > i;
+    None when the spans are pairwise orthogonal.  Span k is the next counts[k]
+    orthonormal rows of rows (`_stacked_span_rows`); an empty one overlaps nothing."""
+    if np.count_nonzero(counts) < 2:
         return None
-    owner = np.repeat(np.arange(len(spans)), [s.shape[0] if s.size else 0 for s in spans])
-    stacked = np.vstack(rows)
-    for i, j in _nominated_pairs(stacked, owner, atol - _slack(stacked.shape[1])):
-        overlap = float(np.abs(spans[i].conj() @ spans[j].T).max())
+    owner = np.repeat(np.arange(len(counts)), counts)
+    for i, j in _nominated_pairs(rows, owner, atol - _slack(rows.shape[1])):
+        overlap = float(np.abs(rows[owner == i].conj() @ rows[owner == j].T).max())
         if overlap > atol:
             return i, j, overlap
     return None

@@ -259,7 +259,8 @@ def _span_orthogonality(v: Variable) -> tuple[bool, dict | None]:
     suffices: (True, None)."""
     if v.substrate.kind == CLASSICAL:
         return True, None
-    hit = _first_span_overlap([attribute_span(a) for a in v.attributes], tol())
+    spans = [attribute_span(a) for a in v.attributes]  # the witness is the SVD rows' overlap
+    hit = _first_span_overlap(np.concatenate(spans), [len(s) for s in spans], tol())
     witness = None if hit is None else (v.labels[hit[0]], v.labels[hit[1]], hit[2])
     return hit is None, {"orthogonal": hit is None, "witness": witness}
 

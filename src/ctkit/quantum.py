@@ -44,7 +44,7 @@ from .kernel import (
     _first_span_overlap,
     _member_weights,
     _row_weights,
-    _span_rows,
+    _stacked_span_rows,
 )
 from .states import (
     MixedState,
@@ -345,8 +345,8 @@ class ControlledMap:
     control that is a product of small factors (the counting constructor's
     replicas) keeps one basis per factor, so nothing of size control_dim**2
     is held.  apply sends every row through table[classes] in one gather,
-    then each dense map or reflector through its class's rows.
-    """
+    then each dense map or reflector through its class's rows; it skips the
+    bases found at construction to be exactly the identity."""
 
     bases: tuple
     classes: np.ndarray
@@ -364,7 +364,9 @@ class ControlledMap:
         table.setflags(write=False)
         maps = tuple(table[k] if t.ndim == 1 else t for k, t in enumerate(self.maps))
         vars(self).update(classes=classes, maps=maps, table=table,
-                          _dense=[(k, t) for k, t in enumerate(maps) if t.ndim == 2])
+                          _dense=[(k, t) for k, t in enumerate(maps) if t.ndim == 2],
+                          _identity=[np.count_nonzero(b) == len(b) and (b.diagonal() == 1).all()
+                                     for b in self.bases])
 
     @property
     def control_dim(self) -> int:
@@ -395,14 +397,14 @@ class ControlledMap:
             out = out + np.kron(self.projector(k), dense)
         return out
 
-    def _per_factor(self, mats, x: np.ndarray) -> np.ndarray:
-        """mats[f] applied to control sub-axis f of x, shaped (target, control, m)."""
+    def _per_factor(self, op, x: np.ndarray) -> np.ndarray:
+        """op(bases[f]) on control sub-axis f of x, shaped (target, control, m)."""
         left, right = x.shape[0], x.size // x.shape[0]
-        for mat in mats:
-            d = mat.shape[0]
+        for basis, identity in zip(self.bases, self._identity):
+            d = basis.shape[0]
             right //= d
-            if not np.array_equal(mat, np.eye(d)):
-                x = np.matmul(mat, x.reshape(left, d, right))
+            if not identity:
+                x = np.matmul(op(basis), x.reshape(left, d, right))
             left *= d
         return x.reshape(self.target_dim, self.control_dim, -1)
 
@@ -412,15 +414,14 @@ class ControlledMap:
         x = np.moveaxis(mat.reshape(*dims, -1), (t, c), (0, 1))
         moved = x.shape
         # coordinates <b_i|.> of the control, then T_k on each class's rows
-        x = self._per_factor([b.conj() for b in self.bases],
-                             x.reshape(self.target_dim, self.control_dim, -1))
+        x = self._per_factor(np.conj, x.reshape(self.target_dim, self.control_dim, -1))
         out = x[self.table.T[:, self.classes], np.arange(self.control_dim)]
         for k, t_map in self._dense:
             rows = np.flatnonzero(self.classes == k)
             if rows.size:
                 block = x[:, rows]
                 out[:, rows] = t_map.dot(block.reshape(self.target_dim, -1)).reshape(block.shape)
-        out = self._per_factor([b.T for b in self.bases], out)
+        out = self._per_factor(np.transpose, out)
         return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
 
     def _check_factors(self, state: State, factors, dims) -> None:
@@ -448,42 +449,40 @@ class ControlledMap:
         return MixedState(full, state.dims)
 
 
-def completed_basis(spans, dim: int, error, what: str):
-    """Stack the span rows and complete them to an orthonormal basis.
+def completed_basis(rows, counts, dim: int, error, what: str):
+    """Complete the stacked span rows to an orthonormal basis.
 
-    Returns (basis, classes): span k's rows get class k, the completing rows
-    class len(spans).  Unitarity is checked on the k x k Gram matrix of the
-    span rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.
-    The SVD's vh is the basis buffer, so the peak stays near one basis.
-    """
+    Returns (basis, classes): span k's counts[k] rows get class k, the rest
+    class len(counts).  Unitarity is checked on the k x k Gram matrix of the
+    rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.  Short
+    of dim rows, the SVD's vh is the basis buffer; dim rows are the basis."""
     _check_bytes(16 * dim * dim, f"a {dim} x {dim} control basis")
-    spans = [np.asarray(s, dtype=complex).reshape(-1, dim) for s in spans]
-    stacked = np.vstack(spans) if spans else np.zeros((0, dim), dtype=complex)
-    k = stacked.shape[0]
-    dev = float(np.abs(stacked @ stacked.conj().T - np.eye(k)).max(initial=0.0))
+    k = rows.shape[0]
+    dev = float(np.abs(rows @ rows.conj().T - np.eye(k)).max(initial=0.0))
     if dev > 1e-9:
         raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
     # past k orthonormal span rows, vh's rows complete them to a basis
-    basis = np.linalg.svd(stacked)[2]
-    basis[:k] = stacked
+    basis = np.empty_like(rows) if k == dim else np.linalg.svd(rows)[2]
+    basis[:k] = rows
     # |b><b| ignores phases: make each row's largest entry real positive, so
     # a basis of standard kets is exactly the identity and costs nothing
     lead = basis[np.arange(dim), np.abs(basis).argmax(axis=1)]
     basis /= (lead / np.abs(lead))[:, None]
-    classes = np.repeat(np.arange(len(spans) + 1), [s.shape[0] for s in spans] + [dim - k])
+    classes = np.repeat(np.arange(len(counts) + 1), [*counts, dim - k])
     return basis, classes
 
 
-def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
+def controlled_map(rows, counts, maps, dim: int, error=NotMeasurableError,
                    what: str = "measurer") -> ControlledMap:
     """sum_k P_k (x) maps[k] + P_rest (x) I, for pairwise orthogonal spans.
 
-    spans[k] holds orthonormal kets (rows) spanning the range of P_k; the
-    orthogonal rest of the control space acts as the identity.  Raises
-    `error` when the spans or any map are not unitary building blocks (a
-    reflector's flag must be a unit vector, the table rows permutations).
+    The next counts[k] rows of rows are orthonormal kets spanning the range
+    of P_k (`kernel._stacked_span_rows`); the orthogonal rest of the control
+    space acts as the identity.  Raises `error` when the rows or any map are
+    not unitary building blocks (a reflector's flag must be a unit vector,
+    the table rows permutations).
     """
-    basis, classes = completed_basis(spans, dim, error, what)
+    basis, classes = completed_basis(rows, counts, dim, error, what)
     maps = tuple(t if isinstance(t, FlagReflector) else np.asarray(t) for t in maps)
     target_dim = maps[0].shape[0]
     lost = error(f"{what} construction lost unitarity (a target map is not unitary)")
@@ -505,7 +504,7 @@ def controlled_map(spans, maps, dim: int, error=NotMeasurableError,
 
 def _orthogonal(vectors, atol: float) -> bool:
     """Whether no two of the vectors overlap by more than atol."""
-    return _first_span_overlap([np.reshape(v, (1, -1)) for v in vectors], atol) is None
+    return _first_span_overlap(np.array(vectors), [1] * len(vectors), atol) is None
 
 
 def basis_swap(dim: int, a: int, b) -> np.ndarray:
@@ -619,8 +618,8 @@ def build_measurer(
     and the reflectors' w are held to `states.DENSITY_BYTES` before any is built.
     """
     atol = tol()
-    spans = [_span_rows(a) for a in x.attributes]
-    hit = _first_span_overlap(spans, atol)
+    rows, counts = _stacked_span_rows(x.attributes)
+    hit = _first_span_overlap(rows, counts, atol)
     if hit is not None:
         i, j, overlap = hit
         raise NotMeasurableError(
@@ -666,7 +665,7 @@ def build_measurer(
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),
-        control=controlled_map(spans, maps, x.substrate.dim),
+        control=controlled_map(rows, counts, maps, x.substrate.dim),
         receptive_index=recv,
     )
 

@@ -1,5 +1,12 @@
 """Shared builders for the test suite."""
 
+import os
+
+# one BLAS thread, as perfbench/run.py pins it: two threads time-sharing one
+# CPU can stretch a single SVD twentyfold and trip the suite's time bounds
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from pathlib import Path
 
 import numpy as np

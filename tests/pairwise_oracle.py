@@ -12,8 +12,8 @@ same witness and the same error text.
 import numpy as np
 
 from ctkit.errors import DisjointnessError, NotMeasurableError, RepresentationError, StateError
-from ctkit.kernel import attributes_disjoint, extensional_attribute
-from ctkit.states import states_equal
+from ctkit.kernel import attribute_span, attributes_disjoint, extensional_attribute
+from ctkit.states import PureState, states_equal
 
 
 def first_overlap(attrs):
@@ -84,6 +84,20 @@ def check_subspace(basis, atol: float) -> None:
             ip = abs(np.vdot(u.vector, v.vector))
             if abs(ip - (1.0 if i == j else 0.0)) > atol:
                 raise StateError("subspace basis is not orthonormal")
+
+
+def span_rows(attrs) -> list:
+    """The span rows of each attribute, one attribute at a time, as the
+    kernel read them before it stacked them: a lone pure state's own unit
+    row v/|v|, any other attribute's `attribute_span`."""
+    spans = []
+    for a in attrs:
+        if not a.is_subspace and len(a.elements) == 1 and isinstance(a.elements[0], PureState):
+            v = a.elements[0].vector
+            spans.append((v / np.linalg.norm(v))[None, :])
+        else:
+            spans.append(attribute_span(a))
+    return spans
 
 
 def first_span_overlap(spans, atol: float):

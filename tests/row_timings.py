@@ -11,8 +11,10 @@ five calls: `derive_value_mn` at m/n = 1/5, 21/64 and 31/64 with payoffs
 10 and -2.  Measurers, each the best of three: a 256-member basis measurer
 built and applied twice, a qubit measurer with two 2048-dimensional flag
 states built and applied once, and the 14-replica counting constructor
-built and applied once.  The output is a report; the exit code is 0
-whenever every tree ran.
+built and applied once.  At the benchmark's own scale, each the best of
+200: a 32-member basis measurer and the 8-replica qubit counting
+constructor, each built and applied once.  The output is a report; the
+exit code is 0 whenever every tree ran.
 """
 
 import subprocess
@@ -54,27 +56,30 @@ def basis(dim):
     sub = quantum_substrate(f"q{{dim}}", dim)
     return variable(sub, [(k, extensional_attribute(sub, (basis_state(dim, k),)))
                           for k in range(dim)])
-def basis_256(applies=2):
-    m = build_measurer(basis(256))
-    psi = PureState(np.full(256, 1 / 16))
+def basis_measurer(applies=2, d=256):
+    m = build_measurer(basis(d))
+    psi = PureState(np.full(d, d ** -0.5))
     for _ in range(applies):
         apply_measurer(m, tensor(psi, m.receptive_state()))
 def flags_2048(t=2048):
     half = (np.arange(t) < t // 2) / np.sqrt(t // 2)
     m = build_measurer(basis(2), flag_states={{0: half, 1: half[::-1]}})
     apply_measurer(m, tensor(PureState([0.6, 0.8]), m.receptive_state()))
-def counting_14(n=14):
+def counting(n=14):
     m = build_counting_constructor(0, n, basis(2))
     apply_measurer(m, tensor(PureState(np.full(2 ** n, 2 ** (-n / 2))), m.receptive_state()))
-for name, run in [("basis measurer d=256, build + 2 applies", basis_256),
-                  ("flag measurer t=2048, build + apply", flags_2048),
-                  ("counting constructor n=14, build + apply", counting_14)]:
+for name, run, repeats in [
+        ("basis measurer d=256, build + 2 applies", basis_measurer, 3),
+        ("flag measurer t=2048, build + apply", flags_2048, 3),
+        ("counting constructor n=14, build + apply", counting, 3),
+        ("basis measurer d=32, build + apply", lambda: basis_measurer(1, 32), 200),
+        ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200)]:
     best = float("inf")
-    for _ in range(3):
+    for _ in range(repeats):
         started = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - started)
-    print(f"{{name}}: {{best * 1e3:.2f}} ms")
+    print(f"{{name}}: {{best * 1e3:.3f}} ms")
 """
 
 

@@ -195,6 +195,12 @@ def test_subspace_bases_agree_with_the_loop(seed, dim, data):
         assert got[1] == want[1]
 
 
+def stacked(spans):
+    """The (rows, counts) block of a list of spans."""
+    rows = np.concatenate(spans) if spans else np.zeros((0, 0), dtype=complex)
+    return rows, [len(s) for s in spans]
+
+
 @settings(deadline=None, max_examples=100)
 @given(seed_st, st.integers(min_value=2, max_value=4), st.data())
 def test_span_overlaps_agree_with_the_loop(seed, dim, data):
@@ -206,7 +212,7 @@ def test_span_overlaps_agree_with_the_loop(seed, dim, data):
     attrs = draw_attributes(data, sub, rng, kinds)
     spans = [attribute_span(a) for a in attrs]
     hit = ref.first_span_overlap(spans, tol())
-    assert _first_span_overlap(spans, tol()) == hit
+    assert _first_span_overlap(*stacked(spans), tol()) == hit
 
     labels = list(range(len(attrs)))  # so a (label, label, overlap) witness reads as hit
     status, v = outcome(lambda: Variable(sub, list(zip(labels, attrs))))
@@ -225,7 +231,8 @@ def test_span_overlap_after_empty_spans():
     empty = subspace_attribute(sub, [])
     zero = extensional_attribute(sub, [basis_state(2, 0)])
     spans = [attribute_span(a) for a in (empty, empty, zero, zero)]
-    assert _first_span_overlap(spans, tol()) == ref.first_span_overlap(spans, tol()) == (2, 3, 1.0)
+    assert _first_span_overlap(*stacked(spans), tol()) == ref.first_span_overlap(spans, tol()) \
+        == (2, 3, 1.0)
 
 
 def test_tensor_of_vectors_is_kron_bit_for_bit():

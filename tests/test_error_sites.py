@@ -271,7 +271,7 @@ CASES.update({
         lambda: build_adder(_x(), ("a", "b")),
         LabelArithmeticError, "payoff register label 'a' cannot be added to variable label 0"),
     "controlled_map_index_vector_repeats": (
-        lambda: controlled_map([ZERO.vector.reshape(1, 2)], [np.array([0, 0])], 2),
+        lambda: controlled_map(ZERO.vector.reshape(1, 2), [1], [np.array([0, 0])], 2),
         NotMeasurableError, "measurer construction lost unitarity (a target map is not unitary)"),
 })
 
@@ -291,8 +291,11 @@ CASES.update({
     "counting_constructor_control_not_orthonormal": (
         lambda: build_counting_constructor(0, 2, _zero_and_plus()),
         NotMeasurableError, "counting constructor construction lost unitarity (deviation 0.707)"),
+    "counting_constructor_member_of_two_states": (
+        lambda: build_counting_constructor(0, 2, variable(QUBIT, [(0, _two_states())])),
+        RepresentationError, "counted members must be single states"),
     "controlled_map_control_not_orthonormal": (
-        lambda: controlled_map([ZERO.vector.reshape(1, 2), plus().vector.reshape(1, 2)],
+        lambda: controlled_map(np.array([ZERO.vector, plus().vector]), [1, 1],
                                [np.arange(2)] * 2, 2),
         NotMeasurableError, "measurer construction lost unitarity (deviation 0.707)"),
 })

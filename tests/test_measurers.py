@@ -81,9 +81,8 @@ def mixed_map_measurer(rng):
     """A `controlled_map` of the equal-value replacement's shape, index maps
     beside one dense unitary, on spans of rank 2, 1 and 1 in dimension 5."""
     u = random_unitary(rng, 5)
-    spans = [u[:, :2].T, u[:, 2:3].T, u[:, 3:4].T]
     maps = [np.array([2, 0, 1]), random_unitary(rng, 3), np.array([0, 2, 1])]
-    control = controlled_map(spans, maps, 5)
+    control = controlled_map(u[:, :4].T, [2, 1, 1], maps, 5)
     return MeasurerSpec(labels=(0, 1, 2), flags=tuple(np.eye(3, dtype=complex)), control=control)
 
 
@@ -268,10 +267,10 @@ def test_basis_measurer_of_256_members_holds_index_vectors():
 @pytest.mark.parametrize("bad", [[0, 0, 2], [0, 1, 3], [0, 1], [1, 0, 2, 3],
                                  [0.0, 1.0, 2.0], [True, False, True]])
 def test_controlled_map_refuses_an_index_vector_that_is_no_permutation(bad):
-    spans = [basis_state(2, 0).vector.reshape(1, 2)]
+    rows = basis_state(2, 0).vector.reshape(1, 2)
     with pytest.raises(NotMeasurableError, match=r"^measurer construction lost unitarity "
                                                  r"\(a target map is not unitary\)$"):
-        controlled_map(spans, [np.array([1, 0, 2]), np.array(bad)], 2)
+        controlled_map(rows, [1], [np.array([1, 0, 2]), np.array(bad)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +405,16 @@ def test_the_control_basis_is_built_in_the_svd_buffer():
     # a 2048 x 2048 complex basis is 64 MiB; a fresh stack beside the SVD's
     # vh plus a re-phased copy would hold three of them at once
     dim = 2048
-    spans = [basis_state(dim, 0).vector.reshape(1, dim), basis_state(dim, 1).vector.reshape(1, dim)]
+    rows = np.array([basis_state(dim, 0).vector, basis_state(dim, 1).vector])
     tracemalloc.start()
     try:
-        basis, classes = completed_basis(spans, dim, NotMeasurableError, "measurer")
+        basis, classes = completed_basis(rows, [1, 1], dim, NotMeasurableError, "measurer")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert basis.nbytes == 16 * dim * dim
     assert peak <= 1.6 * basis.nbytes
-    assert np.array_equal(basis[:2], np.vstack(spans))
+    assert np.array_equal(basis[:2], rows)
     assert np.array_equal(classes, np.repeat([0, 1, 2], [1, 1, dim - 2]))
     with pytest.raises(NotMeasurableError, match=r"^measurer construction lost unitarity"):
-        completed_basis([2 * spans[0]], dim, NotMeasurableError, "measurer")
+        completed_basis(2 * rows[:1], [1], dim, NotMeasurableError, "measurer")
