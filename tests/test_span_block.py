@@ -76,23 +76,16 @@ def test_stacked_span_rows_are_the_per_attribute_spans_up_to_row_phase(seed, d, 
         assert np.abs(got_row * phase - want_row).max() <= 1e-12
 
 
-def spans_st(d):
-    """Lists of spans: empty ones, single kets and pairs of columns of a few
-    shared unitaries, so that some spans overlap and some are orthogonal."""
-    def span(draw_args):
-        u_index, cols = draw_args
-        return lambda unitaries: unitaries[u_index][:, cols].T
-    one = st.tuples(st.integers(0, 1), st.lists(st.integers(0, d - 1), min_size=0, max_size=2,
-                                                unique=True))
-    return st.lists(one.map(span), max_size=6)
-
-
 @settings(deadline=None, max_examples=100)
 @given(seed_st, st.integers(min_value=2, max_value=4), st.data())
 def test_the_block_overlap_names_the_loops_first_pair(seed, d, data):
+    # spans of none, one or two columns of two shared unitaries: some overlap,
+    # some are orthogonal, some are empty
     rng = np.random.default_rng(seed)
     unitaries = [random_unitary(rng, d), random_unitary(rng, d)]
-    spans = [make(unitaries) for make in data.draw(spans_st(d))]
+    picks = data.draw(st.lists(st.tuples(st.integers(0, 1), st.lists(
+        st.integers(0, d - 1), max_size=2, unique=True)), max_size=6))
+    spans = [unitaries[u][:, cols].T for u, cols in picks]
     rows = np.concatenate(spans) if spans else np.zeros((0, d), dtype=complex)
     got = _first_span_overlap(rows, [len(s) for s in spans], tol())
     assert got == ref.first_span_overlap(spans, tol())
