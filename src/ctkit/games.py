@@ -38,7 +38,6 @@ from .kernel import (
     _member_weights,
     _single_state,
     _stacked_span_rows,
-    attribute_span,
     coarsen_variable,
     extensional_attribute,
     product_attribute,
@@ -47,6 +46,7 @@ from .kernel import (
 )
 from .ensembles import _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
+    _row_states,
     detect_superinformation,
     is_generalised_mixture,
     product_variable,
@@ -154,10 +154,12 @@ def exact_game_value(weights, payoffs) -> Fraction:
 
 
 def _member_state(attr: Attribute) -> PureState:
-    span = attribute_span(attr)
-    if span.shape[0] != 1:
+    """The member's one span row (`kernel._stacked_span_rows`): v/|v| for a
+    lone pure state v, which an SVD gives up to a sign no member weight sees."""
+    rows, counts = _stacked_span_rows((attr,))
+    if counts[0] != 1:
         raise RepresentationError("member attribute does not denote a single state")
-    return PureState(span[0])
+    return _row_states(rows)[0]
 
 
 def _relabeled(x: Variable, new_labels) -> Variable:

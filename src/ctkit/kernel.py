@@ -327,8 +327,7 @@ def _stacked_span_rows(attributes) -> tuple[np.ndarray, np.ndarray]:
     row's phase, and how many rows each has.  The lone pure states v are
     normalised together, each its own row v/|v| with no SVD; the rest take
     `attribute_span`.  No weight sees a row's phase, and a measurer's control
-    basis sets it (`quantum.completed_basis`); a unitary that maps the row
-    itself must use `attribute_span`."""
+    basis sets it (`quantum.completed_basis`)."""
     spans = [None if not a.is_subspace and len(a.elements) == 1
              and isinstance(a.elements[0], PureState) else attribute_span(a) for a in attributes]
     counts = np.array([1 if s is None else len(s) for s in spans], np.intp)

@@ -44,6 +44,7 @@ from .kernel import (
     _row_weights,
     _single_state,
     _slack,
+    _stacked_span_rows,
     _trusted_attribute,
     attribute_equal,
     attribute_span,
@@ -255,14 +256,16 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
 def _span_orthogonality(v: Variable) -> tuple[bool, dict | None]:
     """The verdict distinguishability and measurability share, with its
     quantum evidence: the member spans must be pairwise orthogonal (the
-    task-oracle equivalent, by test).  Classical member disjointness already
-    suffices: (True, None)."""
+    task-oracle equivalent, by test), decided on the stacked span rows, with
+    the witness overlap measured on the pair's `attribute_span` rows.
+    Classical member disjointness already suffices: (True, None)."""
     if v.substrate.kind == CLASSICAL:
         return True, None
-    spans = [attribute_span(a) for a in v.attributes]  # the witness is the SVD rows' overlap
-    hit = _first_span_overlap(np.concatenate(spans), [len(s) for s in spans], tol())
-    witness = None if hit is None else (v.labels[hit[0]], v.labels[hit[1]], hit[2])
-    return hit is None, {"orthogonal": hit is None, "witness": witness}
+    hit = _first_span_overlap(*_stacked_span_rows(v.attributes), tol())
+    if hit is not None:
+        a, b = (attribute_span(v.attributes[k]) for k in hit[:2])
+        hit = (v.labels[hit[0]], v.labels[hit[1]], float(np.abs(a.conj() @ b.T).max()))
+    return hit is None, {"orthogonal": hit is None, "witness": hit}
 
 
 def is_distinguishable(v: Variable, model) -> PredicateReport:
@@ -306,22 +309,20 @@ def bar(x: Attribute, model) -> Attribute:
     span = attribute_span(x)
     # the rows of vh past the span's rows are orthogonal to it (all of them for a zero span)
     rest = np.linalg.svd(span)[2][span.shape[0]:]
-    return _trusted_attribute(x.substrate, _svd_states(rest), is_subspace=True)
+    return _trusted_attribute(x.substrate, _row_states(rest), is_subspace=True)
 
 
-def _svd_states(rows) -> tuple:
-    """Orthonormal rows of an SVD as states, unchecked."""
+def _row_states(rows) -> tuple:
+    """Orthonormal rows (of an SVD, or a member's one span row) as states, unchecked."""
     return tuple(_trusted(PureState, vector=_readonly(row), dims=(row.size,)) for row in rows)
 
 
 def span_closure(v: Variable | Attribute) -> Attribute:
-    """The full-subspace attribute spanned by a variable's member states."""
-    substrate = v.substrate
-    parts = [attribute_span(a) for a in (v.attributes if isinstance(v, Variable) else (v,))]
-    stacked = np.vstack([p for p in parts if p.size] or [np.zeros((0, substrate.dim))])
-    if stacked.shape[0] == 0:
-        return subspace_attribute(substrate, ())
-    return _trusted_attribute(substrate, _svd_states(_row_basis(stacked)), is_subspace=True)
+    """The full-subspace attribute spanned by the members' stacked span rows."""
+    rows, _ = _stacked_span_rows(v.attributes if isinstance(v, Variable) else (v,))
+    if rows.shape[0] == 0:
+        return subspace_attribute(v.substrate, ())
+    return _trusted_attribute(v.substrate, _row_states(_row_basis(rows)), is_subspace=True)
 
 
 def is_observable(v: Variable, model) -> PredicateReport:

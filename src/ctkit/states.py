@@ -5,20 +5,21 @@ when the magnitude of their overlap is within tolerance of 1.  Mixed states
 compare entrywise.  Every state carries a tuple of factor dimensions so that
 partial traces and factor-local unitaries need no side channel.
 
-Validate at the boundary, trust inside.  A state built by its constructor
-is checked: unit norm, or hermitian, positive semidefinite and of unit
-trace.  A state the library derives from checked states is not checked
-again when its validity follows in exact arithmetic: the tensor product of
-two states, a partial trace, the density matrix of a pure state, and the
-rows of an SVD (which `bar` and `span_closure` turn into states).  Those
-are built by `_trusted`.  At the tolerance edge this accepts what a second
-check would refuse: two states of norm 1 + 0.9 tol each are accepted, and
-so is their product, of norm 1 + 1.8 tol; a partial trace likewise keeps
-a trace gap that grows with the traced dimension.  `apply_unitary` takes
-any matrix, so its result is checked.  A product of mixed states is a
-valid state, but two products can be equal entrywise where their factors
-are not, so `kernel` keeps the repeat and overlap checks of products that
-hold a mixed state.
+Validate at the boundary, trust inside.  A state built by its constructor is
+checked: unit norm, or hermitian, positive semidefinite and of unit trace.
+A state the library derives from checked states is not checked again when
+its validity follows in exact arithmetic: the tensor product of two states,
+a partial trace, the density matrix of a pure state, the rows of an SVD
+(which `bar` and `span_closure` turn into states), basis states, game member
+states, and `normalized` vectors whose squared norm does not underflow.
+Those are built by `_trusted`.  At the tolerance edge this accepts what a
+second check would refuse: two states of norm 1 + 0.9 tol each are accepted,
+and so is their product, of norm 1 + 1.8 tol; a partial trace likewise keeps
+a trace gap that grows with the traced dimension.  `apply_unitary` takes any
+matrix, so its result is checked.  A product of mixed states is a valid
+state, but two products can be equal entrywise where their factors are not,
+so `kernel` keeps the repeat and overlap checks of products that hold a
+mixed state.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _pure_dims(dims, size: int) -> tuple[int, ...]:
+    dims = tuple(dims) if dims else (size,)
+    if prod(dims) != size:
+        raise StateError(f"factor dims {dims} do not match length {size}")
+    return dims
+
+
 @dataclass(frozen=True)
 class PureState:
     """A unit vector, with the factor dimensions of its substrate."""
@@ -82,10 +90,7 @@ class PureState:
     def __post_init__(self):
         vec = _freeze(np.asarray(self.vector).reshape(-1))
         object.__setattr__(self, "vector", vec)
-        dims = tuple(self.dims) if self.dims else (vec.size,)
-        object.__setattr__(self, "dims", dims)
-        if prod(dims) != vec.size:
-            raise StateError(f"factor dims {dims} do not match length {vec.size}")
+        object.__setattr__(self, "dims", _pure_dims(self.dims, vec.size))
         norm = float(np.linalg.norm(vec))
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= tol():
@@ -149,7 +154,10 @@ def normalized(coeffs, dims: tuple[int, ...] = ()) -> PureState:
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise StateError("cannot normalize the zero vector")
-    return PureState(vec / norm, dims)
+    if not 1e-150 <= norm < np.inf:  # NaN, infinite, or a squared norm in underflow
+        with np.errstate(invalid="ignore"):  # the constructor refuses the NaN it leaves
+            return PureState(vec / norm, dims)
+    return _trusted(PureState, vector=_readonly(vec / norm), dims=_pure_dims(dims, vec.size))
 
 
 def basis_state(dim: int, index: int, dims: tuple[int, ...] = ()) -> PureState:
@@ -157,7 +165,7 @@ def basis_state(dim: int, index: int, dims: tuple[int, ...] = ()) -> PureState:
         raise StateError(f"basis index {index} out of range for dimension {dim}")
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0
-    return PureState(vec, dims)
+    return _trusted(PureState, vector=_readonly(vec), dims=_pure_dims(dims, vec.size))
 
 
 def inner(a: PureState, b: PureState) -> complex:

@@ -13,8 +13,10 @@ built and applied twice, a qubit measurer with two 2048-dimensional flag
 states built and applied once, and the 14-replica counting constructor
 built and applied once.  At the benchmark's own scale, each the best of
 200: a 32-member basis measurer and the 8-replica qubit counting
-constructor, each built and applied once.  The output is a report; the
-exit code is 0 whenever every tree ran.
+constructor, each built and applied once, `derive_value_mn(2, 5)`,
+`check_decision_support` on `fixtures/qubit.json`, and the unpredictability
+certificate of a four-term state against the standard basis at d = 5.  The
+output is a report; the exit code is 0 whenever every tree ran.
 """
 
 import subprocess
@@ -27,6 +29,7 @@ ROWS = [
     ((3, 4, 6), 13, 4000, "1/100"),
 ]
 DERIVATIONS = [(1, 5), (21, 64), (31, 64)]
+ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = """
 import sys, time
@@ -50,8 +53,10 @@ for m, n in {derivations!r}:
     passed = trace.all_checks_pass
     print(f"derive m={{m}} n={{n}}: {{best * 1e3:.2f}} ms  (all checks pass: {{passed}})")
 import numpy as np
-from ctkit import (PureState, apply_measurer, basis_state, build_counting_constructor,
-                   build_measurer, extensional_attribute, quantum_substrate, tensor, variable)
+from ctkit import (PureState, QuantumModel, apply_measurer, basis_state,
+                   build_counting_constructor, build_measurer, check_decision_support,
+                   extensional_attribute, normalized, parse_model_spec, quantum_substrate,
+                   tensor, unpredictability_certificate, variable)
 def basis(dim):
     sub = quantum_substrate(f"q{{dim}}", dim)
     return variable(sub, [(k, extensional_attribute(sub, (basis_state(dim, k),)))
@@ -68,12 +73,22 @@ def flags_2048(t=2048):
 def counting(n=14):
     m = build_counting_constructor(0, n, basis(2))
     apply_measurer(m, tensor(PureState(np.full(2 ** n, 2 ** (-n / 2))), m.receptive_state()))
+qubit = parse_model_spec(sys.argv[2])
+def decision_support():
+    assert check_decision_support(qubit.model, qubit.variables["X"], qubit.variables["Y"]).passed
+def certificate(d=5):
+    x = basis(d)
+    y = extensional_attribute(x.substrate, (normalized([1, 2j, -3, 0, 4]),))
+    assert unpredictability_certificate(x, y, QuantumModel(x.substrate)).unpredictable
 for name, run, repeats in [
         ("basis measurer d=256, build + 2 applies", basis_measurer, 3),
         ("flag measurer t=2048, build + apply", flags_2048, 3),
         ("counting constructor n=14, build + apply", counting, 3),
         ("basis measurer d=32, build + apply", lambda: basis_measurer(1, 32), 200),
-        ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200)]:
+        ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200),
+        ("derive_value_mn(2, 5)", lambda: derive_value_mn(2, 5, (10, -2)), 200),
+        ("check_decision_support on the qubit fixture", decision_support, 200),
+        ("unpredictability certificate d=5", certificate, 200)]:
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
@@ -87,7 +102,8 @@ def main(trees) -> int:
     for tree in trees:
         print(f"== {tree}", flush=True)
         child = CHILD.format(rows=ROWS, derivations=DERIVATIONS)
-        done = subprocess.run([sys.executable, "-c", child, str(Path(tree).resolve() / "src")])
+        done = subprocess.run([sys.executable, "-c", child, str(Path(tree).resolve() / "src"),
+                               str(ROOT / "fixtures" / "qubit.json")])
         if done.returncode:
             return done.returncode
     return 0

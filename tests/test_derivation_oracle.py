@@ -116,8 +116,8 @@ def test_an_unmirrored_partition_fails_step_5(monkeypatch):
     assert_same_steps(steps, derivation_oracle.reference_steps(2, 4, (1, 0)), (1, 0))
 
 
-def test_the_appendix_makes_six_svd_calls_at_every_size():
+def test_the_appendix_makes_no_svd_calls_at_any_size():
     for m, n in [(1, 5), (31, 64)]:
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             assert derive_value_mn(m, n, (10, -2)).all_checks_pass
-        assert svd.call_count == 6
+        assert svd.call_count == 0

@@ -43,6 +43,7 @@ from ctkit import (
     deviant_weight,
     extensional_attribute,
     is_task_possible,
+    normalized,
     partial_trace,
     partition_of_unity,
     permutation_computation,
@@ -58,6 +59,7 @@ from ctkit import (
     unpredictability_certificate,
     variable,
 )
+from ctkit.games import _member_state
 from ctkit.unpredictability import PredictorProblem
 
 from conftest import basis_variable, minus, plus, state_variable
@@ -124,6 +126,12 @@ CASES = {
     "predictor_mixed_member": (
         _predictor_with_mixed_member,
         UnsupportedInputError, "input attribute must denote a single pure state"),
+    "member_state_two_states": (
+        lambda: _member_state(_two_states()),
+        RepresentationError, "member attribute does not denote a single state"),
+    "member_state_classical": (
+        lambda: _member_state(extensional_attribute(classical_substrate("c", "ab"), ["a"])),
+        RepresentationError, "span is a quantum notion"),
     "measurer_flags": (
         lambda: build_measurer(_x(), flag_states={0: ZERO, 1: plus()}),
         NotMeasurableError, "flag states must be pairwise orthogonal"),
@@ -166,6 +174,18 @@ CASES.update({
         DomainError, "probabilities must sum to 1"),
     "basis_state_index": (
         lambda: basis_state(2, 5), StateError, "basis index 5 out of range for dimension 2"),
+    "basis_state_negative_index": (
+        lambda: basis_state(3, -1), StateError, "basis index -1 out of range for dimension 3"),
+    "basis_state_dims": (
+        lambda: basis_state(4, 0, (2, 3)), StateError, "factor dims (2, 3) do not match length 4"),
+    "normalized_zero_vector": (
+        lambda: normalized([0, 0]), StateError, "cannot normalize the zero vector"),
+    "normalized_dims": (
+        lambda: normalized([1, 1], (3,)), StateError, "factor dims (3,) do not match length 2"),
+    "normalized_nan": (
+        lambda: normalized([np.nan, 1]), StateError, "vector norm nan is not 1 within tolerance"),
+    "normalized_inf": (
+        lambda: normalized([np.inf, 1]), StateError, "vector norm nan is not 1 within tolerance"),
     "measurer_one_factor_joint": (
         lambda: apply_measurer(build_measurer(_x()), ZERO),
         PreconditionError, "joint dims (2,) do not expose a (2,2) pair at factors (0, 1)"),

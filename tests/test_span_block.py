@@ -4,7 +4,8 @@
 one step; `_first_span_overlap`, `quantum.completed_basis` and
 `controlled_map` take the (rows, counts) block.  Each is checked against
 `pairwise_oracle`, which builds the spans one attribute at a time and walks
-every pair of them.
+every pair of them.  A game's member states and `span_closure` read the same
+block, and are checked against the per-member SVD rows they used to take.
 """
 
 from unittest import mock
@@ -23,11 +24,15 @@ from ctkit import (
     extensional_attribute,
     normalized,
     quantum_substrate,
+    span_closure,
     subspace_attribute,
     tensor,
+    variable,
 )
 from ctkit.errors import NotMeasurableError
-from ctkit.kernel import _first_span_overlap, _stacked_span_rows
+from ctkit.games import _member_state
+from ctkit.kernel import (_first_span_overlap, _row_basis, _stacked_span_rows,
+                          _trusted_attribute, attribute_span)
 from ctkit.quantum import completed_basis
 from ctkit.tolerance import tol
 
@@ -74,6 +79,44 @@ def test_stacked_span_rows_are_the_per_attribute_spans_up_to_row_phase(seed, d, 
         phase = np.vdot(got_row, want_row)
         assert abs(abs(phase) - 1) <= 1e-12
         assert np.abs(got_row * phase - want_row).max() <= 1e-12
+
+
+MEMBER_KINDS = ["pure", "listed_twice", "line", "rank_one_mixed"]
+
+
+def member_attribute(kind, sub, rng):
+    """An attribute of the given kind that spans one dimension."""
+    u = random_unitary(rng, sub.dim)
+    state = PureState((1 + 0.5 * tol() * rng.uniform(-1, 1)) * u[:, 0])
+    if kind == "pure":
+        return extensional_attribute(sub, [state])
+    if kind == "listed_twice":  # built unchecked: the constructor refuses the repeat
+        return _trusted_attribute(sub, (state, state))
+    if kind == "line":
+        return subspace_attribute(sub, [PureState(u[:, 0])])
+    return extensional_attribute(sub, [MixedState(np.outer(u[:, 0], u[:, 0].conj()))])
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed_st, st.integers(min_value=2, max_value=5),
+       st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=6))
+def test_member_states_and_span_closures_match_the_per_member_svd(seed, d, kinds):
+    """`games._member_state` is the member's SVD row (`attribute_span`) up to
+    a real sign, and `span_closure` projects where one SVD over the
+    per-member SVD rows does, to 1e-12.  (From d = 2: in dimension 1 the SVD
+    row is 1 and v/|v| is any phase of it.)"""
+    rng = np.random.default_rng(seed)
+    sub = quantum_substrate("s", d)
+    attrs = [member_attribute(kind, sub, rng) for kind in kinds]
+    for attr in attrs:
+        got, (old,) = _member_state(attr).vector, attribute_span(attr)
+        sign = np.vdot(got, old)
+        assert abs(sign.imag) <= 1e-12 and abs(abs(sign.real) - 1) <= 1e-12
+        assert np.abs(got * np.sign(sign.real) - old).max() <= 1e-12
+    rows = attribute_span(span_closure(variable(sub, list(enumerate(attrs)))))
+    old = _row_basis(np.concatenate([attribute_span(a) for a in attrs]))
+    assert rows.shape == old.shape
+    assert np.abs(rows.T @ rows.conj() - old.T @ old.conj()).max() <= 1e-12
 
 
 @settings(deadline=None, max_examples=100)

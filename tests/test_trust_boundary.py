@@ -1,14 +1,15 @@
 """Validate at the boundary, trust inside.
 
 The public constructors keep every check.  Objects the library derives from
-checked ones (products, partial traces, density matrices, SVD rows, cloning
-and permutation tasks, restricted, product, diagonal, relabeled and union
-variables) skip it; each such site is compared here with the validating
-constructor given the same fields, which must accept them and build an
-object equal field by field, arrays included.  The value derivation builds
-no o-register observable: the partition it reads off the reduced state's
-diagonal is compared with the register the constructors build.  Products
-holding a mixed state keep their checks, and the tolerance edge is pinned.
+checked ones (products, partial traces, density matrices, SVD rows, basis
+states, normalized vectors, member states, cloning and permutation tasks,
+restricted, product, diagonal, relabeled and union variables) skip it; each
+such site is compared here with the validating constructor given the same
+fields, which must accept them and build an object equal field by field,
+arrays included.  The value derivation builds no o-register observable: the
+partition it reads off the reduced state's diagonal is compared with the
+register the constructors build.  Products holding a mixed state keep their
+checks, and the tolerance edge is pinned.
 """
 
 import dataclasses
@@ -176,6 +177,40 @@ def test_trusted_states_match_the_constructors(seed, dims):
 
 
 @TRUSTED
+@given(seed_st, st.sampled_from([(1,), (2,), (3,), (2, 2), (2, 3)]),
+       st.sampled_from([1e-150, 1e-3, 1.0, 1e150]))
+def test_trusted_kets_and_normalized_states_match_the_constructors(seed, dims, scale):
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    for k in range(dim):
+        assert_trusted(basis_state(dim, k))
+        assert_trusted(basis_state(dim, k, dims))
+    coeffs = scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    assert_trusted(normalized(coeffs))
+    assert_trusted(normalized(coeffs, dims))
+    assert_trusted(normalized(coeffs.real, dims))
+
+
+@TRUSTED
+@given(seed_st, st.integers(2, 4))
+def test_trusted_member_states_and_span_closures_match_the_constructors(seed, dim):
+    rng = np.random.default_rng(seed)
+    q = quantum_substrate("q", dim)
+    u = random_basis(rng, dim, dim)
+    members = [
+        extensional_attribute(q, [PureState((1 + 0.5 * tol()) * u[0].vector)]),
+        subspace_attribute(q, [u[1]]),
+        extensional_attribute(q, [u[-1].density()]),
+    ]
+    for attr in members:
+        assert_trusted(games._member_state(attr))
+    v = variable(q, list(enumerate(members[:dim])))
+    assert_trusted(span_closure(v))
+    assert_trusted(span_closure(variable(q, [(0, extensional_attribute(
+        q, [u[0], normalized(u[0].vector + u[1].vector)]))])))
+
+
+@TRUSTED
 @given(seed_st, st.integers(1, 3), st.integers(1, 3))
 def test_trusted_attributes_match_the_constructors(seed, da, db):
     rng = np.random.default_rng(seed)
@@ -294,6 +329,12 @@ def test_union_of_variables_on_different_substrates_is_still_refused():
     with pytest.raises(DisjointnessError,
                        match=r"attribute \('y', 0\) lives on a different substrate"):
         predicates._superinformation_pair(x, y, QuantumModel(x.substrate))
+
+
+def test_normalized_still_checks_a_norm_whose_square_underflows():
+    # |v|^2 is subnormal here, so v/|v| misses unit norm by about 6e-6
+    with pytest.raises(StateError, match=r"^vector norm 1\.00000\d+ is not 1 within tolerance$"):
+        normalized([1e-160, 1e-160])
 
 
 def test_cloning_onto_a_receptive_of_another_size_is_still_refused():
