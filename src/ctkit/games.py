@@ -66,6 +66,7 @@ from .quantum import (
 from .states import (
     MixedState,
     PureState,
+    _readonly,
     _trusted,
     apply_unitary,
     basis_state,
@@ -519,7 +520,7 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     measurer = build_measurer(x, flag_states={x1: o1, x2: o2})
     measured = apply_measurer(measurer, tensor(y_state, measurer.receptive_state()))
     s_vec = amp1 * np.kron(b1.vector, o1.vector) + amp2 * np.kron(b2.vector, o2.vector)
-    s_state = PureState(s_vec, dims=(2, n))
+    s_state = _trusted(PureState, vector=_readonly(s_vec), dims=(2, n))  # unit: <o1|o2> = 0
     identity_ok = states_equal(measured, s_state)
     yield DerivationStep(
         rule="MeasurementNeutrality",
@@ -536,10 +537,8 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     sums_zero = bool(h[:m].sum() == 0 and h[m:].sum() == 0)
     flip = np.r_[m - 1:-1:-1, n - 1:m - 1:-1]  # per-block reversal, an involution
     negates = bool(np.array_equal(h[flip], -h))
-    fixes_o = (
-        states_equal(PureState(o1.vector[flip]), o1)
-        and states_equal(PureState(o2.vector[flip]), o2)
-    )
+    fixes_o = all(states_equal(_trusted(PureState, vector=_readonly(o.vector[flip]),
+                                        dims=o.dims), o) for o in (o1, o2))  # unit: permuted
     rho_o = intrinsic_part(measured, 1).matrix
     invariant = float(np.abs(rho_o[np.ix_(flip, flip)] - rho_o).max()) <= atol
     lams, owner = np.unique(h, return_inverse=True)

@@ -312,14 +312,11 @@ def attribute_projector(attr: Attribute) -> np.ndarray:
 
 
 def _row_weights(state: State, rows: np.ndarray) -> np.ndarray:
-    """<r|rho|r> for each row r of rows, with one product: |<psi|r>|^2 for a
-    pure state (no conjugate copy of the rows), the row sums of
-    (conj(R) rho) o R for a mixed one."""
+    """<r|rho|r> for each row r of rows: the row sums of |R conj(F)|^2 for the
+    state's factor F, one product with no conjugate copy of the rows."""
     if state.dim != rows.shape[1]:
         raise StateError("state dimension does not match substrate")
-    if isinstance(state, PureState):
-        return np.abs(rows @ state.vector.conj()) ** 2
-    return np.sum((rows.conj() @ state.matrix) * rows, axis=1).real
+    return np.add.reduce(np.abs(rows @ state.factor.conj()) ** 2, 1)
 
 
 def _stacked_span_rows(attributes) -> tuple[np.ndarray, np.ndarray]:

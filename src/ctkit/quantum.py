@@ -52,6 +52,7 @@ from .states import (
     State,
     _check_bytes,
     _check_density_size,
+    _image,
     basis_state,
     partial_trace,
 )
@@ -435,18 +436,13 @@ class ControlledMap:
                 f"pair at factors {factors}")
 
     def apply(self, state: State, factors=(0, 1), dims=None) -> State:
-        """U on the (control, target) factor pair of a joint state.
+        """U F on the (control, target) factor pair of a joint state, rho = F F^dag.
 
         dims overrides the factor split of the state (its own dims are kept
         on the result)."""
         dims = state.dims if dims is None else tuple(dims)
         self._check_factors(state, factors, dims)
-        if isinstance(state, PureState):
-            vec = self._on_rows(state.vector.reshape(-1, 1), dims, factors)
-            return PureState(vec.reshape(-1), state.dims)
-        half = self._on_rows(state.matrix, dims, factors)  # U rho
-        full = self._on_rows(half.conj().T, dims, factors).conj().T  # (U (U rho)^dag)^dag
-        return MixedState(full, state.dims)
+        return _image(state, self._on_rows(state.factor, dims, factors))
 
 
 def completed_basis(rows, counts, dim: int, error, what: str):
@@ -679,14 +675,8 @@ def _entry(mapping: dict, name: str, label):
 
 def _receptive_weight(joint: State, factor: int, index: int) -> float:
     """Weight of the joint state on basis state `index` of one factor."""
-    dims = joint.dims
-    if isinstance(joint, PureState):
-        amps = np.moveaxis(joint.vector.reshape(dims), factor, 0)[index]
-        return float(np.vdot(amps, amps).real)
-    n = len(dims)
-    block = np.moveaxis(joint.matrix.reshape(dims + dims), (factor, n + factor), (0, 1))
-    rest = joint.dim // dims[factor]
-    return float(np.trace(block[index, index].reshape(rest, rest)).real)
+    amps = np.moveaxis(joint.factor.reshape(joint.dims + (-1,)), factor, 0)[index]
+    return float(np.vdot(amps, amps).real)
 
 
 def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0, 1)) -> State:

@@ -3,7 +3,11 @@
 States compare phase-insensitively: two unit vectors count as the same state
 when the magnitude of their overlap is within tolerance of 1.  Mixed states
 compare entrywise.  Every state carries a tuple of factor dimensions so that
-partial traces and factor-local unitaries need no side channel.
+partial traces and factor-local unitaries need no side channel, and a
+read-only factor F with rho = F F^dag (a pure state's vector as one column; a
+mixed state's V sqrt(lambda) over lambda > 0, or the factor it was derived
+with): partial traces, weights and images contract F, one route for both
+kinds.  F is unique only up to a unitary, so comparisons read `.matrix`.
 
 Validate at the boundary, trust inside.  A state built by its constructor is
 checked: unit norm, or hermitian, positive semidefinite and of unit trace.
@@ -12,14 +16,15 @@ its validity follows in exact arithmetic: the tensor product of two states,
 a partial trace, the density matrix of a pure state, the rows of an SVD
 (which `bar` and `span_closure` turn into states), basis states, game member
 states, and `normalized` vectors whose squared norm does not underflow.
-Those are built by `_trusted`.  At the tolerance edge this accepts what a
-second check would refuse: two states of norm 1 + 0.9 tol each are accepted,
-and so is their product, of norm 1 + 1.8 tol; a partial trace likewise keeps
-a trace gap that grows with the traced dimension.  `apply_unitary` takes any
-matrix, so its result is checked.  A product of mixed states is a valid
-state, but two products can be equal entrywise where their factors are not,
-so `kernel` keeps the repeat and overlap checks of products that hold a
-mixed state.
+Those are built by `_trusted`, mixed ones by `_mixed`.  At the tolerance
+edge this accepts what a second check would refuse: two states of norm
+1 + 0.9 tol each are accepted, and so is their product, of norm 1 + 1.8 tol;
+a partial trace likewise keeps a trace gap that grows with the traced
+dimension.  A map may not be unitary, so an image is checked (`_image`), but
+only for its norm or trace |F|^2: F F^dag is PSD for any F.  A product of
+mixed states is a valid state, but two products can be equal entrywise where
+their factors are not, so `kernel` keeps the repeat and overlap checks of
+products that hold a mixed state.
 """
 
 from __future__ import annotations
@@ -73,6 +78,32 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _eig_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A hermitian matrix's eigenvalues, and its factor V sqrt(lambda > 0)."""
+    vals, vecs = np.linalg.eigh(matrix)
+    pos = vals > 0
+    return vals, _readonly(vecs[:, pos] * np.sqrt(vals[pos]))
+
+
+def _mixed(factor: np.ndarray, dims) -> "MixedState":
+    """A trusted MixedState with this factor and the matrix F F^dag, held to
+    DENSITY_BYTES first; a unit trace is the caller's to ensure."""
+    _check_density_size(factor.shape[0])
+    return _trusted(MixedState, matrix=_readonly(factor @ factor.conj().T), dims=dims,
+                    factor=_readonly(factor))
+
+
+def _image(state: "State", factor: np.ndarray) -> "State":
+    """The state of this factor, state's image under a map that may not be
+    unitary: checked for its norm by `PureState`, or for its trace |F|^2."""
+    if isinstance(state, PureState):
+        return PureState(factor.reshape(-1), state.dims)
+    trace = np.vdot(factor, factor)
+    if not abs(float(trace.real) - 1.0) <= tol():
+        raise StateError(f"density matrix trace {trace!r} is not 1")
+    return _mixed(factor, state.dims)
+
+
 def _pure_dims(dims, size: int) -> tuple[int, ...]:
     dims = tuple(dims) if dims else (size,)
     if prod(dims) != size:
@@ -100,10 +131,12 @@ class PureState:
     def dim(self) -> int:
         return self.vector.size
 
+    @property
+    def factor(self) -> np.ndarray:
+        return self.vector[:, None]
+
     def density(self) -> "MixedState":
-        _check_density_size(self.dim)
-        return _trusted(MixedState, matrix=_readonly(np.outer(self.vector, self.vector.conj())),
-                        dims=self.dims)
+        return _mixed(self.factor, self.dims)
 
     def __repr__(self):
         return f"PureState(dim={self.dim}, dims={self.dims})"
@@ -111,7 +144,8 @@ class PureState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """A density matrix: hermitian, positive semidefinite, unit trace."""
+    """A density matrix: hermitian, positive semidefinite, unit trace; its
+    read-only `factor` F (F F^dag = matrix) is held outside the fields."""
 
     matrix: np.ndarray
     dims: tuple[int, ...] = ()
@@ -129,10 +163,12 @@ class MixedState:
         # a non-finite entry has no hermiticity gap to measure, and fails here
         if not (np.isfinite(mat).all() and float(np.abs(mat - mat.conj().T).max()) <= t):
             raise StateError("density matrix is not hermitian within tolerance")
-        if not float(np.linalg.eigvalsh(mat).min()) >= -t:
+        vals, factor = _eig_factor(mat)
+        if not float(vals.min()) >= -t:
             raise StateError("density matrix has a negative eigenvalue")
         if not abs(float(mat.trace().real) - 1.0) <= t:
             raise StateError(f"density matrix trace {mat.trace()!r} is not 1")
+        vars(self)["factor"] = factor
 
     @property
     def dim(self) -> int:
@@ -198,22 +234,20 @@ def tensor(a: State, b: State) -> State:
         return _trusted(PureState, vector=_readonly((a.vector[:, None] * b.vector).reshape(-1)),
                         dims=dims)
     _check_density_size(a.dim * b.dim)
-    return _trusted(MixedState, matrix=_readonly(np.kron(a.density().matrix, b.density().matrix)),
-                    dims=dims)
+    # a partial trace's factor can be wider than dim columns: narrow it first
+    narrow = [s.factor if s.factor.shape[1] <= s.dim else _eig_factor(s.matrix)[1] for s in (a, b)]
+    return _mixed(np.kron(*narrow), dims)
 
 
 def expectation(state: State, operator: np.ndarray) -> float:
-    """Real part of Tr(rho A); exact for hermitian A."""
-    if isinstance(state, PureState):
-        return float(np.real(np.vdot(state.vector, operator @ state.vector)))
-    return float(np.real(np.trace(state.density().matrix @ operator)))
+    """Real part of Tr(rho A) = Tr(F^dag A F); exact for hermitian A."""
+    return float(np.real(np.vdot(state.factor, operator @ state.factor)))
 
 
 def partial_trace(state: State, keep, dims: tuple[int, ...] | None = None) -> MixedState:
-    """Reduced density matrix over the kept factors, in their given order.
-
-    A pure state is contracted as psi psi* over the traced axes; its full
-    density matrix is never formed."""
+    """Reduced density matrix over the kept factors, in their given order: G G^dag
+    for G the factor reshaped to kept by traced factors and columns (psi psi*
+    over the traced axes for a pure state), with no full density matrix."""
     dims = tuple(dims) if dims is not None else state.dims
     if prod(dims) != state.dim:
         raise StateError(f"dims {dims} do not match state size {state.dim}")
@@ -226,13 +260,8 @@ def partial_trace(state: State, keep, dims: tuple[int, ...] | None = None) -> Mi
     kept = tuple(dims[k] for k in keep)
     kept_dim = prod(kept)
     order = list(keep) + [k for k in range(n) if k not in keep]
-    if isinstance(state, PureState):
-        psi = np.transpose(state.vector.reshape(dims), order).reshape(kept_dim, -1)
-        return _trusted(MixedState, matrix=_readonly(psi @ psi.conj().T), dims=kept or (1,))
-    rho = np.transpose(state.matrix.reshape(dims + dims), order + [n + k for k in order])
-    rho = rho.reshape(kept_dim, state.dim // kept_dim, kept_dim, -1)
-    return _trusted(MixedState, matrix=_readonly(np.trace(rho, axis1=1, axis2=3)),
-                    dims=kept or (1,))
+    grid = np.transpose(state.factor.reshape(dims + (-1,)), order + [n])
+    return _mixed(grid.reshape(kept_dim, -1), kept or (1,))
 
 
 def embed_unitary(u: np.ndarray, dims: tuple[int, ...], factors) -> np.ndarray:
@@ -258,6 +287,4 @@ def embed_unitary(u: np.ndarray, dims: tuple[int, ...], factors) -> np.ndarray:
 def apply_unitary(state: State, u: np.ndarray, factors=None) -> State:
     """Apply a unitary to a state, optionally on a subset of its factors."""
     full = u if factors is None else embed_unitary(u, state.dims, factors)
-    if isinstance(state, PureState):
-        return PureState(full @ state.vector, state.dims)
-    return MixedState(full @ state.density().matrix @ full.conj().T, state.dims)
+    return _image(state, full @ state.factor)

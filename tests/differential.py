@@ -46,13 +46,15 @@ def golden_cases() -> list[dict]:
 
 
 def document_cases(directory: Path, count: int, family: str = "doc") -> list[dict]:
-    """count mutated (family "doc") or perturbed (family "perturbed")
-    fixtures written to directory, each as three cases: check-model, predict
-    (README's `--observable X --state skew`, which only the qubit fixture's
-    edits can pass) and decision-support."""
-    from mutator import mutated_documents, perturbed_documents
+    """count mutated (family "doc"), perturbed ("perturbed") or overlapping
+    ("overlapping", not in the default case list) fixtures written to
+    directory, each as three cases: check-model, predict (README's
+    `--observable X --state skew`, which only the qubit fixture's edits can
+    pass) and decision-support."""
+    from mutator import mutated_documents, overlapping_documents, perturbed_documents
     fixtures = sorted((ROOT / "fixtures").glob("*.json"))
-    documents = {"doc": mutated_documents, "perturbed": perturbed_documents}[family]
+    documents = {"doc": mutated_documents, "perturbed": perturbed_documents,
+                 "overlapping": overlapping_documents}[family]
     cases = []
     for i, doc in enumerate(documents(fixtures, count)):
         path = directory / f"{family}_{i:03d}.json"

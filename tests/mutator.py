@@ -1,11 +1,13 @@
 """Seeded mutations of JSON model documents, shared by the loader fuzz, the
 hash-seed test and the differential script.
 
-Two families.  `mutate` edits anywhere, with any value, so most of its
+Three families.  `mutate` edits anywhere, with any value, so most of its
 documents are refused by the loader: they test the error paths.
 `perturb` edits only within the grammar (amplitudes and phases,
 renormalised; variable labels; which declared state or label an attribute
-names), so most of its documents load and reach the predicates.
+names), so most of its documents load and reach the predicates.  `overlap`
+makes two attributes of a classical variable share two or more labels, so
+the shared state an error names shows the order the check reads them in.
 
 Nothing here imports ctkit, so a process can load this module before it
 chooses which source tree to import the library from.
@@ -166,3 +168,34 @@ def perturbed_documents(fixtures, count):
     rng = random.Random(13)
     for i in range(count):
         yield perturb(json.loads(fixtures[i % len(fixtures)].read_text()), rng)
+
+
+# ---------------------------------------------------------------------------
+# Classical attributes that share labels
+
+
+def overlap(doc, rng):
+    """Two attributes of one variable of a classical document, rewritten to
+    share two or more labels, each with the shared labels and some others in
+    a random order."""
+    doc = copy.deepcopy(doc)
+    members = rng.choice([v for v in doc["variables"].values() if len(v) > 1])
+    labels = list(doc["labels"])
+    shared = rng.sample(labels, rng.randrange(2, len(labels) + 1))
+    for _, name in rng.sample(members, 2):
+        own = shared + [l for l in labels if l not in shared and rng.random() < 0.5]
+        rng.shuffle(own)
+        doc["attributes"][name] = {"kind": "set", "labels": own}
+    return doc
+
+
+def overlapping_documents(fixtures, count):
+    """count documents, each an `overlap` of the next classical fixture with
+    string labels (whose hashes, unlike an int's, depend on the hash seed),
+    from one generator seeded with 17."""
+    docs = [json.loads(f.read_text()) for f in fixtures]
+    pool = [d for d in docs if d.get("kind") == "classical"
+            and all(isinstance(label, str) for label in d["labels"])]
+    rng = random.Random(17)
+    for i in range(count):
+        yield overlap(pool[i % len(pool)], rng)

@@ -10,8 +10,9 @@ use), three at N = 4000 (epsilon 1/100).  Derivations, each the best of
 five calls: `derive_value_mn` at m/n = 1/5, 21/64 and 31/64 with payoffs
 10 and -2.  Measurers, each the best of three: a 256-member basis measurer
 built and applied twice, a qubit measurer with two 2048-dimensional flag
-states built and applied once, and the 14-replica counting constructor
-built and applied once.  At the benchmark's own scale, each the best of
+states built and applied once, the 14-replica counting constructor
+built and applied once, and the 8-replica one applied to a rank-2 mixed
+joint (dimension 2304).  At the benchmark's own scale, each the best of
 200: a 32-member basis measurer and the 8-replica qubit counting
 constructor, each built and applied once, `derive_value_mn(2, 5)`,
 `check_decision_support` on `fixtures/qubit.json`, and the unpredictability
@@ -53,7 +54,7 @@ for m, n in {derivations!r}:
     passed = trace.all_checks_pass
     print(f"derive m={{m}} n={{n}}: {{best * 1e3:.2f}} ms  (all checks pass: {{passed}})")
 import numpy as np
-from ctkit import (PureState, QuantumModel, apply_measurer, basis_state,
+from ctkit import (MixedState, PureState, QuantumModel, apply_measurer, basis_state,
                    build_counting_constructor, build_measurer, check_decision_support,
                    extensional_attribute, normalized, parse_model_spec, quantum_substrate,
                    tensor, unpredictability_certificate, variable)
@@ -73,6 +74,12 @@ def flags_2048(t=2048):
 def counting(n=14):
     m = build_counting_constructor(0, n, basis(2))
     apply_measurer(m, tensor(PureState(np.full(2 ** n, 2 ** (-n / 2))), m.receptive_state()))
+def mixed_joint(n=8, rank=2):
+    m = build_counting_constructor(0, n, basis(2))
+    a = np.random.default_rng(0).normal(size=(2 ** n, rank, 2)) @ [1, 1j]
+    rho = a @ a.conj().T
+    return m, tensor(MixedState(rho / np.trace(rho).real), m.receptive_state())
+mixed_m, mixed = mixed_joint()
 qubit = parse_model_spec(sys.argv[2])
 def decision_support():
     assert check_decision_support(qubit.model, qubit.variables["X"], qubit.variables["Y"]).passed
@@ -84,6 +91,8 @@ for name, run, repeats in [
         ("basis measurer d=256, build + 2 applies", basis_measurer, 3),
         ("flag measurer t=2048, build + apply", flags_2048, 3),
         ("counting constructor n=14, build + apply", counting, 3),
+        ("counting constructor n=8 on a rank-2 mixed joint, apply",
+         lambda: apply_measurer(mixed_m, mixed), 3),
         ("basis measurer d=32, build + apply", lambda: basis_measurer(1, 32), 200),
         ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200),
         ("derive_value_mn(2, 5)", lambda: derive_value_mn(2, 5, (10, -2)), 200),

@@ -1,7 +1,8 @@
 """The committed differential check (`tests/differential.py`): the repository
 against itself differs nowhere, an edited error message is the one case
-reported, check-model's bytes over mutated and perturbed documents do not
-depend on the hash seed, and most perturbed documents reach a verdict."""
+reported, check-model's bytes over mutated, perturbed and overlapping
+documents do not depend on the hash seed, and most perturbed documents reach
+a verdict."""
 
 import shutil
 import subprocess
@@ -64,3 +65,15 @@ def test_perturbed_documents_mostly_reach_a_verdict_whatever_the_hash_seed(tmp_p
     verdicts = sum(code in (0, 1) for code, _, _ in runs[0])
     assert verdicts >= 100, verdicts
     assert all(code in (0, 1, 2) for code, _, _ in runs[0])
+
+
+def test_the_shared_label_named_does_not_depend_on_the_hash_seed(tmp_path):
+    """Two classical attributes share two or more string labels, whose set
+    order moves with the hash seed; each document is refused naming one of
+    them, the same one under either seed."""
+    cases = [case for case in differential.document_cases(tmp_path, 24, "overlapping")
+             if case["argv"][0] == "check-model"]
+    runs = [differential.run_tree(ROOT / "src", cases, seed) for seed in ("0", "2")]
+    assert len(runs[0]) == 24
+    assert differential.differing(cases, *runs) == []
+    assert all(code == 2 and "overlap (shared state: '" in err for code, _, err in runs[0])

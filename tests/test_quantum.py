@@ -463,8 +463,11 @@ def test_intrinsic_part_is_a_state(seed):
     joint = normalized(rng.normal(size=6) + 1j * rng.normal(size=6), dims=(2, 3))
     for factor in (0, 1):
         rho = intrinsic_part(joint, factor)
-        # MixedState construction re-validates hermiticity, positivity, trace
         assert rho.dim == joint.dims[factor]
+        # built trusted from the joint's factor: F F^dag is the matrix, of unit trace
+        f = rho.factor
+        assert np.allclose(f @ f.conj().T, rho.matrix, rtol=0, atol=1e-12)
+        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
 
 
 @given(seed_st)

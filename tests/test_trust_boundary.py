@@ -2,11 +2,12 @@
 
 The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, basis
-states, normalized vectors, member states, cloning and permutation tasks,
-restricted, product, diagonal, relabeled and union variables) skip it; each
-such site is compared here with the validating constructor given the same
-fields, which must accept them and build an object equal field by field,
-arrays included.  The value derivation builds no o-register observable: the
+states, normalized vectors, member states, the value derivation's s and
+reversed o-states, cloning and permutation tasks, restricted, product,
+diagonal, relabeled and union variables) skip it; each such site is compared
+here with the validating constructor given the same fields, which must
+accept them and build an object equal field by field, arrays included (a
+mixed state's factor, unique only up to a unitary, by F F^dag).  The value derivation builds no o-register observable: the
 partition it reads off the reduced state's diagonal is compared with the
 register the constructors build.  Products holding a mixed state keep their
 checks, and the tolerance edge is pinned.
@@ -69,8 +70,16 @@ def revalidated(obj):
     return obj
 
 
+def assert_same_factor(f, g):
+    """Two read-only factors of one state: a factor is unique only up to a
+    unitary, so F F^dag is compared, not the entries."""
+    assert not f.flags.writeable and not g.flags.writeable
+    assert np.allclose(f @ f.conj().T, g @ g.conj().T, rtol=0, atol=1e-12)
+
+
 def assert_same(a, b, seen=None):
-    """Equal types and fields, private cached ones included; equal read-only arrays."""
+    """Equal types and fields, private cached ones included; equal read-only
+    arrays, and factors with the same F F^dag."""
     seen = set() if seen is None else seen
     assert type(a) is type(b)
     if isinstance(a, np.ndarray):
@@ -87,7 +96,10 @@ def assert_same(a, b, seen=None):
         seen.add((id(a), id(b)))
         assert vars(a).keys() == vars(b).keys()
         for name in vars(a):
-            assert_same(vars(a)[name], vars(b)[name], seen)
+            if name == "factor":
+                assert_same_factor(vars(a)[name], vars(b)[name])
+            else:
+                assert_same(vars(a)[name], vars(b)[name], seen)
     else:
         assert a == b
 
@@ -208,6 +220,24 @@ def test_trusted_member_states_and_span_closures_match_the_constructors(seed, di
     assert_trusted(span_closure(v))
     assert_trusted(span_closure(variable(q, [(0, extensional_attribute(
         q, [u[0], normalized(u[0].vector + u[1].vector)]))])))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (31, 64)])
+def test_trusted_appendix_states_match_the_constructors(m, n, monkeypatch):
+    """The value derivation's s state and its two reversed o-states, each
+    unit by construction, against the validating constructor."""
+    built, real = [], games._trusted
+
+    def spy(cls, **fields):
+        built.append(real(cls, **fields))
+        return built[-1]
+
+    monkeypatch.setattr(games, "_trusted", spy)
+    assert games.derive_value_mn(m, n, (10, -2)).all_checks_pass
+    states = [obj for obj in built if isinstance(obj, PureState)]
+    assert [s.dims for s in states] == [(2, n), (n,), (n,)]
+    for state in states:
+        assert_trusted(state)
 
 
 @TRUSTED
