@@ -16,7 +16,8 @@ form by the multinomial theorem.  A surviving line sums only its band of
 vectors within epsilon, by binary splitting when the band is long.
 ENUMERATION_GUARD bounds the work of the walk without skipping.
 
-A partition of unity reads its weights off span rows (`kernel._member_weights`).
+A partition of unity reads its weights off the variable's span block
+(`kernel._member_weights`).
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .kernel import (
     _member_weights,
     _row_weights,
     _single_state,
-    _stacked_span_rows,
 )
 from .predicates import PredicateReport, _report
 from .quantum import (
@@ -96,8 +96,9 @@ def build_counting_constructor(x, n: int, basis: Variable) -> MeasurerSpec:
         raise DomainError(f"{x!r} is not a label of the counted observable")
     _check_replicas(n)
     d = basis.substrate.dim
-    _check_bytes(16 * d ** n * (n + 1), f"a {d}**{n} x {n + 1} joint state", COUNTING_JOINT_BYTES)
-    rows, ranks = _stacked_span_rows(basis.attributes)
+    _check_bytes(16 * d ** n * (n + 1), "a {}**{} x {} joint state", d, n, n + 1,
+                 budget=COUNTING_JOINT_BYTES)
+    rows, ranks = basis._span_block()
     if (ranks != 1).any():
         raise RepresentationError("counted members must be single states")
     replica, member = completed_basis(rows, ranks, d, NotMeasurableError, "counting constructor")
@@ -474,7 +475,7 @@ def partition_of_unity(z, x: Variable) -> PartitionOfUnity:
     """
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("partitions of unity live on the quantum backend")
-    weights = _partition_weights(_member_weights(_as_state(z), x.attributes), tol())
+    weights = _partition_weights(_member_weights(_as_state(z), *x._span_block()), tol())
     return PartitionOfUnity(tuple(zip(x.labels, weights.tolist())))
 
 

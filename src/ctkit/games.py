@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from numbers import Real
 
 import numpy as np
@@ -38,6 +38,7 @@ from .kernel import (
     _member_weights,
     _single_state,
     _stacked_span_rows,
+    _trusted_variable,
     coarsen_variable,
     extensional_attribute,
     product_attribute,
@@ -105,6 +106,12 @@ class Game:
     def atomic(self) -> bool:
         return not self.children
 
+    @cached_property
+    def _partition(self):
+        """The attribute's partition of unity over the observable, kept from
+        `make_game`'s legitimacy check, or computed on the first read."""
+        return partition_of_unity(self.attribute, self.observable)
+
 
 def _check_payoff_labels(x: Variable) -> None:
     for label in x.labels:
@@ -115,11 +122,12 @@ def _check_payoff_labels(x: Variable) -> None:
 def make_game(x: Variable, z: Attribute, children: tuple = ()) -> Game:
     """Validated game; z must admit an X-partition of unity."""
     _check_payoff_labels(x)
+    game = Game(observable=x, attribute=z, substrate=x.substrate, children=tuple(children))
     try:
-        partition_of_unity(z, x)
+        game._partition
     except DomainError as exc:
         raise IllegitimateAttributeError(f"illegitimate game attribute: {exc}") from exc
-    return Game(observable=x, attribute=z, substrate=x.substrate, children=tuple(children))
+    return game
 
 
 def compose_games(g1: Game, g2: Game) -> Game:
@@ -131,7 +139,7 @@ def compose_games(g1: Game, g2: Game) -> Game:
 
 def game_value(g: Game) -> float:
     """Expected payoff: sum of partition weights times payoff labels."""
-    return _weighted_labels(partition_of_unity(g.attribute, g.observable))
+    return _weighted_labels(g._partition)
 
 
 def _weighted_labels(part) -> float:
@@ -155,21 +163,27 @@ def exact_game_value(weights, payoffs) -> Fraction:
 
 
 def _member_state(attr: Attribute) -> PureState:
-    """The member's one span row (`kernel._stacked_span_rows`): v/|v| for a
-    lone pure state v, which an SVD gives up to a sign no member weight sees."""
-    rows, counts = _stacked_span_rows((attr,))
-    if counts[0] != 1:
+    """A lone attribute's one span row (`_member_states`)."""
+    return _member_states(*_stacked_span_rows((attr,)))[0]
+
+
+def _member_states(rows: np.ndarray, counts: np.ndarray) -> tuple[PureState, ...]:
+    """The one span row of each member of a span block (of a variable,
+    `Variable._span_block`): v/|v| for a lone pure state v, which an SVD
+    gives up to a sign no member weight sees."""
+    if (counts != 1).any():
         raise RepresentationError("member attribute does not denote a single state")
-    return _row_states(rows)[0]
+    return _row_states(rows)
 
 
 def _relabeled(x: Variable, new_labels) -> Variable:
-    """x with new labels; its members are unchanged, so only the labels are checked."""
+    """x with new labels and its span block; its members are unchanged, so
+    only the labels are checked."""
     new_labels = tuple(new_labels)
     if len(set(new_labels)) != len(new_labels):
         raise TransformError("relabeling collapses two payoff labels into one")
     _check_labels(new_labels)
-    return _trusted(Variable, substrate=x.substrate, members=tuple(zip(new_labels, x.attributes)))
+    return _trusted_variable(x.substrate, tuple(zip(new_labels, x.attributes)), x._span)
 
 
 def transform_game(g: Game, kind: str, k=0, mapping: dict | None = None,
@@ -257,8 +271,7 @@ def build_adder(x: Variable, payoff_labels) -> AdderSpec:
                 shift[j] = i
         shift[np.flatnonzero(shift < 0)[:len(pending)]] = pending
         shifts.append(shift)
-    rows, counts = _stacked_span_rows(x.attributes)
-    control = controlled_map(rows, counts, shifts, x.substrate.dim, PreconditionError, "adder")
+    control = controlled_map(*x._span_block(), shifts, x.substrate.dim, PreconditionError, "adder")
     return AdderSpec(source=x, payoff_labels=payoff_labels, control=control)
 
 
@@ -324,7 +337,7 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
     except DomainError:
         mixture_kept = False
     # flag k of the record controls the swap of member k with the first
-    members = tuple((l, _member_state(a)) for l, a in h.members)
+    members = tuple(zip(h.labels, _member_states(*h._span_block())))
     first = h.labels[0]
     swaps = [np.arange(h.substrate.dim)] + [
         permutation_computation(transposition_map(h.labels, first, label), members)
@@ -334,7 +347,7 @@ def check_equal_value(x: Variable, h: Variable, q: Attribute, model) -> Derivati
                            PreconditionError, "replacement")
     final = u_rep.apply(measured, factors=(1, 0))
     rho_src = intrinsic_part(final, 0)
-    sharp_ok = _member_weights(rho_src, (h.attribute(first),))[0] >= 1.0 - atol
+    sharp_ok = _member_weights(rho_src, *h._span_block())[0] >= 1.0 - atol
     end_value = game_value(make_game(x, h.attribute(first)))
     value_ok = abs(end_value - v) <= atol
     return DerivationStep(
@@ -377,8 +390,7 @@ def derive_value(g: Game) -> DerivationTrace:
     """Full derivation for a two-payoff game with rational weights m/n."""
     if len(g.observable) != 2:
         raise DomainError("the derivation covers two-payoff games")
-    part = partition_of_unity(g.attribute, g.observable)
-    (l1, f1), (l2, _) = part.items
+    (l1, f1), (l2, _) = g._partition.items
     snap = Fraction(float(f1)).limit_denominator(10 ** 6)
     if abs(float(snap) - float(f1)) > 1e-9:
         raise UnsupportedInputError("irrational weights are out of the derivation's scope")
@@ -469,7 +481,7 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
     )
 
     # symmetric base: S fixes y+, so the two sides close to (x1+x2)/2
-    members = tuple((l, _member_state(a)) for l, a in x.members)
+    members = tuple(zip(x.labels, _member_states(*x._span_block())))
     s_unitary = permutation_computation({x1: x2, x2: x1}, members)
     y_plus = normalized([1, 1])
     s_fixes = states_equal(apply_unitary(y_plus, s_unitary), y_plus)
@@ -509,7 +521,7 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     """Steps 4-7; the o-register's partition is its reduced state's diagonal
     summed per half-unit label (`_block_labels`)."""
     atol = tol()
-    b1, b2 = (_member_state(a) for a in x.attributes)
+    b1, b2 = _member_states(*x._span_block())
     amp1 = math.sqrt(m / n)
     amp2 = math.sqrt((n - m) / n)
     y_state = normalized(amp1 * b1.vector + amp2 * b2.vector)
@@ -646,10 +658,8 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         except CtError as exc:
             verdict, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append((name, verdict, detail))
-        return verdict
 
-    xs = [_member_state(a) for a in x.attributes]
-    ys = [_member_state(a) for a in y.attributes]
+    xs, ys = _member_states(*x._span_block()), _member_states(*y._span_block())
 
     def swap(labels, states):
         """The computation exchanging the two members."""
@@ -666,8 +676,12 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     def diagonal_variable(v: Variable) -> Variable:
         """The members (l, l) of v's product with itself."""
         pairs = product_variable(v, v)
-        return _trusted(Variable, substrate=pairs.substrate,
-                        members=tuple(((l, l), pairs.attribute((l, l))) for l in v.labels))
+        return _trusted_variable(pairs.substrate,
+                                 tuple(((l, l), pairs.attribute((l, l))) for l in v.labels))
+
+    # built once for the checks that share them; a build that raises is rerun
+    # at its next use, so each of those checks records its error
+    swap_x, diagonal_x = cache(lambda: swap(x.labels, xs)), cache(lambda: diagonal(xs))
 
     def t1():
         z = ys[0]
@@ -691,7 +705,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         return True, "all four members are non-trivial mixtures of the other observable"
 
     def r2():
-        s_x, s_y = swap(x.labels, xs), swap(y.labels, ys)
+        s_x, s_y = swap_x(), swap(y.labels, ys)
         for v in ys:
             if not states_equal(apply_unitary(v, s_x), v):
                 return False, "S_x moves a member of Y"
@@ -707,12 +721,12 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
             out = apply_measurer(m, tensor(v, m.receptive_state()))
             reduced.append(intrinsic_part(out, 0).matrix)
         equal = float(np.abs(reduced[0] - reduced[1]).max()) <= atol
-        s_x = swap(x.labels, xs)
+        s_x = swap_x()
         swap_inv = float(np.abs(s_x @ reduced[0] @ s_x.conj().T - reduced[0]).max()) <= atol
         return equal and swap_inv, {"reduced_equal": equal, "swap_invariant": swap_inv}
 
     def r4():
-        q_x, q_y = diagonal(xs), diagonal(ys)
+        q_x, q_y = diagonal_x(), diagonal(ys)
         if not states_equal(q_x, q_y):
             return False, "the two diagonal superpositions differ"
         diag_x, diag_y = diagonal_variable(x), diagonal_variable(y)
@@ -733,7 +747,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     record("R3", r3)
     record("R4", r4)
 
-    q_state = diagonal(xs) if checks[4][1] else None
+    q_state = diagonal_x() if checks[4][1] else None
     passed = all(v for _, v, _ in checks)
     reason = None
     if not passed and not detect_superinformation(x, y, model).verdict:

@@ -10,7 +10,15 @@ labels, so composition is associative up to factor-list flattening.  A
 state is checked against the leaf label sets one label at a time, so no
 universe is listed to validate it.  A quantum substrate carries a
 Hilbert-space dimension.  A substrate spec is frozen, so its leaves,
-dimension, size and leaf label sets are computed once, at construction.
+dimension, size and leaf label sets are computed once, at construction.  So
+is a quantum variable's span block, the read-only stacked span rows of its
+members and their counts (`_stacked_span_rows`), which measurers, adders,
+weights, span closures and member states read (`Variable._span_block`).  The
+trusted builders of derived variables (`_trusted_variable`) hand it on: a
+relabeled variable keeps its source's arrays, a restriction takes rows of
+the block it holds, and products, diagonals and unions derive it as the
+constructor does.  A variable with a member that lists a mixed state keeps
+none, because that span depends on `tol()`; it is derived on each read.
 
 An attribute is one record: its substrate, a tuple of elements, and whether
 they are a subspace basis.  Listed elements are the attribute's states; a
@@ -33,7 +41,7 @@ attributes, follow the same rule: the Gram matrix nominates, `states_equal`
 decides.
 
 Weights Tr(rho P_a) are read from span rows, without projectors
-(`_member_weights`).
+(`_member_weights` of a span block).
 
 Validate at the boundary, trust inside.  Every public constructor, and so
 every object of a model document, is checked when it is built.  An object
@@ -68,7 +76,7 @@ from .errors import (
     RepresentationError,
     StateError,
 )
-from .states import MixedState, PureState, State, _trusted, basis_state, states_equal, tensor
+from .states import MixedState, PureState, State, _readonly, _trusted, basis_state, states_equal, tensor
 from .tolerance import tol
 
 CLASSICAL = "classical"
@@ -338,12 +346,11 @@ def _stacked_span_rows(attributes) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([next(units)[None, :] if s is None else s for s in spans]), counts
 
 
-def _member_weights(state: State, attributes) -> np.ndarray:
-    """Tr(rho P_a) for each quantum attribute a, in order, read from the
-    stacked span rows of all of them (`_stacked_span_rows`, `_row_weights`)
-    and, unless each has one row, summed per attribute with `np.bincount`, so
-    an empty span weighs exactly 0.  No d x d projector is formed."""
-    rows, counts = _stacked_span_rows(attributes)
+def _member_weights(state: State, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Tr(rho P_a) for each quantum attribute a of a span block, in order:
+    the weights of its stacked span rows (`_stacked_span_rows`,
+    `_row_weights`), summed per attribute with `np.bincount` unless each has
+    one row, so an empty span weighs exactly 0.  No d x d projector is formed."""
     per_row = _row_weights(state, rows)
     if (counts == 1).all():
         return per_row
@@ -573,6 +580,12 @@ class Variable:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple((l, a) for l, a in self.members))
         validate_variable(self.members, substrate=self.substrate)
+        vars(self)["_span"] = _span_of(self.members)
+
+    def _span_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The members' stacked span rows and counts (`_stacked_span_rows`):
+        the block kept from construction, or derived now when none is kept."""
+        return self._span or _stacked_span_rows(self.attributes)
 
     @property
     def labels(self) -> tuple:
@@ -628,6 +641,22 @@ def _check_member_substrates(members, substrate: SubstrateSpec) -> None:
 
 def variable(substrate: SubstrateSpec, members) -> Variable:
     return Variable(substrate, tuple(members))
+
+
+def _span_of(members) -> tuple[np.ndarray, np.ndarray] | None:
+    """The span block a variable of these (label, attribute) members keeps:
+    the read-only `_stacked_span_rows` of its quantum attributes, or None when
+    it is classical or an attribute lists a mixed state, whose span depends
+    on tol()."""
+    if members[0][1].substrate.kind == QUANTUM and not any(_holds_mixed(a) for _, a in members):
+        return tuple(map(_readonly, _stacked_span_rows([a for _, a in members])))
+
+
+def _trusted_variable(substrate: SubstrateSpec, members: tuple, span=None) -> Variable:
+    """Variable, unchecked: for members known to be valid and pairwise
+    disjoint.  It keeps the given span block of its members, or derives one
+    as the constructor does."""
+    return _trusted(Variable, substrate=substrate, members=members, _span=span or _span_of(members))
 
 
 def union_attribute_of(var: Variable) -> Attribute:

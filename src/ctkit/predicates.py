@@ -46,6 +46,7 @@ from .kernel import (
     _slack,
     _stacked_span_rows,
     _trusted_attribute,
+    _trusted_variable,
     attribute_equal,
     attribute_span,
     attribute_subset,
@@ -55,7 +56,6 @@ from .kernel import (
     extensional_attribute,
     is_task_possible,
     product_attribute,
-    subspace_attribute,
     task,
     variable,
 )
@@ -200,7 +200,7 @@ def product_variable(v1: Variable, v2: Variable) -> Variable:
                     for l1, a1 in v1.members for l2, a2 in v2.members)
     if any(map(_holds_mixed, v1.attributes + v2.attributes)):
         return variable(substrate, members)
-    return _trusted(Variable, substrate=substrate, members=members)
+    return _trusted_variable(substrate, members)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def _span_orthogonality(v: Variable) -> tuple[bool, dict | None]:
     Classical member disjointness already suffices: (True, None)."""
     if v.substrate.kind == CLASSICAL:
         return True, None
-    hit = _first_span_overlap(*_stacked_span_rows(v.attributes), tol())
+    hit = _first_span_overlap(*v._span_block(), tol())
     if hit is not None:
         a, b = (attribute_span(v.attributes[k]) for k in hit[:2])
         hit = (v.labels[hit[0]], v.labels[hit[1]], float(np.abs(a.conj() @ b.T).max()))
@@ -318,11 +318,13 @@ def _row_states(rows) -> tuple:
 
 
 def span_closure(v: Variable | Attribute) -> Attribute:
-    """The full-subspace attribute spanned by the members' stacked span rows."""
-    rows, _ = _stacked_span_rows(v.attributes if isinstance(v, Variable) else (v,))
-    if rows.shape[0] == 0:
-        return subspace_attribute(v.substrate, ())
-    return _trusted_attribute(v.substrate, _row_states(_row_basis(rows)), is_subspace=True)
+    """The full-subspace attribute spanned by the members' stacked span rows,
+    which are its basis when orthonormal to rounding (no SVD), as for a
+    variable's orthogonal members; otherwise their `_row_basis`."""
+    rows, _ = v._span_block() if isinstance(v, Variable) else _stacked_span_rows((v,))
+    if np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0) > _slack(rows.shape[1]):
+        rows = _row_basis(rows)
+    return _trusted_attribute(v.substrate, _row_states(rows), is_subspace=True)
 
 
 def is_observable(v: Variable, model) -> PredicateReport:
@@ -378,7 +380,7 @@ def _superinformation_pair(x: Variable, y: Variable, model) -> tuple[bool, dict]
     members = tuple((("x", l), a) for l, a in x.members) + \
         tuple((("y", l), a) for l, a in y.members)
     _check_member_substrates(members, x.substrate)
-    union = _trusted(Variable, substrate=x.substrate, members=members)
+    union = _trusted_variable(x.substrate, members)
     union_info = is_information_variable(union, model)
     return not union_info.verdict, {"union_information": union_info}
 
@@ -391,12 +393,13 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
     """X_y: the members of x with nonzero overlap with y's state."""
     if x.substrate.kind != QUANTUM:
         raise RepresentationError("restriction is defined on the quantum backend")
-    state = _single_state(y)
-    weights = _member_weights(state, x.attributes)
-    members = [member for member, weight in zip(x.members, weights) if weight > tol()]
-    if not members:
+    rows, counts = x._span_block()
+    keep = _member_weights(_single_state(y), rows, counts) > tol()
+    if not keep.any():
         raise DomainError("restriction is empty: y has no overlap with any member")
-    return _trusted(Variable, substrate=x.substrate, members=tuple(members))
+    members = tuple(member for member, kept in zip(x.members, keep) if kept)
+    return _trusted_variable(x.substrate, members, x._span and (
+        _readonly(rows[np.repeat(keep, counts)]), _readonly(counts[keep])))
 
 
 def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:

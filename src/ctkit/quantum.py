@@ -44,7 +44,6 @@ from .kernel import (
     _first_span_overlap,
     _member_weights,
     _row_weights,
-    _stacked_span_rows,
 )
 from .states import (
     MixedState,
@@ -452,7 +451,7 @@ def completed_basis(rows, counts, dim: int, error, what: str):
     class len(counts).  Unitarity is checked on the k x k Gram matrix of the
     rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.  Short
     of dim rows, the SVD's vh is the basis buffer; dim rows are the basis."""
-    _check_bytes(16 * dim * dim, f"a {dim} x {dim} control basis")
+    _check_bytes(16 * dim * dim, "a {0} x {0} control basis", dim)
     k = rows.shape[0]
     dev = float(np.abs(rows @ rows.conj().T - np.eye(k)).max(initial=0.0))
     if dev > 1e-9:
@@ -614,7 +613,7 @@ def build_measurer(
     and the reflectors' w are held to `states.DENSITY_BYTES` before any is built.
     """
     atol = tol()
-    rows, counts = _stacked_span_rows(x.attributes)
+    rows, counts = x._span_block()
     hit = _first_span_overlap(rows, counts, atol)
     if hit is not None:
         i, j, overlap = hit
@@ -636,7 +635,7 @@ def build_measurer(
                                         f"{flag.shape}, not ({target_dim},)")
     target_dim = n if target_dim is None else target_dim
     per_entry = 8 * (n + 1) + (32 if flag_states is not None else 16) * n  # table, flags, w
-    _check_bytes(per_entry * target_dim, f"a measurer of {n} flags of dimension {target_dim}")
+    _check_bytes(per_entry * target_dim, "a measurer of {} flags of dimension {}", n, target_dim)
     if flag_states is not None:
         if not _orthogonal(flags, atol):
             raise NotMeasurableError("flag states must be pairwise orthogonal")
@@ -748,7 +747,7 @@ def build_comparer(labels, basis_a=None, basis_b=None, dim_a=None, dim_b=None) -
     n = len(labels)
     dim_a = dim_a if dim_a is not None else (basis_a[0].dim if basis_a else n)
     dim_b = dim_b if dim_b is not None else (basis_b[0].dim if basis_b else n)
-    _check_bytes(16 * n * dim_a * dim_b, f"a comparer of {n} rows of length {dim_a * dim_b}")
+    _check_bytes(16 * n * dim_a * dim_b, "a comparer of {} rows of length {}", n, dim_a * dim_b)
 
     def default_basis(dim):
         return tuple(basis_state(dim, k) for k in range(n))
@@ -849,7 +848,7 @@ def basis_members(labels, dim: int | None = None):
 def sharp_value(state: State, x: Variable, atol: float | None = None):
     """The label whose attribute holds the whole state, or None."""
     atol = tol() if atol is None else atol
-    for label, weight in zip(x.labels, _member_weights(state, x.attributes)):
+    for label, weight in zip(x.labels, _member_weights(state, *x._span_block())):
         if weight >= 1.0 - atol:
             return label
     return None

@@ -46,14 +46,14 @@ DENSITY_BYTES = 256 * 2 ** 20
 def _check_density_size(dim: int) -> None:
     """Raise SizeLimitError, before anything is allocated, for a dim x dim
     density matrix over the DENSITY_BYTES budget."""
-    _check_bytes(16 * dim * dim, f"a {dim} x {dim} density matrix")
+    _check_bytes(16 * dim * dim, "a {0} x {0} density matrix", dim)
 
 
-def _check_bytes(needed: int, what: str, budget: int = DENSITY_BYTES) -> None:
-    """Raise SizeLimitError when what, which takes needed bytes of complex
-    entries, is over budget."""
+def _check_bytes(needed: int, what: str, *args, budget: int = DENSITY_BYTES) -> None:
+    """Raise SizeLimitError when what (a `str.format` template, filled with
+    args only then), which takes needed bytes of complex entries, is over budget."""
     if needed > budget:
-        raise SizeLimitError(f"{what} needs {needed} bytes, over the budget of {budget}")
+        raise SizeLimitError(f"{what.format(*args)} needs {needed} bytes, over the budget of {budget}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -101,7 +101,7 @@ def predictor_feasible(problem: PredictorProblem, model) -> PredictorVerdict:
                 f"input {zl!r} is neither sharp in the observable nor a "
                 f"generalised mixture of it"
             )
-        weights = _member_weights(state, x.attributes)
+        weights = _member_weights(state, *x._span_block())
         support = {xl: float(w) for xl, w in zip(x.labels, weights) if w > atol}
         mixtures.append((zl, support))
 

@@ -15,8 +15,10 @@ built and applied once, and the 8-replica one applied to a rank-2 mixed
 joint (dimension 2304).  At the benchmark's own scale, each the best of
 200: a 32-member basis measurer and the 8-replica qubit counting
 constructor, each built and applied once, `derive_value_mn(2, 5)`,
-`check_decision_support` on `fixtures/qubit.json`, and the unpredictability
-certificate of a four-term state against the standard basis at d = 5.  The
+`check_decision_support` on `fixtures/qubit.json` and on
+`fixtures/qubit_degenerate.json` (which fails R1 and then asks whether the
+pair is superinformation), and the unpredictability certificate of a
+four-term state against the standard basis at d = 5.  The
 output is a report; the exit code is 0 whenever every tree ran.
 """
 
@@ -80,9 +82,10 @@ def mixed_joint(n=8, rank=2):
     rho = a @ a.conj().T
     return m, tensor(MixedState(rho / np.trace(rho).real), m.receptive_state())
 mixed_m, mixed = mixed_joint()
-qubit = parse_model_spec(sys.argv[2])
-def decision_support():
-    assert check_decision_support(qubit.model, qubit.variables["X"], qubit.variables["Y"]).passed
+qubit, degenerate = parse_model_spec(sys.argv[2]), parse_model_spec(sys.argv[3])
+def decision_support(doc=qubit, passes=True):
+    report = check_decision_support(doc.model, doc.variables["X"], doc.variables["Y"])
+    assert report.passed == passes
 def certificate(d=5):
     x = basis(d)
     y = extensional_attribute(x.substrate, (normalized([1, 2j, -3, 0, 4]),))
@@ -97,6 +100,8 @@ for name, run, repeats in [
         ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200),
         ("derive_value_mn(2, 5)", lambda: derive_value_mn(2, 5, (10, -2)), 200),
         ("check_decision_support on the qubit fixture", decision_support, 200),
+        ("check_decision_support on the degenerate qubit fixture",
+         lambda: decision_support(degenerate, False), 200),
         ("unpredictability certificate d=5", certificate, 200)]:
     best = float("inf")
     for _ in range(repeats):
@@ -112,7 +117,8 @@ def main(trees) -> int:
         print(f"== {tree}", flush=True)
         child = CHILD.format(rows=ROWS, derivations=DERIVATIONS)
         done = subprocess.run([sys.executable, "-c", child, str(Path(tree).resolve() / "src"),
-                               str(ROOT / "fixtures" / "qubit.json")])
+                               *(str(ROOT / "fixtures" / name)
+                                 for name in ("qubit.json", "qubit_degenerate.json"))])
         if done.returncode:
             return done.returncode
     return 0

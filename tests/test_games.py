@@ -34,6 +34,7 @@ from ctkit import (
     transform_game,
     variable,
 )
+from ctkit.games import Game
 from ctkit.tolerance import tol
 
 from conftest import basis_variable, ket, minus, plus, state_variable
@@ -468,3 +469,14 @@ def test_the_appendix_trace_is_derived_once_per_tolerance(qubit, qubit_model, mo
     for _ in range(2):
         assert check_decision_support(qubit_model, x, y).appendix_preparation_available
     assert len(calls) == 2
+
+
+def test_a_game_keeps_its_partition_and_a_direct_game_computes_it(qubit):
+    """`make_game` keeps the partition its legitimacy check computed; a Game
+    built directly computes it on the first read, to the same value."""
+    x = payoff_variable(qubit, (3, -1))
+    z = held(qubit, normalized([1, 2j]))
+    made, direct = make_game(x, z), Game(x, z, qubit)
+    assert "_partition" in vars(made) and "_partition" not in vars(direct)
+    assert game_value(direct) == game_value(made) == pytest.approx(3 * 0.2 - 0.8)
+    assert vars(direct)["_partition"] == made._partition

@@ -32,7 +32,7 @@ from ctkit import (
     subspace_attribute,
     variable,
 )
-from ctkit.kernel import _member_weights
+from ctkit.kernel import _member_weights, _stacked_span_rows
 from ctkit.tolerance import tol
 
 import weight_oracle as ref
@@ -118,7 +118,7 @@ def test_weights_match_the_projector_route(case, mixed):
     rng = np.random.default_rng(seed)
     x = covering_variable(rng, dim, kinds)
     state = random_state(rng, dim, mixed)
-    got = _member_weights(state, x.attributes)
+    got = _member_weights(state, *x._span_block())
     want = [ref.weight(state, a) for a in x.attributes]
     assert got.shape == (len(x),)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -137,8 +137,8 @@ def test_weights_of_overlapping_attributes_match_the_projector_route(seed, dim, 
                                          for _ in range(n)])
              for k, n in enumerate(sizes)]
     state = random_state(rng, dim, not mixed)
-    assert np.allclose(_member_weights(state, attrs), [ref.weight(state, a) for a in attrs],
-                       rtol=0, atol=1e-12)
+    assert np.allclose(_member_weights(state, *_stacked_span_rows(attrs)),
+                       [ref.weight(state, a) for a in attrs], rtol=0, atol=1e-12)
 
 
 @WEIGHTS
@@ -183,7 +183,7 @@ def test_an_empty_span_weighs_exactly_zero_for_pure_and_mixed_states():
     zero = subspace_attribute(sub, ())
     one = extensional_attribute(sub, [_pure([1, 1j])])
     for state in (_pure([0.6, 0.8j]), MixedState(np.diag([0.3, 0.7]))):
-        got = _member_weights(state, (zero, one, zero))
+        got = _member_weights(state, *_stacked_span_rows((zero, one, zero)))
         assert got[0] == 0.0 and got[2] == 0.0
         assert got[1] == pytest.approx(ref.weight(state, one), abs=1e-12)
 
@@ -194,5 +194,6 @@ def test_a_lone_pure_member_at_the_norm_edge_is_read_as_its_unit_row():
         member = extensional_attribute(sub, [_pure([1, 1], scale)])
         state = _pure([1, 0])
         # the row is v/|v| whatever |v|, so the weight is exactly 1/2 up to rounding
-        assert _member_weights(state, (member,))[0] == pytest.approx(0.5, abs=1e-15)
+        weights = _member_weights(state, *_stacked_span_rows((member,)))
+        assert weights[0] == pytest.approx(0.5, abs=1e-15)
         assert ref.weight(state, member) == pytest.approx(0.5, abs=1e-15)

@@ -6,38 +6,50 @@ one step; `_first_span_overlap`, `quantum.completed_basis` and
 `pairwise_oracle`, which builds the spans one attribute at a time and walks
 every pair of them.  A game's member states and `span_closure` read the same
 block, and are checked against the per-member SVD rows they used to take.
+
+A variable keeps its block from construction (`Variable._span_block`): it
+must be `_stacked_span_rows` of its members bit for bit, and everything that
+reads it must give what a variable re-deriving its block on each read gives.
+A variable with a mixed member keeps none and follows `CT_TOL`.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctkit import (
+    CtError,
     MixedState,
     PureState,
+    Variable,
     apply_measurer,
     basis_state,
     build_measurer,
+    check_decision_support,
     extensional_attribute,
     normalized,
+    parse_model_spec,
+    partition_of_unity,
     quantum_substrate,
+    sharp_value,
     span_closure,
     subspace_attribute,
     tensor,
     variable,
 )
-from ctkit.errors import NotMeasurableError
+from ctkit.errors import DisjointnessError, NotMeasurableError
 from ctkit.games import _member_state
 from ctkit.kernel import (_first_span_overlap, _row_basis, _stacked_span_rows,
                           _trusted_attribute, attribute_span)
+from ctkit.states import _trusted
 from ctkit.quantum import completed_basis
 from ctkit.tolerance import tol
 
 import pairwise_oracle as ref
-from conftest import basis_variable, random_unitary
+from conftest import FIXTURE_DIR, basis_variable, random_unitary
 
 seed_st = st.integers(min_value=0, max_value=2**32 - 1)
 KINDS = ["pure", "pure_off_norm", "multi", "subspace", "empty_subspace", "mixed", "rank_one_mixed"]
@@ -183,3 +195,84 @@ def test_a_basis_measurer_skips_its_identity_control_basis_without_building_one(
     assert (svd.call_count, eye.call_count) == (0, 0)
     amps = out.vector.reshape(8, 8)
     assert np.array_equal(np.flatnonzero(amps), np.arange(8) * 9)
+
+
+# ---------------------------------------------------------------------------
+# The block a variable keeps
+
+
+def outcome(call):
+    """call()'s result, or the type and text of the CtError it raised."""
+    try:
+        return call()
+    except CtError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_measurer(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):  # an error
+        return a == b
+    return (a.labels == b.labels and np.array_equal(a.control.classes, b.control.classes)
+            and all(np.array_equal(p, q) for p, q in zip(a.control.bases, b.control.bases)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed_st, st.integers(min_value=2, max_value=5),
+       st.lists(st.sampled_from(["pure", "multi", "subspace", "mixed"]), min_size=1, max_size=4))
+def test_the_kept_block_is_the_stacked_span_rows_and_reads_like_them(seed, d, kinds):
+    rng = np.random.default_rng(seed)
+    sub = quantum_substrate("s", d)
+    try:
+        v = variable(sub, [(k, attribute(kind, sub, rng)) for k, kind in enumerate(kinds)])
+    except DisjointnessError:  # two planes of a small space meet
+        assume(False)
+    rows, counts = _stacked_span_rows(v.attributes)
+    if "mixed" in kinds:
+        assert v._span is None
+    else:
+        kept_rows, kept_counts = v._span
+        assert kept_rows.dtype == rows.dtype and np.array_equal(kept_rows, rows)
+        assert kept_counts.dtype == counts.dtype and np.array_equal(kept_counts, counts)
+        assert not kept_rows.flags.writeable and not kept_counts.flags.writeable
+    # the same members with no kept block derive it on every read
+    fresh = _trusted(Variable, substrate=sub, members=v.members, _span=None)
+    first = v.attributes[0].elements
+    for state in (PureState(random_unitary(rng, d)[:, 0]), first[0] if first else basis_state(d, 0)):
+        assert outcome(lambda: partition_of_unity(state, v)) == \
+            outcome(lambda: partition_of_unity(state, fresh))
+        assert sharp_value(state, v) == sharp_value(state, fresh)
+    assert same_measurer(outcome(lambda: build_measurer(v)), outcome(lambda: build_measurer(fresh)))
+
+
+def test_a_mixed_member_span_follows_the_tolerance(monkeypatch):
+    """An eigenvalue of 1e-7 is in the span at the default tolerance 1e-9
+    and out of it at 1e-6: the variable reads its span anew."""
+    sub = quantum_substrate("q", 3)
+    rho = MixedState(np.diag([1 - 1e-7, 1e-7, 0.0]))
+    v = variable(sub, [(0, extensional_attribute(sub, [rho])),
+                       (1, extensional_attribute(sub, [basis_state(3, 2)]))])
+    assert v._span_block()[1].tolist() == [2, 1]
+    monkeypatch.setenv("CT_TOL", "1e-6")
+    rows, counts = v._span_block()
+    assert counts.tolist() == [1, 1]
+    assert np.array_equal(rows, _stacked_span_rows(v.attributes)[0])
+
+
+@pytest.mark.parametrize("name, calls", [("qubit.json", 1), ("qubit_degenerate.json", 1)])
+def test_decision_support_makes_one_svd_call(name, calls):
+    """The span closures of orthonormal members take no SVD; what is left is
+    the span of the one two-state member of T1's summed pair variable."""
+    doc = parse_model_spec(FIXTURE_DIR / name)
+    x, y = doc.variables["X"], doc.variables["Y"]
+    check_decision_support(doc.model, x, y)  # the appendix derivation runs once per tolerance
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        check_decision_support(doc.model, x, y)
+    assert svd.call_count == calls
+
+
+def test_span_closure_of_an_orthonormal_block_is_the_block():
+    x = basis_variable(quantum_substrate("q", 4), range(3))
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        closure = span_closure(x)
+    assert svd.call_count == 0
+    assert np.array_equal(attribute_span(closure), np.eye(4)[:3])

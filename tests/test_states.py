@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ctkit import (
     MixedState,
     PureState,
+    SizeLimitError,
     StateError,
     apply_unitary,
     basis_state,
@@ -22,6 +23,7 @@ from ctkit import (
     states_equal,
     tensor,
 )
+from ctkit.states import DENSITY_BYTES, _check_bytes, _check_density_size
 
 from conftest import ket, minus, plus
 
@@ -240,3 +242,14 @@ def test_an_infinite_entry_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(StateError, match="density matrix is not hermitian within tolerance"):
             MixedState(np.array([[0.5, np.inf], [np.inf, 0.5]]))
+
+
+def test_size_checks_format_their_error_text_only_over_budget():
+    class Template(str):
+        def format(self, *args):
+            raise AssertionError(f"formatted {args} under budget")
+
+    _check_bytes(DENSITY_BYTES, Template("a {0} x {0} density matrix"), 4096)
+    with pytest.raises(SizeLimitError, match=r"^a 4097 x 4097 density matrix needs 268566544 "
+                                             r"bytes, over the budget of 268435456$"):
+        _check_density_size(4097)
