@@ -47,10 +47,10 @@ from .kernel import (
 )
 from .ensembles import _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
+    _product_variable,
     _row_states,
     detect_superinformation,
     is_generalised_mixture,
-    product_variable,
 )
 from .quantum import (
     ControlledMap,
@@ -673,12 +673,6 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
              + np.kron(states[1].vector, states[1].vector))
             / math.sqrt(2), dims=(x.substrate.dim,) * 2)
 
-    def diagonal_variable(v: Variable) -> Variable:
-        """The members (l, l) of v's product with itself."""
-        pairs = product_variable(v, v)
-        return _trusted_variable(pairs.substrate,
-                                 tuple(((l, l), pairs.attribute((l, l))) for l in v.labels))
-
     # built once for the checks that share them; a build that raises is rerun
     # at its next use, so each of those checks records its error
     swap_x, diagonal_x = cache(lambda: swap(x.labels, xs)), cache(lambda: diagonal(xs))
@@ -729,7 +723,9 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         q_x, q_y = diagonal_x(), diagonal(ys)
         if not states_equal(q_x, q_y):
             return False, "the two diagonal superpositions differ"
-        diag_x, diag_y = diagonal_variable(x), diagonal_variable(y)
+        # the members (l, l) of each observable's product with itself, built alone
+        diag_x, diag_y = (_product_variable(v, v, [((l, l), a, a) for l, a in v.members])
+                          for v in (x, y))
         q_attr = extensional_attribute(diag_x.substrate, (q_x,))
         mix_x = _nontrivial_mixture(q_attr, diag_x, model)
         mix_y = _nontrivial_mixture(q_attr, diag_y, model)

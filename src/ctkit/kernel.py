@@ -10,15 +10,19 @@ labels, so composition is associative up to factor-list flattening.  A
 state is checked against the leaf label sets one label at a time, so no
 universe is listed to validate it.  A quantum substrate carries a
 Hilbert-space dimension.  A substrate spec is frozen, so its leaves,
-dimension, size and leaf label sets are computed once, at construction.  So
-is a quantum variable's span block, the read-only stacked span rows of its
+dimension, size and leaf label sets are computed once, at construction.  A
+quantum variable's span block, the read-only stacked span rows of its
 members and their counts (`_stacked_span_rows`), which measurers, adders,
-weights, span closures and member states read (`Variable._span_block`).  The
-trusted builders of derived variables (`_trusted_variable`) hand it on: a
-relabeled variable keeps its source's arrays, a restriction takes rows of
-the block it holds, and products, diagonals and unions derive it as the
-constructor does.  A variable with a member that lists a mixed state keeps
-none, because that span depends on `tol()`; it is derived on each read.
+weights, span closures and member states read (`Variable._span_block`), is
+derived once and kept: by a variable of the public constructor at
+construction, and by a variable the library builds (`_trusted_variable`,
+`_checked_variable`) on its first read, so one that nothing reads (a parsed
+model's variable under `check-model`, a product, a diagonal, a coarsening,
+a superinformation union, a certificate's X_y + y) derives none.  The trusted
+builders hand on a block they hold: a relabeled variable keeps its source's
+arrays, a restriction takes rows of its source's block.  A variable with a
+member that lists a mixed state keeps none, because that span depends on
+`tol()`; it is derived on each read.
 
 An attribute is one record: its substrate, a tuple of elements, and whether
 they are a subspace basis.  Listed elements are the attribute's states; a
@@ -52,7 +56,8 @@ pure-extensional or two subspace attributes (distinct factors give
 distinct products, and orthonormal bases an orthonormal basis), a task
 whose inputs are the members of a checked variable or their products with
 one receptive, and a variable whose members are drawn from checked
-variables or are products of their members.  Products that hold a mixed
+variables, are products of their members, or are unions of such products
+for distinct pairs of members (a coarsening).  Products that hold a mixed
 state are checked: entrywise equality does not survive a product, since
 rho (x) I/d and rho' (x) I/d differ by max|rho - rho'| / d, so distinct
 factors can give equal products.
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Any
 
@@ -580,11 +586,21 @@ class Variable:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple((l, a) for l, a in self.members))
         validate_variable(self.members, substrate=self.substrate)
-        vars(self)["_span"] = _span_of(self.members)
+        self._span  # a checked variable derives its block here, with its checks
+
+    @cached_property
+    def _span(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The span block the variable keeps: the read-only
+        `_stacked_span_rows` of its quantum attributes, or None when it is
+        classical or an attribute lists a mixed state, whose span depends on
+        tol().  A checked variable derives it at construction; a trusted one
+        (`_trusted_variable`) is handed one or derives it on its first read."""
+        if self.substrate.kind == QUANTUM and not any(map(_holds_mixed, self.attributes)):
+            return tuple(map(_readonly, _stacked_span_rows(self.attributes)))
 
     def _span_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The members' stacked span rows and counts (`_stacked_span_rows`):
-        the block kept from construction, or derived now when none is kept."""
+        the block kept, or derived now when none is kept."""
         return self._span or _stacked_span_rows(self.attributes)
 
     @property
@@ -643,20 +659,21 @@ def variable(substrate: SubstrateSpec, members) -> Variable:
     return Variable(substrate, tuple(members))
 
 
-def _span_of(members) -> tuple[np.ndarray, np.ndarray] | None:
-    """The span block a variable of these (label, attribute) members keeps:
-    the read-only `_stacked_span_rows` of its quantum attributes, or None when
-    it is classical or an attribute lists a mixed state, whose span depends
-    on tol()."""
-    if members[0][1].substrate.kind == QUANTUM and not any(_holds_mixed(a) for _, a in members):
-        return tuple(map(_readonly, _stacked_span_rows([a for _, a in members])))
-
-
 def _trusted_variable(substrate: SubstrateSpec, members: tuple, span=None) -> Variable:
     """Variable, unchecked: for members known to be valid and pairwise
     disjoint.  It keeps the given span block of its members, or derives one
-    as the constructor does."""
-    return _trusted(Variable, substrate=substrate, members=members, _span=span or _span_of(members))
+    on its first read."""
+    kept = {"_span": span} if span else {}  # else derived on the first read
+    return _trusted(Variable, substrate=substrate, members=members, **kept)
+
+
+def _checked_variable(substrate: SubstrateSpec, members) -> Variable:
+    """`variable`, checked alike, whose span block is derived on its first
+    read: for the library's own checked builds that may never read it, a
+    model document's variables and a certificate's X_y + y."""
+    members = tuple((l, a) for l, a in members)
+    validate_variable(members, substrate=substrate)
+    return _trusted_variable(substrate, members)
 
 
 def union_attribute_of(var: Variable) -> Attribute:
@@ -665,7 +682,9 @@ def union_attribute_of(var: Variable) -> Attribute:
 
 def coarsen_variable(x1: Variable, x2: Variable, mode: str = "sum") -> Variable:
     """Joint variable on the composite substrate whose labels are sums or
-    products of the factor labels; equal values merge into one attribute."""
+    products of the factor labels; equal values merge into one attribute,
+    the union of their products.  Unchecked (see the module docstring)
+    unless a member lists a mixed state or is a subspace, whose union is refused."""
     if mode not in ("sum", "product"):
         raise LabelArithmeticError(f"unknown coarsening mode {mode!r}")
     for v in (x1, x2):
@@ -673,17 +692,16 @@ def coarsen_variable(x1: Variable, x2: Variable, mode: str = "sum") -> Variable:
             if not isinstance(label, Real) or isinstance(label, bool):
                 raise LabelArithmeticError(f"label {label!r} does not support arithmetic")
     substrate = compose_substrates(x1.substrate, x2.substrate)
-    buckets: dict = {}
-    order: list = []
+    buckets: dict = {}  # value -> products, in order of first appearance
     for l1, a1 in x1.members:
         for l2, a2 in x2.members:
-            value = l1 + l2 if mode == "sum" else l1 * l2
-            if value not in buckets:
-                buckets[value] = []
-                order.append(value)
-            buckets[value].append(product_attribute(a1, a2))
-    members = tuple((value, attribute_union(buckets[value])) for value in order)
-    return Variable(substrate, members)
+            buckets.setdefault(l1 + l2 if mode == "sum" else l1 * l2, []).append(
+                _product_attribute(a1, a2, substrate))
+    checked = any(a.is_subspace or _holds_mixed(a) for a in x1.attributes + x2.attributes)
+    members = tuple((value, attribute_union(parts) if checked else _trusted_attribute(
+        substrate, tuple(s for p in parts for s in p.elements)))
+        for value, parts in buckets.items())
+    return (Variable if checked else _trusted_variable)(substrate, members)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,12 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
+    _checked_variable,
     classical_substrate,
     extensional_attribute,
     quantum_substrate,
     subspace_attribute,
     task,
-    variable,
 )
 from .quantum import QuantumModel
 from .states import PureState
@@ -238,7 +238,7 @@ def _parse_variables(doc: dict, substrate: SubstrateSpec,
                     or label != label:
                 raise ModelSpecError(f"{where}[{i}]: label must be a string or number")
             members.append((label, _lookup(attributes, ref, f"{where}[{i}]", "attribute")))
-        return variable(substrate, members)
+        return _checked_variable(substrate, members)
 
     return _section(doc, "variables", "variable", build)
 

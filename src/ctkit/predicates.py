@@ -10,14 +10,20 @@ The information-variable sweeps ask the oracle only what earlier answers do
 not fix: a computation variable is decided by its n-1 star transpositions
 (l0 lk), which generate the permutation group, and a quantum member that
 lists one unit pure state r takes the blank's cloning verdict, since its
-cloning inputs have the blank's Gram matrix G_x <r|r> = G_x (see
+cloning inputs have the blank's Gram matrix G <r|r> = G (see
 `is_computation_variable` and `_cloning_verdicts`).  `tests/sweep_oracle.py`
-keeps the exhaustive sweeps as the reference.
+keeps the exhaustive sweeps as the reference.  On a `QuantumModel` whose
+variable lists only pure states they build no task either: possibility
+there depends on Gram matrices alone, so the Gram matrix of the member
+states is formed once (`_member_gram`) and each task's Gram matrices go
+straight to the oracle's Gram-level core (`quantum._gram_feasible`), the
+one `unitary_task_feasible` ends in (the Gram route).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from .kernel import (
     task,
     variable,
 )
-from .quantum import MeasurerSpec, apply_measurer, intrinsic_part
+from .quantum import MeasurerSpec, QuantumModel, _gram_feasible, apply_measurer, intrinsic_part
 from .states import PureState, _readonly, _trusted, basis_state, tensor
 from .tolerance import tol
 
@@ -130,27 +136,68 @@ def _products_on(composite: SubstrateSpec):
     return product
 
 
-def _cloning_verdicts(v: Variable, model):
+def _member_gram(v: Variable, model):
+    """The Gram route's data for v: the Gram matrix G of all member states,
+    from their raw vectors so that off-unit states keep their norms, and
+    each member's state indices.  None for the task route: a model that is
+    not a `QuantumModel`, or a member that is a subspace or lists a mixed state."""
+    if not isinstance(model, QuantumModel) or v.substrate.kind != QUANTUM or any(
+            a.is_subspace or _holds_mixed(a) for a in v.attributes):
+        return None
+    vecs = np.array([s.vector for a in v.attributes for s in a.elements])
+    ends = itertools.accumulate(len(a.elements) for a in v.attributes)
+    return vecs.conj() @ vecs.T, [list(range(e - len(a.elements), e))
+                                  for e, a in zip(ends, v.attributes)]
+
+
+def _gram_verdict(route, model, cols, sizes, r=None):
+    """`quantum._gram_feasible`, side effects allowed, on a task over the
+    members whose Gram matrix G and state indices route holds: pair i takes
+    member i's states, each times every state of a receptive whose states
+    have the Gram matrix r (no receptive when r is None), to any of its
+    sizes[i] candidates, the next ones in order.  A candidate is the tensor
+    product of the states that the index lists cols give at its position, one
+    list per factor.  So the inputs have the Gram matrix G (x) r, and the
+    candidates the entrywise product of G's rows and columns at each list."""
+    g, spans = route
+    g_in = g if r is None else np.kron(g, r)
+    g_cand = reduce(np.multiply, (g.take(c, 0).take(c, 1) for c in cols))
+    options = []  # the inputs of one pair share its list, as in `quantum._task_demands`
+    for start, size, span in zip(itertools.accumulate(sizes, initial=0), sizes, spans):
+        options += [list(range(start, start + size))] * (len(span) * len(g_in) // len(g))
+    return _gram_feasible(g_in, g_cand, options, True, model)
+
+
+def _cloning_verdicts(v: Variable, model, route=None):
     """(name, verdict) of cloning v onto the blank, then onto each member.
 
-    The blank |0> is a unit pure state, so on the quantum route the inputs
-    x (x) blank have the Gram matrix G_x of v's member states, and the
-    outputs x (x) x are the same for every receptive.  A member r that lists
-    one unit pure state gives inputs with the Gram matrix G_x <r|r> = G_x,
-    so the oracle, which decides from those Gram matrices alone, would
-    repeat the blank's verdict: r takes that verdict and its cloning task is
-    not built.  A member that lists several states, a mixed state or a
-    subspace keeps its own oracle call, and so does every classical member
-    (its states are labels, not pure states), whose witness names the
-    receptive's label.
+    On the Gram route (`_member_gram`) no task is built.  Since
+    <s (x) r|s' (x) r'> = <s|s'> <r|r'>, the inputs x (x) r have the Gram
+    matrix G (x) R, where R is the Gram matrix of the receptive's states
+    (<r|r> for a lone state r, 1 for the blank |0>), and the candidates
+    x (x) x of every receptive have the entrywise product G o G over each
+    member's pairs of states.  A member r that lists one unit pure state
+    gives G <r|r> = G, so the core, which decides from those matrices alone,
+    would repeat the blank's verdict: r takes that verdict.  Any other
+    member, an off-unit one included, is decided on its own.  The task route
+    builds the cloning task of the blank and of each member that does not
+    share its verdict; a classical witness names the receptive's label.
     """
-    blank = blank_attribute(v.substrate)
-    shares = [_unit_pure(r) for r in v.attributes]
-    tasks = _cloning_tasks(v, (blank, *(r for r, same in zip(v.attributes, shares) if not same)))
-    first = is_task_possible(next(tasks), model)
+    route = route or _member_gram(v, model)
+    own = (k for k, r in enumerate(v.attributes) if not _unit_pure(r))  # in turn, as needed
+    if route is None:
+        tasks = _cloning_tasks(v, (blank_attribute(v.substrate), *(v.attributes[k] for k in own)))
+        verdicts = (is_task_possible(t, model) for t in tasks)
+    else:
+        g, spans = route
+        cols = tuple(zip(*(pair for s in spans for pair in itertools.product(s, s))))
+        sizes = [len(s) ** 2 for s in spans]  # x (x) x' for x, x' in the member
+        verdicts = (_gram_verdict(route, model, cols, sizes, r) for r in itertools.chain(
+            [None], (g.take(spans[k], 0).take(spans[k], 1) for k in own)))
+    first = next(verdicts)
     yield "blank", first
-    for label, same in zip(v.labels, shares):
-        yield label, first if same else is_task_possible(next(tasks), model)
+    for label, r in v.members:
+        yield label, first if _unit_pure(r) else next(verdicts)
 
 
 def _unit_pure(attr: Attribute) -> bool:
@@ -194,13 +241,19 @@ def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
 def product_variable(v1: Variable, v2: Variable) -> Variable:
     """Members (l1, l2) -> x1 x x2 on the composite substrate; unchecked
     unless a member lists a mixed state (see `kernel`)."""
+    return _product_variable(v1, v2, [((l1, l2), a1, a2)
+                                      for l1, a1 in v1.members for l2, a2 in v2.members])
+
+
+def _product_variable(v1: Variable, v2: Variable, pairs) -> Variable:
+    """The variable of the products a1 x a2 of members of v1 and v2 given as
+    (label, a1, a2) in pairs, such as `product_variable`'s, or decision
+    support's diagonal (l, l); checked as `product_variable` is."""
     substrate = compose_substrates(v1.substrate, v2.substrate)
     product = _products_on(substrate)
-    members = tuple(((l1, l2), product(a1, a2))
-                    for l1, a1 in v1.members for l2, a2 in v2.members)
-    if any(map(_holds_mixed, v1.attributes + v2.attributes)):
-        return variable(substrate, members)
-    return _trusted_variable(substrate, members)
+    members = tuple((label, product(a1, a2)) for label, a1, a2 in pairs)
+    checked = any(map(_holds_mixed, v1.attributes + v2.attributes))
+    return (variable if checked else _trusted_variable)(substrate, members)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +267,28 @@ def is_computation_variable(v: Variable, model) -> PredicateReport:
     generate the permutation group, since (a b) = (l0 a)(l0 b)(l0 a), and a
     serial composition of possible tasks is possible.  So their n-1
     verdicts, in label order, decide every relabeling and are recorded as
-    evidence.
+    evidence.  On the Gram route (`_member_gram`) each is decided from the
+    member states' Gram matrix G alone: the inputs have Gram matrix G, and
+    the candidates G with the rows and columns of members l0 and lk swapped.
     """
+    return _computation_report(v, model, _member_gram(v, model))
+
+
+def _computation_report(v: Variable, model, route) -> PredicateReport:
+    """`is_computation_variable` on the route given (`_member_gram`)."""
     first, *rest = v.labels
-    checks = {(first, b): is_task_possible(permutation_task(v, {first: b, b: first}), model)
-              for b in rest}
+    checks = {(first, b): _transposition_verdict(route, k, model) if route else
+              is_task_possible(permutation_task(v, {first: b, b: first}), model)
+              for k, b in enumerate(rest, 1)}
     ok = all(verdict.status == POSSIBLE for verdict in checks.values())
     return _report("is_computation_variable", v, ok, {"transpositions": checks})
+
+
+def _transposition_verdict(route, k: int, model):
+    """The core's verdict on the star transposition (l0 lk) of the members
+    of route (`_member_gram`): member l0's states go to lk's and back."""
+    order = [route[1][k], *route[1][1:k], route[1][0], *route[1][k + 1:]]
+    return _gram_verdict(route, model, (sum(order, []),), list(map(len, order)))
 
 
 def is_information_variable(v: Variable, model) -> PredicateReport:
@@ -230,13 +298,16 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     clean amplitude-ratio certificate, so the later permutation sweep never
     reaches the oracle's unknown branch.  The receptives are the blank, then
     each member in label order, until one clones; a quantum member that
-    lists one unit pure state shares the blank's Gram matrices and so its
-    verdict (see `_cloning_verdicts`).  The computation check then asks
-    about the n-1 star transpositions only (see `is_computation_variable`).
+    lists one unit pure state shares the blank's verdict (see
+    `_cloning_verdicts`).  The computation check then asks about the n-1
+    star transpositions only (see `is_computation_variable`).  On a
+    `QuantumModel` with pure-state members both read one Gram matrix of the
+    member states (`_member_gram`) and build no task.
     """
+    route = _member_gram(v, model)
     clone_checks = {}
     clone_ok = None
-    for name, verdict in _cloning_verdicts(v, model):
+    for name, verdict in _cloning_verdicts(v, model, route):
         clone_checks[name] = verdict
         if verdict.status == POSSIBLE:
             clone_ok = name
@@ -244,7 +315,7 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     if clone_ok is None:
         return _report("is_information_variable", v, False,
                        {"cloning": clone_checks, "computation": None})
-    comp = is_computation_variable(v, model)
+    comp = _computation_report(v, model, route)
     return _report("is_information_variable", v, comp.verdict,
                    {"cloning": clone_checks, "receptive": clone_ok, "computation": comp})
 

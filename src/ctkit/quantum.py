@@ -149,7 +149,7 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
     """
     n = g_in.shape[0]
     a = np.eye(n, dtype=complex)
-    free = False
+    free = forced = False  # forced: some entry is set, so a may not be the identity
     for i in range(n):
         for j in range(i + 1, n):
             go, gi = g_out[i, j], g_in[i, j]
@@ -162,6 +162,7 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
                     )
                     return IMPOSSIBLE, None, cert
                 a[i, j], a[j, i] = ratio, np.conj(ratio)
+                forced = True
             elif abs(gi) > atol:
                 cert = (
                     f"inputs {i},{j}: outputs are orthogonal but inputs "
@@ -170,7 +171,7 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
                 return IMPOSSIBLE, None, cert
             else:
                 free = True  # both overlaps vanish; entry left at zero
-    if n and float(np.linalg.eigvalsh(a).min()) < -atol:
+    if forced and float(np.linalg.eigvalsh(a).min()) < -atol:
         if free:
             return UNKNOWN, a, "zero completion of the garbage Gram matrix is not PSD"
         vals, vecs = np.linalg.eigh(a)
@@ -236,6 +237,9 @@ def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: 
     settled = n  # inputs from here on have one option each
     while settled and len(options[settled - 1]) == 1:
         settled -= 1
+    if not settled and n <= budget:  # one full choice: nothing to search
+        accept((0,) * n, [opts[0] for opts in options])
+        return n
     choice, taken = [0] * n, [0] * n  # option position and candidate per input
     nodes = 0
 
@@ -266,23 +270,30 @@ def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: 
 
 
 def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict:
-    """Exact possibility of a finite quantum task, by a pruned choice search.
+    """Exact possibility of a finite quantum task: the Gram matrices of its
+    input states and of its candidate output states, and the candidates each
+    input may take (`_task_demands`), decided by `_gram_feasible`."""
+    ins, cands, options = _task_demands(task)
+    return _gram_feasible(gram(ins).matrix, gram(cands).matrix, options, task.side_effects, model)
 
-    Each full choice of outputs is decided by `_full_check` on the Gram
-    matrix of the chosen states.  A partial choice is abandoned as soon as
-    one pair of inputs fails, on the Gram matrix of all candidates, the
-    pairwise test that check makes of it, since every full choice below
-    fails too; the first full choice accepted is the one plain enumeration
-    in product order would have met first.
+
+def _gram_feasible(g_in: np.ndarray, g_cand: np.ndarray, options, side_effects: bool,
+                   model: QuantumModel) -> PossibilityVerdict:
+    """The verdict on a task given by Gram matrices alone, by a pruned choice
+    search: g_in of its inputs, g_cand of all candidate outputs, and options[k]
+    the candidates input k may take.
+
+    Each full choice of outputs is decided by `_full_check` on the candidates'
+    Gram matrix restricted to the chosen ones.  A partial choice is abandoned
+    as soon as one pair of inputs fails the pairwise test that check makes of
+    it, since every full choice below fails too; the first full choice
+    accepted is the one plain enumeration in product order would have met
+    first.  The options visited count against model.assignment_guard.
     """
     atol = tol()
-    ins, cands, options = _task_demands(task)
-    g_in = gram(ins).matrix
-    # one choice: nothing to prune
-    g_cand = gram(cands).matrix if any(len(opts) > 1 for opts in options) else None
 
     def pair_bad(gi, go):
-        if task.side_effects:
+        if side_effects:
             return _ratio_bad(gi, go, atol)
         return np.abs(gi - go) > atol
 
@@ -290,12 +301,14 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
 
     def accept(choice, taken):
         nonlocal found, unknown, first_cert
-        g_out = gram([cands[r] for r in taken]).matrix
-        status, a, cert = _full_check(g_in, g_out, task.side_effects, atol)
+        # each input its own candidate, in order: the candidates' Gram matrix as it is
+        g_out = g_cand if taken == list(range(len(g_cand))) else \
+            g_cand.take(taken, 0).take(taken, 1)
+        status, a, cert = _full_check(g_in, g_out, side_effects, atol)
         if not any(choice):
             first_cert = cert
         if status == POSSIBLE:
-            found = {"choice": choice, "garbage_gram": a} if task.side_effects else {"choice": choice}
+            found = {"choice": choice, "garbage_gram": a} if side_effects else {"choice": choice}
         elif status == UNKNOWN:
             unknown = cert
         return found is not None
@@ -306,10 +319,9 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
     if unknown is not None:
         return PossibilityVerdict(UNKNOWN, certificate=unknown, backend=BACKEND, nodes=nodes)
     # every full choice fails; the first one's reason certifies it
-    cert = first_cert
-    if cert is None:
-        g_out = gram([cands[opts[0]] for opts in options]).matrix
-        cert = _full_check(g_in, g_out, task.side_effects, atol)[2]
+    first = [opts[0] for opts in options]
+    cert = first_cert or \
+        _full_check(g_in, g_cand.take(first, 0).take(first, 1), side_effects, atol)[2]
     return PossibilityVerdict(IMPOSSIBLE, certificate=cert, backend=BACKEND, nodes=nodes)
 
 

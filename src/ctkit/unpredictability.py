@@ -21,9 +21,9 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
+    _checked_variable,
     _member_weights,
     _single_state,
-    variable,
 )
 from .predicates import (
     _cloning_verdicts,
@@ -195,7 +195,7 @@ def unpredictability_certificate(x: Variable, y: Attribute, model) -> Unpredicta
             "y is sharp in the observable; its restriction is predictable"
         )
     x_y = restricted_variable(x, y)
-    z = variable(
+    z = _checked_variable(
         x.substrate,
         list(x_y.members) + [(("mixture", "y"), y)],
     )

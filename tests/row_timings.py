@@ -17,8 +17,13 @@ joint (dimension 2304).  At the benchmark's own scale, each the best of
 constructor, each built and applied once, `derive_value_mn(2, 5)`,
 `check_decision_support` on `fixtures/qubit.json` and on
 `fixtures/qubit_degenerate.json` (which fails R1 and then asks whether the
-pair is superinformation), and the unpredictability certificate of a
-four-term state against the standard basis at d = 5.  The
+pair is superinformation), the unpredictability certificate of a
+four-term state against the standard basis at d = 5, and the two halves
+of a superinformation check at d = 4: `is_information_variable` on the
+standard basis, and `_superinformation_pair` of that basis and its Fourier
+partner (cross disjointness, then the union's unclonability).  Each best of
+three: `is_information_variable` on a 64-member basis variable, whose 63
+transpositions each run the garbage Gram check over 2016 pairs.  The
 output is a report; the exit code is 0 whenever every tree ran.
 """
 
@@ -90,6 +95,16 @@ def certificate(d=5):
     x = basis(d)
     y = extensional_attribute(x.substrate, (normalized([1, 2j, -3, 0, 4]),))
     assert unpredictability_certificate(x, y, QuantumModel(x.substrate)).unpredictable
+from ctkit import is_information_variable
+from ctkit.predicates import _superinformation_pair
+x4, x64 = basis(4), basis(64)
+fourier = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
+y4 = variable(x4.substrate, [(k, extensional_attribute(x4.substrate, (PureState(col),)))
+                             for k, col in enumerate(fourier.T)])
+def information(x):
+    assert is_information_variable(x, QuantumModel(x.substrate)).verdict
+def superinformation_pair():
+    assert _superinformation_pair(x4, y4, QuantumModel(x4.substrate))[0]
 for name, run, repeats in [
         ("basis measurer d=256, build + 2 applies", basis_measurer, 3),
         ("flag measurer t=2048, build + apply", flags_2048, 3),
@@ -102,7 +117,10 @@ for name, run, repeats in [
         ("check_decision_support on the qubit fixture", decision_support, 200),
         ("check_decision_support on the degenerate qubit fixture",
          lambda: decision_support(degenerate, False), 200),
-        ("unpredictability certificate d=5", certificate, 200)]:
+        ("unpredictability certificate d=5", certificate, 200),
+        ("is_information_variable on the d=4 basis", lambda: information(x4), 200),
+        ("_superinformation_pair of the d=4 basis and Fourier pair", superinformation_pair, 200),
+        ("is_information_variable on a 64-member basis", lambda: information(x64), 3)]:
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()

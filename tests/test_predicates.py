@@ -495,15 +495,18 @@ def test_cloning_candidates_share_the_outputs():
     v = state_variable(sub, [(k, normalized(rng.normal(size=d) + 1j * rng.normal(size=d)))
                              for k in range(12)])
     model = QuantumModel(sub)
-    with mock.patch.object(predicates, "_product_attribute",
-                           wraps=predicates._product_attribute) as product:
+    with mock.patch.object(predicates, "_gram_feasible",
+                           wraps=predicates._gram_feasible) as core:
         report = is_information_variable(v, model)
-    # 12 (x, x) outputs once, then the blank's 12 inputs; every member is a
-    # lone unit state, so it takes the blank's verdict and builds no inputs
-    assert product.call_count == 12 + 12
+    # one decision, the blank's, on the 12 inputs and the 12 (x, x) outputs;
+    # every member is a lone unit state, so it takes the blank's verdict
+    assert core.call_count == 1
+    g_in, g_cand = core.call_args.args[:2]
+    assert g_in.shape == g_cand.shape == (12, 12)
     assert not report.verdict
     assert set(report.evidence) == {"cloning", "computation"}
     assert list(report.evidence["cloning"]) == ["blank", *v.labels]
+    assert len({id(verdict) for verdict in report.evidence["cloning"].values()}) == 1
     receptives = [blank_attribute(sub), *v.attributes]
     for verdict, receptive in zip(report.evidence["cloning"].values(), receptives):
         assert verdict.status == is_task_possible(cloning_task(v, receptive), model).status
@@ -515,14 +518,16 @@ def test_information_variable_stops_at_the_first_clonable_candidate(x_basis, qub
 
     import ctkit.predicates as predicates
 
-    with mock.patch.object(predicates, "_product_attribute",
-                           wraps=predicates._product_attribute) as product:
+    with mock.patch.object(predicates, "_gram_feasible",
+                           wraps=predicates._gram_feasible) as core:
         report = is_information_variable(x_basis, qubit_model)
-    # the two (x, x) outputs and the blank's two inputs; no later candidate is built
-    assert product.call_count == 2 + 2
+    # the blank's cloning decision and the one transposition; no later
+    # receptive is decided
+    assert core.call_count == 1 + 1
     assert report.verdict
     assert list(report.evidence["cloning"]) == ["blank"]
     assert report.evidence["receptive"] == "blank"
+    assert list(report.evidence["computation"].evidence["transpositions"]) == [(0, 1)]
 
 
 def _same_attribute(a, b):

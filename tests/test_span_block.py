@@ -276,3 +276,29 @@ def test_span_closure_of_an_orthonormal_block_is_the_block():
         closure = span_closure(x)
     assert svd.call_count == 0
     assert np.array_equal(attribute_span(closure), np.eye(4)[:3])
+
+
+def test_a_library_built_variable_derives_its_block_on_the_first_read():
+    """A model document's variables, and the products, diagonals, unions and
+    coarsenings the library builds, derive their block on the first read and
+    keep it; what `check-model` asks of the qubit fixture reads none.  A
+    variable of the public constructor derives its block when it is built."""
+    from ctkit import coarsen_variable, is_information_variable, is_observable
+    from ctkit.predicates import _superinformation_pair
+
+    doc = parse_model_spec(FIXTURE_DIR / "qubit.json")
+    x, y = doc.variables["X"], doc.variables["Y"]
+    with mock.patch.object(Variable, "_span_block", autospec=True) as read:
+        for v in (x, y):
+            assert is_information_variable(v, doc.model) and is_observable(v, doc.model)
+        assert _superinformation_pair(x, y, doc.model)[0]
+    assert read.call_count == 0
+    pair = coarsen_variable(x, x)
+    for v in (x, y, pair):
+        assert "_span" not in vars(v)
+        rows, counts = v._span_block()
+        kept_rows, kept_counts = vars(v)["_span"]
+        assert np.array_equal(kept_rows, rows) and np.array_equal(kept_counts, counts)
+        assert np.array_equal(rows, _stacked_span_rows(v.attributes)[0])
+    built = variable(x.substrate, x.members)
+    assert np.array_equal(vars(built)["_span"][0], vars(x)["_span"][0])

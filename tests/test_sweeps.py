@@ -8,7 +8,9 @@ task.  Over quantum variables (orthonormal, random, near-duplicate,
 multi-state, off-unit and mixed members) and classical variables the
 verdicts, the cloning statuses and any raised error must agree, and every
 shared `possible` verdict must replay on the member's own cloning task.
-The oracle calls each sweep makes are pinned.
+The decisions each sweep makes are pinned: on a `QuantumModel` with
+pure-state members, calls to the Gram-level core `quantum._gram_feasible`
+(the Gram route builds no task), elsewhere the tasks handed to the oracle.
 """
 
 import numpy as np
@@ -186,12 +188,28 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def core_calls(monkeypatch):
+    """The Gram-level decisions predicates hands to `quantum._gram_feasible`,
+    in order, as (input Gram matrix, candidate Gram matrix, options)."""
+    calls = []
+    decide = predicates._gram_feasible
+
+    def counted(g_in, g_cand, options, side_effects, model):
+        calls.append((g_in, g_cand, options))
+        return decide(g_in, g_cand, options, side_effects, model)
+
+    monkeypatch.setattr(predicates, "_gram_feasible", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
-def test_a_computation_check_asks_about_n_minus_1_star_transpositions(n, oracle_calls):
+def test_a_computation_check_asks_about_n_minus_1_star_transpositions(n, core_calls, oracle_calls):
     v = basis_variable(quantum_substrate("q", n))
     report = is_computation_variable(v, QuantumModel(v.substrate))
     assert report.verdict
-    assert len(oracle_calls) == n - 1
+    assert len(core_calls) == n - 1
+    assert not oracle_calls
     assert list(report.evidence["transpositions"]) == [(0, k) for k in range(1, n)]
 
 
@@ -203,27 +221,32 @@ def test_a_classical_computation_check_asks_about_n_minus_1_star_transpositions(
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_an_unclonable_union_of_lone_state_observables_makes_one_cloning_call(d, oracle_calls):
+def test_an_unclonable_union_of_lone_state_observables_makes_one_cloning_call(d, core_calls,
+                                                                              oracle_calls):
     sub = quantum_substrate("q", d)
     fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
     x = basis_variable(sub)
     y = state_variable(sub, [(("f", k), PureState(col)) for k, col in enumerate(fourier.T)])
     verdict, evidence = _superinformation_pair(x, y, QuantumModel(sub))
     assert verdict
-    assert len(oracle_calls) == 1
+    assert len(core_calls) == 1
+    assert not oracle_calls
     cloning = evidence["union_information"].evidence["cloning"]
     assert len(cloning) == 2 * d + 1
     assert len({id(v) for v in cloning.values()}) == 1
     assert not cloning["blank"].possible
 
 
-def test_an_off_unit_member_keeps_its_own_cloning_call(qubit, oracle_calls):
+def test_an_off_unit_member_keeps_its_own_cloning_call(qubit, core_calls):
     # |0> and |+> cannot be cloned; |0> takes the blank's verdict, the
-    # slightly short |+> is decided on its own task
+    # slightly short |+> is decided on its own inputs, whose Gram matrix
+    # G <+|+> carries its norm: the (|+>|+>, |+>|+>) entry is |+|^4
     short = PureState(plus().vector * (1 - 0.9 * tol()))
     v = state_variable(qubit, [(0, PureState(np.array([1.0, 0.0]))), (1, short)])
     report = is_information_variable(v, QuantumModel(qubit))
     assert not report.verdict
-    assert len(oracle_calls) == 2
-    inputs = [attr.states[0].vector for attr, _ in oracle_calls[1].pairs]
-    assert np.array_equal(inputs[1], np.kron(short.vector, short.vector))
+    assert len(core_calls) == 2
+    g_in = core_calls[1][0]
+    norm2 = np.vdot(short.vector, short.vector)
+    assert g_in[1, 1] == pytest.approx(norm2 ** 2, rel=0, abs=1e-15)
+    assert abs(g_in[1, 1] - 1) > tol()

@@ -4,10 +4,12 @@ The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, basis
 states, normalized vectors, member states, the value derivation's s and
 reversed o-states, cloning and permutation tasks, restricted, product,
-diagonal, relabeled and union variables) skip it; each such site is compared
-here with the validating constructor given the same fields, which must
-accept them and build an object equal field by field, arrays included (a
-mixed state's factor, unique only up to a unitary, by F F^dag).  The value derivation builds no o-register observable: the
+diagonal, relabeled, union and coarsened variables) skip it; each such site
+is compared here with the validating constructor given the same fields,
+which must accept them and build an object equal field by field, arrays
+included (a mixed state's factor, unique only up to a unitary, by F F^dag;
+a variable's span block, which a derived variable may derive on its first
+read, after reading it on both sides).  The value derivation builds no o-register observable: the
 partition it reads off the reduced state's diagonal is compared with the
 register the constructors build.  Products holding a mixed state keep their
 checks, and the tolerance edge is pinned.
@@ -28,11 +30,13 @@ from ctkit import (
     PureState,
     QuantumModel,
     StateError,
+    Variable,
     bar,
     basis_state,
     check_decision_support,
     classical_substrate,
     cloning_task,
+    coarsen_variable,
     compose_substrates,
     extensional_attribute,
     normalized,
@@ -94,6 +98,8 @@ def assert_same(a, b, seen=None):
         if (id(a), id(b)) in seen:  # a leaf substrate lists itself as its leaf
             return
         seen.add((id(a), id(b)))
+        if isinstance(a, Variable):  # a variable keeps its span block from the first read
+            a._span, b._span
         assert vars(a).keys() == vars(b).keys()
         for name in vars(a):
             if name == "factor":
@@ -290,6 +296,25 @@ def test_trusted_tasks_and_variables_match_the_constructors(seed, sizes):
     assert_trusted(permutation_task(c, swap))
     assert_trusted(cloning_task(c, predicates.blank_attribute(bit)))
     assert_trusted(product_variable(c, c))
+
+
+@TRUSTED
+@given(seed_st, st.lists(st.integers(1, 2), min_size=2, max_size=3), st.sampled_from(["sum", "product"]))
+def test_trusted_coarsened_variables_match_the_constructor(seed, sizes, mode):
+    """Each class of a coarsening is a union of products of two checked
+    variables' members, which are pairwise disjoint: quantum members with
+    several states, equal labels merging classes, and classical members."""
+    rng = np.random.default_rng(seed)
+    v = quantum_variable(rng, quantum_substrate("q", 3), sizes)
+    w = quantum_variable(rng, quantum_substrate("r", 2), [1, 1])
+    for x1, x2 in ((v, v), (v, w), (w, v)):
+        joint = coarsen_variable(x1, x2, mode)
+        assert joint.labels == tuple(dict.fromkeys(
+            l1 + l2 if mode == "sum" else l1 * l2 for l1 in x1.labels for l2 in x2.labels))
+        assert_trusted(joint)
+    bit = classical_substrate("bit3", "abc")
+    c = classical_variable(bit, [["a"], ["b", "c"]])
+    assert_trusted(coarsen_variable(c, c, mode))
 
 
 @TRUSTED
