@@ -46,6 +46,7 @@ from .kernel import (
     _holds_mixed,
     _member_weights,
     _product_attribute,
+    _pure_rows,
     _row_basis,
     _row_weights,
     _single_state,
@@ -138,13 +139,13 @@ def _products_on(composite: SubstrateSpec):
 
 def _member_gram(v: Variable, model):
     """The Gram route's data for v: the Gram matrix G of all member states,
-    from their raw vectors so that off-unit states keep their norms, and
-    each member's state indices.  None for the task route: a model that is
-    not a `QuantumModel`, or a member that is a subspace or lists a mixed state."""
-    if not isinstance(model, QuantumModel) or v.substrate.kind != QUANTUM or any(
-            a.is_subspace or _holds_mixed(a) for a in v.attributes):
+    from their raw vectors (`kernel._pure_rows`) so that off-unit states keep
+    their norms, and each member's state indices.  None for the task route: a
+    model that is not a `QuantumModel`, a member that is a subspace, or a
+    state that is not pure (a mixed state, a classical label)."""
+    if not isinstance(model, QuantumModel) or any(a.is_subspace for a in v.attributes) or (
+            vecs := _pure_rows([s for a in v.attributes for s in a.elements])) is None:
         return None
-    vecs = np.array([s.vector for a in v.attributes for s in a.elements])
     ends = itertools.accumulate(len(a.elements) for a in v.attributes)
     return vecs.conj() @ vecs.T, [list(range(e - len(a.elements), e))
                                   for e, a in zip(ends, v.attributes)]
