@@ -724,8 +724,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         if not states_equal(q_x, q_y):
             return False, "the two diagonal superpositions differ"
         # the members (l, l) of each observable's product with itself, built alone
-        diag_x, diag_y = (_product_variable(v, v, [((l, l), a, a) for l, a in v.members])
-                          for v in (x, y))
+        diag_x, diag_y = (_product_variable(v, v, zip(v.members, v.members)) for v in (x, y))
         q_attr = extensional_attribute(diag_x.substrate, (q_x,))
         mix_x = _nontrivial_mixture(q_attr, diag_x, model)
         mix_y = _nontrivial_mixture(q_attr, diag_y, model)

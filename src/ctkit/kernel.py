@@ -14,11 +14,11 @@ dimension, size and leaf label sets are computed once, at construction.  A
 quantum variable's span block, the read-only stacked span rows of its
 members and their counts (`_stacked_span_rows`), which measurers, adders,
 weights, span closures and member states read (`Variable._span_block`), is
-derived once and kept: by a variable of the public constructor at
-construction, and by a variable the library builds (`_trusted_variable`,
-`_checked_variable`) on its first read, so one that nothing reads (a parsed
-model's variable under `check-model`, a product, a diagonal, a coarsening,
-a superinformation union, a certificate's X_y + y) derives none.  The trusted
+derived once and kept: on its first read, so a variable the library builds
+that nothing reads (a parsed model's variable under `check-model`, a
+product, a diagonal, a coarsening, a superinformation union, a
+certificate's X_y + y) derives none, and at construction by the public
+builder `variable`, whose caller builds a variable to read it.  The trusted
 builders hand on a block they hold: a relabeled variable keeps its source's
 arrays, a restriction takes rows of its source's block.  A variable with a
 member that lists a mixed state keeps none, because that span depends on
@@ -586,15 +586,14 @@ class Variable:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple((l, a) for l, a in self.members))
         validate_variable(self.members, substrate=self.substrate)
-        self._span  # a checked variable derives its block here, with its checks
 
     @cached_property
     def _span(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The span block the variable keeps: the read-only
         `_stacked_span_rows` of its quantum attributes, or None when it is
         classical or an attribute lists a mixed state, whose span depends on
-        tol().  A checked variable derives it at construction; a trusted one
-        (`_trusted_variable`) is handed one or derives it on its first read."""
+        tol().  Derived on the first read, and at construction by `variable`;
+        a trusted variable (`_trusted_variable`) may be handed one."""
         if self.substrate.kind == QUANTUM and not any(map(_holds_mixed, self.attributes)):
             return tuple(map(_readonly, _stacked_span_rows(self.attributes)))
 
@@ -656,7 +655,11 @@ def _check_member_substrates(members, substrate: SubstrateSpec) -> None:
 
 
 def variable(substrate: SubstrateSpec, members) -> Variable:
-    return Variable(substrate, tuple(members))
+    """A checked `Variable` that derives its span block now, as one built
+    through this public builder is built to be read."""
+    built = Variable(substrate, tuple(members))
+    built._span  # derived here, not at its first use
+    return built
 
 
 def _trusted_variable(substrate: SubstrateSpec, members: tuple, span=None) -> Variable:
@@ -665,15 +668,6 @@ def _trusted_variable(substrate: SubstrateSpec, members: tuple, span=None) -> Va
     on its first read."""
     kept = {"_span": span} if span else {}  # else derived on the first read
     return _trusted(Variable, substrate=substrate, members=members, **kept)
-
-
-def _checked_variable(substrate: SubstrateSpec, members) -> Variable:
-    """`variable`, checked alike, whose span block is derived on its first
-    read: for the library's own checked builds that may never read it, a
-    model document's variables and a certificate's X_y + y."""
-    members = tuple((l, a) for l, a in members)
-    validate_variable(members, substrate=substrate)
-    return _trusted_variable(substrate, members)
 
 
 def union_attribute_of(var: Variable) -> Attribute:
@@ -699,8 +693,7 @@ def coarsen_variable(x1: Variable, x2: Variable, mode: str = "sum") -> Variable:
                 _product_attribute(a1, a2, substrate))
     checked = any(a.is_subspace or _holds_mixed(a) for a in x1.attributes + x2.attributes)
     members = tuple((value, attribute_union(parts) if checked else _trusted_attribute(
-        substrate, tuple(s for p in parts for s in p.elements)))
-        for value, parts in buckets.items())
+        substrate, sum((p.elements for p in parts), ()))) for value, parts in buckets.items())
     return (Variable if checked else _trusted_variable)(substrate, members)
 
 

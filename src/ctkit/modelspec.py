@@ -35,7 +35,6 @@ from .kernel import (
     SubstrateSpec,
     Task,
     Variable,
-    _checked_variable,
     classical_substrate,
     extensional_attribute,
     quantum_substrate,
@@ -238,7 +237,7 @@ def _parse_variables(doc: dict, substrate: SubstrateSpec,
                     or label != label:
                 raise ModelSpecError(f"{where}[{i}]: label must be a string or number")
             members.append((label, _lookup(attributes, ref, f"{where}[{i}]", "attribute")))
-        return _checked_variable(substrate, members)
+        return Variable(substrate, members)  # its span block is derived on the first read
 
     return _section(doc, "variables", "variable", build)
 

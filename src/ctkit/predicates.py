@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -140,36 +140,27 @@ def _products_on(composite: SubstrateSpec):
 def _member_gram(v: Variable, model):
     """The Gram route's data for v: the Gram matrix G of all member states,
     from their raw vectors (`kernel._pure_rows`) so that off-unit states keep
-    their norms, and each member's state indices.  None for the task route: a
-    model that is not a `QuantumModel`, a member that is a subspace, or a
-    state that is not pure (a mixed state, a classical label)."""
-    if not isinstance(model, QuantumModel) or any(a.is_subspace for a in v.attributes) or (
-            vecs := _pure_rows([s for a in v.attributes for s in a.elements])) is None:
-        return None
-    ends = itertools.accumulate(len(a.elements) for a in v.attributes)
-    return vecs.conj() @ vecs.T, [list(range(e - len(a.elements), e))
-                                  for e, a in zip(ends, v.attributes)]
+    their norms, and the index of each state's member.  None for the task
+    route: a model that is not a `QuantumModel`, a member that is a subspace,
+    or a state that is not pure (a mixed state, a classical label)."""
+    if isinstance(model, QuantumModel) and not any(a.is_subspace for a in v.attributes) and (
+            u := _pure_rows([s for a in v.attributes for s in a.elements])) is not None:
+        return u.conj() @ u.T, np.arange(len(v)).repeat([len(a.elements) for a in v.attributes])
 
 
-def _gram_verdict(route, model, cols, sizes, r=None):
-    """`quantum._gram_feasible`, side effects allowed, on a task over the
-    members whose Gram matrix G and state indices route holds: pair i takes
-    member i's states, each times every state of a receptive whose states
-    have the Gram matrix r (no receptive when r is None), to any of its
-    sizes[i] candidates, the next ones in order.  A candidate is the tensor
-    product of the states that the index lists cols give at its position, one
-    list per factor.  So the inputs have the Gram matrix G (x) r, and the
-    candidates the entrywise product of G's rows and columns at each list."""
-    g, spans = route
-    g_in = g if r is None else np.kron(g, r)
-    g_cand = reduce(np.multiply, (g.take(c, 0).take(c, 1) for c in cols))
-    options = []  # the inputs of one pair share its list, as in `quantum._task_demands`
-    for start, size, span in zip(itertools.accumulate(sizes, initial=0), sizes, spans):
-        options += [list(range(start, start + size))] * (len(span) * len(g_in) // len(g))
-    return _gram_feasible(g_in, g_cand, options, True, model)
+def _gram_verdict(g, to, g_cand, owners, model, r=np.ones((1, 1))):
+    """`quantum._gram_feasible`, side effects allowed, on the task whose
+    inputs are the member states of `_member_gram`'s G = g, each times every
+    state of a receptive whose states have the Gram matrix r (1: none), so
+    the inputs have the Gram matrix G (x) r, and whose candidate outputs
+    have the Gram matrix g_cand: an input of state i may take, in order,
+    each candidate c with owners[c] == to[i].  owners is sorted."""
+    lo, hi = (np.searchsorted(owners, to.repeat(len(r)), s).tolist() for s in ("left", "right"))
+    g_in = (g[:, None, :, None] * r[:, None]).reshape(len(g) * len(r), -1)  # G (x) r
+    return _gram_feasible(g_in, g_cand, [list(range(a, b)) for a, b in zip(lo, hi)], True, model)
 
 
-def _cloning_verdicts(v: Variable, model, route=None):
+def _cloning_verdicts(v: Variable, model):
     """(name, verdict) of cloning v onto the blank, then onto each member.
 
     On the Gram route (`_member_gram`) no task is built.  Since
@@ -184,17 +175,17 @@ def _cloning_verdicts(v: Variable, model, route=None):
     builds the cloning task of the blank and of each member that does not
     share its verdict; a classical witness names the receptive's label.
     """
-    route = route or _member_gram(v, model)
+    route = _member_gram(v, model)
     own = (k for k, r in enumerate(v.attributes) if not _unit_pure(r))  # in turn, as needed
     if route is None:
         tasks = _cloning_tasks(v, (blank_attribute(v.substrate), *(v.attributes[k] for k in own)))
         verdicts = (is_task_possible(t, model) for t in tasks)
     else:
-        g, spans = route
-        cols = tuple(zip(*(pair for s in spans for pair in itertools.product(s, s))))
-        sizes = [len(s) ** 2 for s in spans]  # x (x) x' for x, x' in the member
-        verdicts = (_gram_verdict(route, model, cols, sizes, r) for r in itertools.chain(
-            [None], (g.take(spans[k], 0).take(spans[k], 1) for k in own)))
+        g, owner = route
+        s, t = np.nonzero(owner[:, None] == owner)  # each member's state pairs, in order
+        g_cand = g.take(s, 0).take(s, 1) * g.take(t, 0).take(t, 1)
+        grams = itertools.chain([np.ones((1, 1))], (g[owner == k][:, owner == k] for k in own))
+        verdicts = (_gram_verdict(g, owner, g_cand, owner[s], model, r) for r in grams)
     first = next(verdicts)
     yield "blank", first
     for label, r in v.members:
@@ -242,17 +233,17 @@ def distinguishing_task(v: Variable, side_effects: bool = True) -> Task:
 def product_variable(v1: Variable, v2: Variable) -> Variable:
     """Members (l1, l2) -> x1 x x2 on the composite substrate; unchecked
     unless a member lists a mixed state (see `kernel`)."""
-    return _product_variable(v1, v2, [((l1, l2), a1, a2)
-                                      for l1, a1 in v1.members for l2, a2 in v2.members])
+    return _product_variable(v1, v2, [(m1, m2) for m1 in v1.members for m2 in v2.members])
 
 
 def _product_variable(v1: Variable, v2: Variable, pairs) -> Variable:
-    """The variable of the products a1 x a2 of members of v1 and v2 given as
-    (label, a1, a2) in pairs, such as `product_variable`'s, or decision
-    support's diagonal (l, l); checked as `product_variable` is."""
+    """The variable of the products x1 x x2, labelled (l1, l2), of the pairs
+    of members ((l1, x1), (l2, x2)) of v1 and v2 in pairs: all of them for
+    `product_variable`, or decision support's diagonal (l, l); checked as
+    `product_variable` is."""
     substrate = compose_substrates(v1.substrate, v2.substrate)
     product = _products_on(substrate)
-    members = tuple((label, product(a1, a2)) for label, a1, a2 in pairs)
+    members = tuple(((l1, l2), product(a1, a2)) for (l1, a1), (l2, a2) in pairs)
     checked = any(map(_holds_mixed, v1.attributes + v2.attributes))
     return (variable if checked else _trusted_variable)(substrate, members)
 
@@ -269,27 +260,25 @@ def is_computation_variable(v: Variable, model) -> PredicateReport:
     serial composition of possible tasks is possible.  So their n-1
     verdicts, in label order, decide every relabeling and are recorded as
     evidence.  On the Gram route (`_member_gram`) each is decided from the
-    member states' Gram matrix G alone: the inputs have Gram matrix G, and
-    the candidates G with the rows and columns of members l0 and lk swapped.
+    member states' Gram matrix G alone: the inputs and the candidates both
+    have Gram matrix G, and the inputs of l0 take the states of lk and
+    those of lk the states of l0.
     """
-    return _computation_report(v, model, _member_gram(v, model))
-
-
-def _computation_report(v: Variable, model, route) -> PredicateReport:
-    """`is_computation_variable` on the route given (`_member_gram`)."""
+    route = _member_gram(v, model)
     first, *rest = v.labels
-    checks = {(first, b): _transposition_verdict(route, k, model) if route else
-              is_task_possible(permutation_task(v, {first: b, b: first}), model)
-              for k, b in enumerate(rest, 1)}
+    checks = {(first, b): _transposition_verdict(route, k, model) if route else is_task_possible(
+        permutation_task(v, {first: b, b: first}), model) for k, b in enumerate(rest, 1)}
     ok = all(verdict.status == POSSIBLE for verdict in checks.values())
     return _report("is_computation_variable", v, ok, {"transpositions": checks})
 
 
 def _transposition_verdict(route, k: int, model):
     """The core's verdict on the star transposition (l0 lk) of the members
-    of route (`_member_gram`): member l0's states go to lk's and back."""
-    order = [route[1][k], *route[1][1:k], route[1][0], *route[1][k + 1:]]
-    return _gram_verdict(route, model, (sum(order, []),), list(map(len, order)))
+    of route (`_member_gram`): member l0's states go to lk's and back, so
+    the candidates are the member states themselves, and each input wants
+    those of its member's image, its owner with 0 and k swapped."""
+    g, owner = route
+    return _gram_verdict(g, owner + k * (owner == 0) - k * (owner == k), g, owner, model)
 
 
 def is_information_variable(v: Variable, model) -> PredicateReport:
@@ -302,13 +291,12 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     lists one unit pure state shares the blank's verdict (see
     `_cloning_verdicts`).  The computation check then asks about the n-1
     star transpositions only (see `is_computation_variable`).  On a
-    `QuantumModel` with pure-state members both read one Gram matrix of the
-    member states (`_member_gram`) and build no task.
+    `QuantumModel` with pure-state members both decide from the Gram matrix
+    of the member states (`_member_gram`) and build no task.
     """
-    route = _member_gram(v, model)
     clone_checks = {}
     clone_ok = None
-    for name, verdict in _cloning_verdicts(v, model, route):
+    for name, verdict in _cloning_verdicts(v, model):
         clone_checks[name] = verdict
         if verdict.status == POSSIBLE:
             clone_ok = name
@@ -316,7 +304,7 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     if clone_ok is None:
         return _report("is_information_variable", v, False,
                        {"cloning": clone_checks, "computation": None})
-    comp = _computation_report(v, model, route)
+    comp = is_computation_variable(v, model)
     return _report("is_information_variable", v, comp.verdict,
                    {"cloning": clone_checks, "receptive": clone_ok, "computation": comp})
 

@@ -149,7 +149,7 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
     """
     n = g_in.shape[0]
     a = np.eye(n, dtype=complex)
-    free = forced = False  # forced: some entry is set, so a may not be the identity
+    free = False
     for i in range(n):
         for j in range(i + 1, n):
             go, gi = g_out[i, j], g_in[i, j]
@@ -162,7 +162,6 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
                     )
                     return IMPOSSIBLE, None, cert
                 a[i, j], a[j, i] = ratio, np.conj(ratio)
-                forced = True
             elif abs(gi) > atol:
                 cert = (
                     f"inputs {i},{j}: outputs are orthogonal but inputs "
@@ -171,7 +170,8 @@ def _ratio_matrix(g_in: np.ndarray, g_out: np.ndarray, atol: float):
                 return IMPOSSIBLE, None, cert
             else:
                 free = True  # both overlaps vanish; entry left at zero
-    if forced and float(np.linalg.eigvalsh(a).min()) < -atol:
+    # a set entry is a nonzero ratio; with none, a is the identity
+    if np.count_nonzero(a) > n and float(np.linalg.eigvalsh(a).min()) < -atol:
         if free:
             return UNKNOWN, a, "zero completion of the garbage Gram matrix is not PSD"
         vals, vecs = np.linalg.eigh(a)
@@ -237,9 +237,6 @@ def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: 
     settled = n  # inputs from here on have one option each
     while settled and len(options[settled - 1]) == 1:
         settled -= 1
-    if not settled and n <= budget:  # one full choice: nothing to search
-        accept((0,) * n, [opts[0] for opts in options])
-        return n
     choice, taken = [0] * n, [0] * n  # option position and candidate per input
     nodes = 0
 
@@ -277,8 +274,7 @@ def unitary_task_feasible(task: Task, model: QuantumModel) -> PossibilityVerdict
     return _gram_feasible(gram(ins).matrix, gram(cands).matrix, options, task.side_effects, model)
 
 
-def _gram_feasible(g_in: np.ndarray, g_cand: np.ndarray, options, side_effects: bool,
-                   model: QuantumModel) -> PossibilityVerdict:
+def _gram_feasible(g_in, g_cand, options, side_effects, model: QuantumModel) -> PossibilityVerdict:
     """The verdict on a task given by Gram matrices alone, by a pruned choice
     search: g_in of its inputs, g_cand of all candidate outputs, and options[k]
     the candidates input k may take.
@@ -301,9 +297,7 @@ def _gram_feasible(g_in: np.ndarray, g_cand: np.ndarray, options, side_effects: 
 
     def accept(choice, taken):
         nonlocal found, unknown, first_cert
-        # each input its own candidate, in order: the candidates' Gram matrix as it is
-        g_out = g_cand if taken == list(range(len(g_cand))) else \
-            g_cand.take(taken, 0).take(taken, 1)
+        g_out = g_cand.take(taken, 0).take(taken, 1)
         status, a, cert = _full_check(g_in, g_out, side_effects, atol)
         if not any(choice):
             first_cert = cert

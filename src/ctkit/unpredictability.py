@@ -21,7 +21,6 @@ from .kernel import (
     QUANTUM,
     Attribute,
     Variable,
-    _checked_variable,
     _member_weights,
     _single_state,
 )
@@ -195,7 +194,7 @@ def unpredictability_certificate(x: Variable, y: Attribute, model) -> Unpredicta
             "y is sharp in the observable; its restriction is predictable"
         )
     x_y = restricted_variable(x, y)
-    z = _checked_variable(
+    z = Variable(
         x.substrate,
         list(x_y.members) + [(("mixture", "y"), y)],
     )

@@ -282,7 +282,8 @@ def test_a_library_built_variable_derives_its_block_on_the_first_read():
     """A model document's variables, and the products, diagonals, unions and
     coarsenings the library builds, derive their block on the first read and
     keep it; what `check-model` asks of the qubit fixture reads none.  A
-    variable of the public constructor derives its block when it is built."""
+    variable of the public builder `variable` derives its block when it is
+    built."""
     from ctkit import coarsen_variable, is_information_variable, is_observable
     from ctkit.predicates import _superinformation_pair
 
