@@ -237,6 +237,9 @@ def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: 
     settled = n  # inputs from here on have one option each
     while settled and len(options[settled - 1]) == 1:
         settled -= 1
+    if not settled and n <= budget:  # one full choice: nothing to search
+        accept((0,) * n, [opts[0] for opts in options])
+        return n
     choice, taken = [0] * n, [0] * n  # option position and candidate per input
     nodes = 0
 
