@@ -37,13 +37,12 @@ from .kernel import (
     _check_labels,
     _member_weights,
     _single_state,
-    _stacked_span_rows,
+    _trusted_attribute,
     _trusted_variable,
     coarsen_variable,
     extensional_attribute,
     product_attribute,
     quantum_substrate,
-    variable,
 )
 from .ensembles import _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
@@ -55,7 +54,6 @@ from .predicates import (
 from .quantum import (
     ControlledMap,
     apply_measurer,
-    basis_members,
     build_measurer,
     controlled_map,
     intrinsic_part,
@@ -162,11 +160,6 @@ def exact_game_value(weights, payoffs) -> Fraction:
 # Game transforms
 
 
-def _member_state(attr: Attribute) -> PureState:
-    """A lone attribute's one span row (`_member_states`)."""
-    return _member_states(*_stacked_span_rows((attr,)))[0]
-
-
 def _member_states(rows: np.ndarray, counts: np.ndarray) -> tuple[PureState, ...]:
     """The one span row of each member of a span block (of a variable,
     `Variable._span_block`): v/|v| for a lone pure state v, which an SVD
@@ -215,8 +208,7 @@ def transform_game(g: Game, kind: str, k=0, mapping: dict | None = None,
         raise TransformError(f"unknown transform target {target!r}")
     if set(label_map.values()) != set(x.labels):
         raise TransformError("label set is not closed under the transform")
-    members = tuple((l, _member_state(x.attribute(l))) for l in x.labels)
-    u = permutation_computation(label_map, members)
+    u = permutation_computation(label_map, zip(x.labels, _member_states(*x._span_block())))
     state = _single_state(g.attribute, message="game attribute does not denote a single state")
     moved = apply_unitary(state, u)
     return make_game(x, extensional_attribute(x.substrate, (moved,)), children=g.children)
@@ -419,9 +411,14 @@ def derive_value_mn(m: int, n: int, payoffs) -> DerivationTrace:
 
 
 def _payoff_variable(x1: Fraction, x2: Fraction) -> Variable:
+    """The payoff register: x1 and x2 (distinct) on the two standard kets,
+    which are valid, disjoint and their own span rows, so the variable is
+    built unchecked and handed the identity block."""
     sub = quantum_substrate(f"payoff[{x1},{x2}]", 2)
-    return variable(sub, tuple(
-        (l, extensional_attribute(sub, (s,))) for l, s in basis_members((x1, x2))))
+    rows = _readonly(np.eye(2, dtype=complex))
+    return _trusted_variable(sub, tuple(
+        (l, _trusted_attribute(sub, (s,))) for l, s in zip((x1, x2), _row_states(rows))),
+        (rows, _readonly(np.ones(2, np.intp))))
 
 
 def _degenerate_trace(m, n, x1, x2, final) -> DerivationTrace:
@@ -450,7 +447,7 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
     x is the payoff variable of x1 and x2."""
     atol = _payoff_tol(x1, x2)
     k = -(x1 + x2)
-    v_sym = (x1 + x2) / 2
+    v_sym = -k / 2
 
     # shift: the label identity T_{-(x1+x2)} = R o S, checked exactly
     swap = {x1: x2, x2: x1}
@@ -465,7 +462,7 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
     )
 
     # reflection: negation closure holds in the centered labeling
-    centered = {x1: x1 - (x1 + x2) / 2, x2: x2 - (x1 + x2) / 2}
+    centered = {x1: x1 - v_sym, x2: x2 - v_sym}
     try:
         negation_map(tuple(centered.values()))
         closure = True
@@ -480,24 +477,22 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
                      "closed_under_negation": closure},
     )
 
-    # symmetric base: S fixes y+, so the two sides close to (x1+x2)/2
-    members = tuple(zip(x.labels, _member_states(*x._span_block())))
-    s_unitary = permutation_computation({x1: x2, x2: x1}, members)
+    # symmetric base: S fixes y+, so the two sides close to (x1+x2)/2; S(y+)
+    # is the held state of `transform_game(g, "permutation", swap, target="attribute")`
+    s_unitary = permutation_computation(swap, zip(x.labels, _member_states(*x._span_block())))
     y_plus = normalized([1, 1])
-    s_fixes = states_equal(apply_unitary(y_plus, s_unitary), y_plus)
+    moved = apply_unitary(y_plus, s_unitary)
+    s_fixes = states_equal(moved, y_plus)
     g = make_game(x, extensional_attribute(x.substrate, (y_plus,)))
-    g_swapped = transform_game(g, "permutation", mapping={x1: x2, x2: x1})
-    covariance = abs(
-        game_value(g_swapped)
-        - game_value(transform_game(g, "permutation", mapping={x1: x2, x2: x1},
-                                    target="attribute"))
-    ) <= atol
+    g_swapped = transform_game(g, "permutation", mapping=swap)
+    g_moved = make_game(x, extensional_attribute(x.substrate, (moved,)))
+    covariance = abs(game_value(g_swapped) - game_value(g_moved)) <= atol
     value = game_value(g)
     direct = abs(value - float(v_sym)) <= atol
     yield DerivationStep(
         rule="SymmetricBase",
         premises=("ShiftRule", "ReflectionRule", "S(y+) in y+"),
-        conclusion=f"2 V{{G_X(y+)}} = {x1 + x2}; V{{G_X(y+)}} = {v_sym}",
+        conclusion=f"2 V{{G_X(y+)}} = {-k}; V{{G_X(y+)}} = {v_sym}",
         check=s_fixes and covariance and direct,
         computation={"swap_fixes_y_plus": s_fixes,
                      "permutation_covariance": covariance,
@@ -531,8 +526,9 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     o2 = normalized((~block).astype(float))
     measurer = build_measurer(x, flag_states={x1: o1, x2: o2})
     measured = apply_measurer(measurer, tensor(y_state, measurer.receptive_state()))
-    s_vec = amp1 * np.kron(b1.vector, o1.vector) + amp2 * np.kron(b2.vector, o2.vector)
-    s_state = _trusted(PureState, vector=_readonly(s_vec), dims=(2, n))  # unit: <o1|o2> = 0
+    s_amps = amp1 * np.outer(b1.vector, o1.vector) + amp2 * np.outer(b2.vector, o2.vector)
+    s_state = _trusted(PureState, vector=_readonly(s_amps.ravel()),
+                       dims=(2, n))  # unit: <o1|o2> = 0
     identity_ok = states_equal(measured, s_state)
     yield DerivationStep(
         rule="MeasurementNeutrality",
@@ -547,12 +543,12 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
     # negates the centered labels, so the partition is reflection invariant
     h = _block_labels(m, n)
     sums_zero = bool(h[:m].sum() == 0 and h[m:].sum() == 0)
-    flip = np.r_[m - 1:-1:-1, n - 1:m - 1:-1]  # per-block reversal, an involution
+    flip = np.where(block, m - 1, n + m - 1) - np.arange(n)  # per-block reversal, an involution
     negates = bool(np.array_equal(h[flip], -h))
     fixes_o = all(states_equal(_trusted(PureState, vector=_readonly(o.vector[flip]),
                                         dims=o.dims), o) for o in (o1, o2))  # unit: permuted
     rho_o = intrinsic_part(measured, 1).matrix
-    invariant = float(np.abs(rho_o[np.ix_(flip, flip)] - rho_o).max()) <= atol
+    invariant = float(np.abs(rho_o[flip][:, flip] - rho_o).max()) <= atol
     lams, owner = np.unique(h, return_inverse=True)
     weight_o = _partition_weights(np.bincount(owner, weights=rho_o.diagonal().real), atol)
     value_o = float(weight_o @ lams) / 2
@@ -575,7 +571,7 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
 
     # additivity: V over the summed payoff equals source value plus zero;
     # amps[i, j] = <b_i (x) e_j|s>
-    amps = np.array([b1.vector, b2.vector]).conj() @ s_vec.reshape(2, n)
+    amps = np.array([b1.vector, b2.vector]).conj() @ s_amps
     payoffs = np.array([[float(x1)], [float(x2)]])
     total = float(np.sum(np.abs(amps) ** 2 * (payoffs + h / 2)))
     source_value = _weighted_labels(partition_of_unity(intrinsic_part(measured, 0), x))

@@ -353,9 +353,10 @@ class ControlledMap:
     other rows are the identity; class len(maps) completes the basis.  A
     control that is a product of small factors (the counting constructor's
     replicas) keeps one basis per factor, so nothing of size control_dim**2
-    is held.  apply sends every row through table[classes] in one gather,
-    then each dense map or reflector through its class's rows; it skips the
-    bases found at construction to be exactly the identity."""
+    is held; control_dim, the product of their sizes, is kept from
+    construction.  apply sends every row through table[classes] in one
+    gather, then each dense map or reflector through its class's rows; it
+    skips the bases found at construction to be exactly the identity."""
 
     bases: tuple
     classes: np.ndarray
@@ -364,22 +365,19 @@ class ControlledMap:
 
     def __post_init__(self):
         n, classes = len(self.maps), np.asarray(self.classes)
-        if classes.shape != (self.control_dim,) or classes.dtype.kind not in "iu" \
+        control_dim = prod(b.shape[0] for b in self.bases)
+        if classes.shape != (control_dim,) or classes.dtype.kind not in "iu" \
                 or ((classes < 0) | (classes > n)).any():
-            raise PreconditionError(f"classes must give each of the {self.control_dim} "
+            raise PreconditionError(f"classes must give each of the {control_dim} "
                                     f"control rows a class in 0..{n}")
         same = np.arange(self.target_dim)
         table = np.array([t if t.ndim == 1 else same for t in self.maps] + [same], np.intp)
         table.setflags(write=False)
         maps = tuple(table[k] if t.ndim == 1 else t for k, t in enumerate(self.maps))
-        vars(self).update(classes=classes, maps=maps, table=table,
+        vars(self).update(classes=classes, maps=maps, table=table, control_dim=control_dim,
                           _dense=[(k, t) for k, t in enumerate(maps) if t.ndim == 2],
                           _identity=[np.count_nonzero(b) == len(b) and (b.diagonal() == 1).all()
                                      for b in self.bases])
-
-    @property
-    def control_dim(self) -> int:
-        return prod(b.shape[0] for b in self.bases)
 
     def rows(self, k: int) -> np.ndarray:
         """The basis kets (rows) of class k."""
@@ -420,7 +418,8 @@ class ControlledMap:
     def _on_rows(self, mat: np.ndarray, dims, factors) -> np.ndarray:
         """(U on factors) @ mat, for mat of shape (prod(dims), m)."""
         c, t = factors
-        x = np.moveaxis(mat.reshape(*dims, -1), (t, c), (0, 1))
+        order = [t, c, *(f for f in range(len(dims) + 1) if f != c and f != t)]
+        x = mat.reshape(*dims, -1).transpose(order)
         moved = x.shape
         # coordinates <b_i|.> of the control, then T_k on each class's rows
         x = self._per_factor(np.conj, x.reshape(self.target_dim, self.control_dim, -1))
@@ -431,7 +430,7 @@ class ControlledMap:
                 block = x[:, rows]
                 out[:, rows] = t_map.dot(block.reshape(self.target_dim, -1)).reshape(block.shape)
         out = self._per_factor(np.transpose, out)
-        return np.moveaxis(out.reshape(moved), (0, 1), (t, c)).reshape(mat.shape)
+        return out.reshape(moved).transpose(np.argsort(order)).reshape(mat.shape)
 
     def _check_factors(self, state: State, factors, dims) -> None:
         """PreconditionError unless dims split the state and give its two
@@ -540,7 +539,7 @@ class FlagReflector:
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The map times the (t, m) matrix x."""
-        return self.phase * (x - np.outer(self.w, self.scale * (self.w.conj() @ x)))
+        return self.phase * (x - self.w[:, None] * (self.scale * (self.w.conj() @ x)))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(_unitary_with_first_column(self.flag), dtype)
@@ -683,16 +682,18 @@ def _entry(mapping: dict, name: str, label):
 
 def _receptive_weight(joint: State, factor: int, index: int) -> float:
     """Weight of the joint state on basis state `index` of one factor."""
-    amps = np.moveaxis(joint.factor.reshape(joint.dims + (-1,)), factor, 0)[index]
+    amps = joint.factor.reshape(joint.dims + (-1,))[(slice(None),) * factor + (index,)]
     return float(np.vdot(amps, amps).real)
 
 
 def apply_measurer(m: MeasurerSpec, joint: State, factors: tuple[int, int] = (0, 1)) -> State:
-    """Run the measurement unitary; the target factor must be receptive."""
-    m.control._check_factors(joint, factors, joint.dims)
+    """Run the measurement unitary as `ControlledMap.apply` does, with the
+    factors checked once, here; the target factor must be receptive."""
+    control = m.control
+    control._check_factors(joint, factors, joint.dims)
     if _receptive_weight(joint, factors[1], m.receptive_index) < 1.0 - tol():
         raise ReceptiveStateError("target factor is not in the receptive state")
-    return m.control.apply(joint, factors)
+    return _image(joint, control._on_rows(joint.factor, joint.dims, factors))
 
 
 def intrinsic_part(joint: State, factor) -> MixedState:
@@ -800,23 +801,23 @@ def permutation_computation(mapping: dict, members) -> np.ndarray:
     """Unitary sending the state for label x to the state for mapping[x].
 
     members: ordered (label, PureState) pairs with orthonormal vectors.  The
-    unitary acts as the identity on the orthogonal rest of the space.
+    unitary acts as the identity on the orthogonal rest of the space: with
+    the vectors as the rows of V, and V_s the rows reordered so that row l
+    holds the vector of mapping[l], U = V_s^T V* + (I - V^T V*).
     """
     members = tuple(members)
     labels = [l for l, _ in members]
     if set(mapping) != set(labels) or set(mapping.values()) != set(labels):
         missing = set(mapping.values()) - set(labels) or set(labels) - set(mapping)
         raise TransformError(f"permutation is not closed on the label set: {sorted(map(repr, missing))}")
-    vec = {l: s.vector for l, s in members}
-    if not _orthogonal([vec[l] for l in labels], tol()):
+    state = dict(members)  # a repeated label repeats one row, which the check refuses
+    rows = np.array([state[l].vector for l in labels])
+    if not _orthogonal(rows, tol()):
         raise PreconditionError("permutation members must be orthonormal")
-    dim = members[0][1].dim
-    u = np.zeros((dim, dim), dtype=complex)
-    covered = np.zeros((dim, dim), dtype=complex)
-    for label in labels:
-        u += np.outer(vec[mapping[label]], vec[label].conj())
-        covered += np.outer(vec[label], vec[label].conj())
-    return u + (np.eye(dim) - covered)
+    position = {l: i for i, l in enumerate(labels)}
+    conj = rows.conj()
+    image = rows[[position[mapping[l]] for l in labels]]
+    return image.T @ conj + (np.eye(rows.shape[1]) - rows.T @ conj)
 
 
 def transposition_map(labels, a, b) -> dict:

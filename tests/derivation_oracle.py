@@ -36,7 +36,6 @@ from ctkit import (
     tensor,
     variable,
 )
-from ctkit.games import _member_state
 from ctkit.tolerance import tol
 
 
@@ -74,7 +73,7 @@ def reference_steps(m: int, n: int, payoffs, labels=None) -> tuple:
     x = variable(sub, [(l, extensional_attribute(sub, (s,))) for l, s in basis_members((x1, x2))])
 
     # step 4's state
-    b1, b2 = (_member_state(a) for a in x.attributes)
+    b1, b2 = (normalized(a.states[0].vector) for a in x.attributes)  # v/|v|
     amp1, amp2 = math.sqrt(m / n), math.sqrt((n - m) / n)
     y_state = normalized(amp1 * b1.vector + amp2 * b2.vector)
     o1 = normalized([1.0 if j < m else 0.0 for j in range(n)])

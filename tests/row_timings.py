@@ -14,7 +14,8 @@ states built and applied once, the 14-replica counting constructor
 built and applied once, and the 8-replica one applied to a rank-2 mixed
 joint (dimension 2304).  At the benchmark's own scale, each the best of
 200: a 32-member basis measurer and the 8-replica qubit counting
-constructor, each built and applied once, `derive_value_mn(2, 5)`,
+constructor, each built and applied once, `derive_value_mn(2, 5)` and
+`derive_value_mn(31, 64)`, a qubit basis measurer built and applied once,
 `check_decision_support` on `fixtures/qubit.json` and on
 `fixtures/qubit_degenerate.json` (which fails R1 and then asks whether the
 pair is superinformation), the unpredictability certificate of a
@@ -114,6 +115,8 @@ for name, run, repeats in [
         ("basis measurer d=32, build + apply", lambda: basis_measurer(1, 32), 200),
         ("counting constructor d=2 n=8, build + apply", lambda: counting(8), 200),
         ("derive_value_mn(2, 5)", lambda: derive_value_mn(2, 5, (10, -2)), 200),
+        ("derive_value_mn(31, 64)", lambda: derive_value_mn(31, 64, (10, -2)), 200),
+        ("qubit measurer, build + apply", lambda: basis_measurer(1, 2), 200),
         ("check_decision_support on the qubit fixture", decision_support, 200),
         ("check_decision_support on the degenerate qubit fixture",
          lambda: decision_support(degenerate, False), 200),

@@ -59,7 +59,8 @@ from ctkit import (
     unpredictability_certificate,
     variable,
 )
-from ctkit.games import _member_state
+from ctkit.games import _member_states
+from ctkit.kernel import _stacked_span_rows
 from ctkit.unpredictability import PredictorProblem
 
 from conftest import basis_variable, minus, plus, state_variable
@@ -127,10 +128,11 @@ CASES = {
         _predictor_with_mixed_member,
         UnsupportedInputError, "input attribute must denote a single pure state"),
     "member_state_two_states": (
-        lambda: _member_state(_two_states()),
+        lambda: _member_states(*_stacked_span_rows((_two_states(),))),
         RepresentationError, "member attribute does not denote a single state"),
     "member_state_classical": (
-        lambda: _member_state(extensional_attribute(classical_substrate("c", "ab"), ["a"])),
+        lambda: _member_states(*_stacked_span_rows(
+            (extensional_attribute(classical_substrate("c", "ab"), ["a"]),))),
         RepresentationError, "span is a quantum notion"),
     "measurer_flags": (
         lambda: build_measurer(_x(), flag_states={0: ZERO, 1: plus()}),

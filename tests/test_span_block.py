@@ -41,7 +41,7 @@ from ctkit import (
     variable,
 )
 from ctkit.errors import DisjointnessError, NotMeasurableError
-from ctkit.games import _member_state
+from ctkit.games import _member_states
 from ctkit.kernel import (_first_span_overlap, _row_basis, _stacked_span_rows,
                           _trusted_attribute, attribute_span)
 from ctkit.states import _trusted
@@ -113,15 +113,16 @@ def member_attribute(kind, sub, rng):
 @given(seed_st, st.integers(min_value=2, max_value=5),
        st.lists(st.sampled_from(MEMBER_KINDS), min_size=1, max_size=6))
 def test_member_states_and_span_closures_match_the_per_member_svd(seed, d, kinds):
-    """`games._member_state` is the member's SVD row (`attribute_span`) up to
-    a real sign, and `span_closure` projects where one SVD over the
+    """`games._member_states` of one member is its SVD row (`attribute_span`)
+    up to a real sign, and `span_closure` projects where one SVD over the
     per-member SVD rows does, to 1e-12.  (From d = 2: in dimension 1 the SVD
     row is 1 and v/|v| is any phase of it.)"""
     rng = np.random.default_rng(seed)
     sub = quantum_substrate("s", d)
     attrs = [member_attribute(kind, sub, rng) for kind in kinds]
     for attr in attrs:
-        got, (old,) = _member_state(attr).vector, attribute_span(attr)
+        (got,) = _member_states(*_stacked_span_rows((attr,)))
+        got, (old,) = got.vector, attribute_span(attr)
         sign = np.vdot(got, old)
         assert abs(sign.imag) <= 1e-12 and abs(abs(sign.real) - 1) <= 1e-12
         assert np.abs(got * np.sign(sign.real) - old).max() <= 1e-12

@@ -2,8 +2,8 @@
 
 The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, basis
-states, normalized vectors, member states, the value derivation's s and
-reversed o-states, cloning and permutation tasks, restricted, product,
+states, normalized vectors, member states, the value derivation's payoff
+variable, s and reversed o-states, cloning and permutation tasks, restricted, product,
 diagonal, relabeled, union and coarsened variables) skip it; each such site
 is compared here with the validating constructor given the same fields,
 which must accept them and build an object equal field by field, arrays
@@ -32,6 +32,7 @@ from ctkit import (
     StateError,
     Variable,
     bar,
+    basis_members,
     basis_state,
     check_decision_support,
     classical_substrate,
@@ -54,6 +55,7 @@ from ctkit import (
     variable,
 )
 from ctkit import games, predicates
+from ctkit.kernel import _stacked_span_rows
 from ctkit.tolerance import tol
 
 from conftest import FIXTURE_DIR, state_variable
@@ -220,12 +222,27 @@ def test_trusted_member_states_and_span_closures_match_the_constructors(seed, di
         subspace_attribute(q, [u[1]]),
         extensional_attribute(q, [u[-1].density()]),
     ]
-    for attr in members:
-        assert_trusted(games._member_state(attr))
+    for state in games._member_states(*_stacked_span_rows(members)):
+        assert_trusted(state)
     v = variable(q, list(enumerate(members[:dim])))
     assert_trusted(span_closure(v))
     assert_trusted(span_closure(variable(q, [(0, extensional_attribute(
         q, [u[0], normalized(u[0].vector + u[1].vector)]))])))
+
+
+@pytest.mark.parametrize("payoffs", [(10, -2), (Fraction(1, 3), Fraction(7, 2)),
+                                     (-5, Fraction(-3, 4)), (0, -1)])
+def test_trusted_payoff_register_matches_the_constructor(payoffs):
+    """The value derivation's payoff variable, built unchecked with the
+    identity as its span block, against `variable` over the standard kets."""
+    x1, x2 = map(games._as_payoff, payoffs)
+    sub = quantum_substrate(f"payoff[{x1},{x2}]", 2)
+    checked = variable(sub, [(l, extensional_attribute(sub, (s,)))
+                             for l, s in basis_members((x1, x2))])
+    trusted = games._payoff_variable(x1, x2)
+    assert trusted.labels == checked.labels == (x1, x2)
+    assert_same(trusted, checked)
+    assert_trusted(trusted)
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 5), (31, 64)])
