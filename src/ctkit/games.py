@@ -44,7 +44,7 @@ from .kernel import (
     product_attribute,
     quantum_substrate,
 )
-from .ensembles import _partition_weights, partition_of_unity, verify_E1_E2
+from .ensembles import PartitionOfUnity, _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
     _product_variable,
     _row_states,
@@ -85,6 +85,9 @@ DERIVATION_RULES = (
     "SymmetricBase",
     "NonSymmetric",
 )
+
+# y+ = (|0> + |1>)/sqrt(2), the state the derivation's symmetric base step holds
+_Y_PLUS = normalized([1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,12 @@ def transform_game(g: Game, kind: str, k=0, mapping: dict | None = None,
 
     if target == "observable":
         new_x = _relabeled(x, (label_map[l] for l in x.labels))
-        return make_game(new_x, g.attribute, children=g.children)
+        _check_payoff_labels(new_x)
+        game = Game(new_x, g.attribute, x.substrate, g.children)
+        # g's members and attribute: the same weights, under the new labels
+        vars(game)["_partition"] = PartitionOfUnity(
+            tuple((label_map[l], w) for l, w in g._partition.items))
+        return game
     if target != "attribute":
         raise TransformError(f"unknown transform target {target!r}")
     if set(label_map.values()) != set(x.labels):
@@ -480,10 +488,9 @@ def _symmetric_base_steps(x: Variable, x1: Fraction, x2: Fraction):
     # symmetric base: S fixes y+, so the two sides close to (x1+x2)/2; S(y+)
     # is the held state of `transform_game(g, "permutation", swap, target="attribute")`
     s_unitary = permutation_computation(swap, zip(x.labels, _member_states(*x._span_block())))
-    y_plus = normalized([1, 1])
-    moved = apply_unitary(y_plus, s_unitary)
-    s_fixes = states_equal(moved, y_plus)
-    g = make_game(x, extensional_attribute(x.substrate, (y_plus,)))
+    moved = apply_unitary(_Y_PLUS, s_unitary)
+    s_fixes = states_equal(moved, _Y_PLUS)
+    g = make_game(x, extensional_attribute(x.substrate, (_Y_PLUS,)))
     g_swapped = transform_game(g, "permutation", mapping=swap)
     g_moved = make_game(x, extensional_attribute(x.substrate, (moved,)))
     covariance = abs(game_value(g_swapped) - game_value(g_moved)) <= atol
@@ -549,8 +556,10 @@ def _appendix_steps(x: Variable, m: int, n: int, x1: Fraction, x2: Fraction,
                                         dims=o.dims), o) for o in (o1, o2))  # unit: permuted
     rho_o = intrinsic_part(measured, 1).matrix
     invariant = float(np.abs(rho_o[flip][:, flip] - rho_o).max()) <= atol
-    lams, owner = np.unique(h, return_inverse=True)
-    weight_o = _partition_weights(np.bincount(owner, weights=rho_o.diagonal().real), atol)
+    # h runs over -(n-1)..n-1: the labels in use, ascending, and their weights
+    lams = np.flatnonzero(np.bincount(h + n - 1)) - (n - 1)
+    weight_o = _partition_weights(
+        np.bincount(h + n - 1, weights=rho_o.diagonal().real)[lams + n - 1], atol)
     value_o = float(weight_o @ lams) / 2
     mirrored = (bool(np.array_equal(lams, -lams[::-1]))  # unique labels ascend
                 and float(np.abs(weight_o - weight_o[::-1]).max()) <= atol)

@@ -144,6 +144,8 @@ def test_transform_validation(qubit):
         transform_game(g, "permutation", mapping={0: 1, 1: 1})
     with pytest.raises(TransformError):
         transform_game(g, "permutation", mapping={0: 1})
+    with pytest.raises(LabelArithmeticError):
+        transform_game(g, "permutation", mapping={0: "w", 1: 1})
 
 
 def test_attribute_target_acts_on_the_state(qubit):
@@ -399,6 +401,15 @@ def test_value_is_additive_under_composition(a1, a2, b1, b2, s1, s2):
 def test_shift_sweep_tracks_k(k, seed):
     g = random_game((0, 1), seed)
     assert game_value(transform_game(g, "shift", k=k)) == pytest.approx(game_value(g) + k)
+
+
+@given(payoff_st, seed_st, st.sampled_from(["shift", "reflection", "permutation"]))
+def test_a_relabeled_game_keeps_the_weights_make_game_derives(k, seed, kind):
+    """An observable transform hands g's weights to the new labels; they are
+    exactly the partition `make_game` derives for the relabeled observable."""
+    g = random_game((0, 1), seed)
+    relabeled = transform_game(g, kind, k=k, mapping={0: 1, 1: 0})
+    assert relabeled._partition == make_game(relabeled.observable, g.attribute)._partition
 
 
 @given(seed_st)
