@@ -3,10 +3,10 @@
 The public constructors keep every check.  Objects the library derives from
 checked ones (products, partial traces, density matrices, SVD rows, basis
 states, normalized vectors, member states, the value derivation's payoff
-variable, s and reversed o-states, cloning and permutation tasks, restricted, product,
-diagonal, relabeled, union and coarsened variables) skip it; each such site
-is compared here with the validating constructor given the same fields,
-which must accept them and build an object equal field by field, arrays
+variable, s and reversed o-states, cloning and permutation tasks,
+restricted, product, diagonal, relabeled, union and coarsened variables)
+skip it; each such site is compared here with the validating constructor
+given the same fields, which must accept them and build an object equal field by field, arrays
 included (a mixed state's factor, unique only up to a unitary, by F F^dag;
 a variable's span block, which a derived variable may derive on its first
 read, after reading it on both sides).  The value derivation builds no o-register observable: the
