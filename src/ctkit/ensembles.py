@@ -529,7 +529,11 @@ def verify_E1_E2(z, x: Variable, n_sweep, epsilon,
     1e-12 of one; the sweep is exact when exact_probabilities keeps them.
     Ties in the sweep are allowed (parity effects at small N produce plateaus).
     """
-    part = partition_of_unity(z, x)
+    return _convergence(partition_of_unity(z, x), n_sweep, epsilon, final_bound)
+
+
+def _convergence(part: PartitionOfUnity, n_sweep, epsilon, final_bound: float) -> ConvergenceReport:
+    """`verify_E1_E2`'s sweep over the partition part, for a caller that holds it."""
     snapped = [_snap(float(v)) for _, v in part.items]
     probabilities = exact_probabilities(snapped) if None not in snapped else None
     if probabilities is None:

@@ -36,7 +36,9 @@ from .kernel import (
     Variable,
     _check_labels,
     _member_weights,
+    _row_weights,
     _single_state,
+    _slack,
     _trusted_attribute,
     _trusted_variable,
     coarsen_variable,
@@ -44,8 +46,9 @@ from .kernel import (
     product_attribute,
     quantum_substrate,
 )
-from .ensembles import PartitionOfUnity, _partition_weights, partition_of_unity, verify_E1_E2
+from .ensembles import PartitionOfUnity, _convergence, _partition_weights, partition_of_unity
 from .predicates import (
+    _closure_rows,
     _product_variable,
     _row_states,
     detect_superinformation,
@@ -628,8 +631,8 @@ class DecisionSupportReport:
         raise KeyError(name)
 
 
-def _nontrivial_mixture(attr: Attribute, of: Variable, model) -> bool:
-    report = is_generalised_mixture(attr, of, model)
+def _nontrivial_mixture(attr: Attribute, of: Variable, model, atol: float) -> bool:
+    report = is_generalised_mixture(attr, of, model, atol)
     return report.verdict and "trivial" not in report.evidence
 
 
@@ -643,15 +646,33 @@ def _appendix_available(atol: float) -> bool:
         return False
 
 
+def _fixes(s: np.ndarray, states, atol: float) -> bool:
+    """Whether the unitary s fixes each of the pure states, in order, as
+    states_equal(apply_unitary(v, s), v) decides (`apply_unitary` refuses an
+    image whose norm is off by more than atol).  The images of the stacked
+    state vectors, in one product, decide each state whose image's norm is
+    within atol of 1 and whose overlap with it is off 1 - atol, each past
+    rounding; any other state takes that call itself."""
+    images, slack = np.array([v.vector for v in states]) @ s.T, _slack(s.shape[0])
+    for v, image in zip(states, images):
+        overlap, norm = abs(np.vdot(v.vector, image)), np.vdot(image, image).real ** 0.5
+        edge = abs(norm - 1.0) >= atol - slack or abs(overlap - (1.0 - atol)) <= slack
+        if not (states_equal(apply_unitary(v, s), v, atol) if edge else overlap >= 1.0 - atol):
+            return False
+    return True
+
+
 def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportReport:
-    """Verify T1 and R1-R4 for the observable pair; failures are verdicts."""
+    """Verify T1 and R1-R4 for the observable pair; failures are verdicts.
+
+    The members' span rows serve the checks.  T1 reads the summed pair
+    variable's partition off the products of x's rows when they are
+    orthonormal (no pair variable, no SVD); R4's diagonal states and the
+    members of its swaps are outer products of the rows; each swap
+    invariance is read off one product (`_fixes`).  tol() is read once."""
     if getattr(model, "kind", None) == CLASSICAL:
-        return DecisionSupportReport(
-            checks=(),
-            passed=False,
-            reason="no complementary observables",
-            appendix_preparation_available=False,
-        )
+        return DecisionSupportReport(checks=(), passed=False, reason="no complementary observables",
+                                     appendix_preparation_available=False)
     if len(x) != 2 or len(y) != 2:
         raise DomainError("decision support covers two-valued observables")
     atol = tol()
@@ -664,30 +685,40 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
             verdict, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append((name, verdict, detail))
 
-    xs, ys = _member_states(*x._span_block()), _member_states(*y._span_block())
+    (rx, cx), (ry, cy) = x._span_block(), y._span_block()
+    xs, ys = _member_states(rx, cx), _member_states(ry, cy)
 
     def swap(labels, states):
         """The computation exchanging the two members."""
-        return permutation_computation(
-            transposition_map(labels, *labels), tuple(zip(labels, states)))
+        return permutation_computation(transposition_map(labels, *labels), tuple(zip(labels, states)))
 
-    def diagonal(states):
-        """(|s0>|s0> + |s1>|s1>) / sqrt(2) on the doubled substrate."""
-        return normalized(
-            (np.kron(states[0].vector, states[0].vector)
-             + np.kron(states[1].vector, states[1].vector))
-            / math.sqrt(2), dims=(x.substrate.dim,) * 2)
+    def diagonal(rows):
+        """(|s0>|s0> + |s1>|s1>) / sqrt(2) on the doubled substrate, for the
+        members' span rows s0 and s1, and the rows |s_l>|s_l>."""
+        doubled = (rows[:, :, None] * rows[:, None, :]).reshape(2, -1)  # as `tensor` forms them
+        return normalized(doubled.sum(0) / math.sqrt(2), dims=(x.substrate.dim,) * 2), doubled
 
     # built once for the checks that share them; a build that raises is rerun
     # at its next use, so each of those checks records its error
-    swap_x, diagonal_x = cache(lambda: swap(x.labels, xs)), cache(lambda: diagonal(xs))
+    swap_x, diagonal_x = cache(lambda: swap(x.labels, xs)), cache(lambda: diagonal(rx))
 
     def t1():
         z = ys[0]
         part_single = partition_of_unity(z, x)
-        pair = coarsen_variable(x, x, mode="sum")
-        part_pair = partition_of_unity(tensor(z, z), pair)
-        sweep = verify_E1_E2(z, x, (8, 24), Fraction(1, 20), final_bound=0.5)
+        if x._span is None or any(a.is_subspace for a in x.attributes) or not all(
+                isinstance(l, Real) and not isinstance(l, bool) for l in x.labels) \
+                or _closure_rows(rx) is not rx:  # else coarsen_variable would refuse, or SVD
+            part_pair = partition_of_unity(tensor(z, z), coarsen_variable(x, x, mode="sum"))
+        else:
+            # the summed pair variable's member s is spanned by the orthonormal
+            # products u_a (x) u_b of x's rows with l_a + l_b = s, on each of
+            # which z (x) z weighs w_a w_b: its partition, with no SVD
+            ids: dict = {}  # sum -> member, as coarsen_variable assigns them
+            sums = [ids.setdefault(a + b, len(ids)) for a in x.labels for b in x.labels]
+            w = _row_weights(z, rx)
+            part_pair = PartitionOfUnity(tuple(zip(ids, _partition_weights(
+                np.bincount(sums, np.outer(w, w).ravel()), atol).tolist())))
+        sweep = _convergence(part_single, (8, 24), Fraction(1, 20), final_bound=0.5)
         return (sweep.verdict, {
             "single": part_single.as_dict(),
             "pair_labels": part_pair.labels,
@@ -695,22 +726,17 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         })
 
     def r1():
-        for label, attr in x.members:
-            if not _nontrivial_mixture(attr, y, model):
-                return False, f"member {label!r} of X is not a non-trivial mixture of Y"
-        for label, attr in y.members:
-            if not _nontrivial_mixture(attr, x, model):
-                return False, f"member {label!r} of Y is not a non-trivial mixture of X"
+        for name, v, other, of in (("X", x, y, "Y"), ("Y", y, x, "X")):
+            for label, attr in v.members:
+                if not _nontrivial_mixture(attr, other, model, atol):
+                    return False, f"member {label!r} of {name} is not a non-trivial mixture of {of}"
         return True, "all four members are non-trivial mixtures of the other observable"
 
     def r2():
         s_x, s_y = swap_x(), swap(y.labels, ys)
-        for v in ys:
-            if not states_equal(apply_unitary(v, s_x), v):
-                return False, "S_x moves a member of Y"
-        for v in xs:
-            if not states_equal(apply_unitary(v, s_y), v):
-                return False, "S_y moves a member of X"
+        for s, states, name in ((s_x, ys, "S_x moves a member of Y"), (s_y, xs, "S_y moves a member of X")):
+            if not _fixes(s, states, atol):
+                return False, name
         return True, "both swaps fix the other observable's members"
 
     def r3():
@@ -725,21 +751,19 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         return equal and swap_inv, {"reduced_equal": equal, "swap_invariant": swap_inv}
 
     def r4():
-        q_x, q_y = diagonal_x(), diagonal(ys)
-        if not states_equal(q_x, q_y):
+        (q_x, doubled_x), (q_y, doubled_y) = diagonal_x(), diagonal(ry)
+        if not states_equal(q_x, q_y, atol):
             return False, "the two diagonal superpositions differ"
         # the members (l, l) of each observable's product with itself, built alone
         diag_x, diag_y = (_product_variable(v, v, zip(v.members, v.members)) for v in (x, y))
-        q_attr = extensional_attribute(diag_x.substrate, (q_x,))
-        mix_x = _nontrivial_mixture(q_attr, diag_x, model)
-        mix_y = _nontrivial_mixture(q_attr, diag_y, model)
-        swap_xx = swap([(l, l) for l in x.labels], [tensor(v, v) for v in xs])
-        swap_yy = swap([(l, l) for l in y.labels], [tensor(v, v) for v in ys])
-        inv_x = states_equal(apply_unitary(q_x, swap_xx), q_x)
-        inv_y = states_equal(apply_unitary(q_x, swap_yy), q_x)
-        ok = mix_x and mix_y and inv_x and inv_y
-        return ok, {"mixture_of_Sx": mix_x, "mixture_of_Sy": mix_y,
-                    "swap_xx_invariant": inv_x, "swap_yy_invariant": inv_y}
+        q_attr = _trusted_attribute(diag_x.substrate, (q_x,))
+        mix_x, mix_y = (_nontrivial_mixture(q_attr, v, model, atol) for v in (diag_x, diag_y))
+        swaps = [swap([(l, l) for l in v.labels], _row_states(doubled))
+                 for v, doubled in ((x, doubled_x), (y, doubled_y))]
+        inv_x, inv_y = (_fixes(s, (q_x,), atol) for s in swaps)
+        return mix_x and mix_y and inv_x and inv_y, {
+            "mixture_of_Sx": mix_x, "mixture_of_Sy": mix_y,
+            "swap_xx_invariant": inv_x, "swap_yy_invariant": inv_y}
 
     record("T1", t1)
     record("R1", r1)
@@ -747,15 +771,10 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     record("R3", r3)
     record("R4", r4)
 
-    q_state = diagonal_x() if checks[4][1] else None
+    q_state = diagonal_x()[0] if checks[4][1] else None
     passed = all(v for _, v, _ in checks)
     reason = None
     if not passed and not detect_superinformation(x, y, model).verdict:
         reason = "observables do not form a superinformation pair"
-    return DecisionSupportReport(
-        checks=tuple(checks),
-        passed=passed,
-        reason=reason,
-        appendix_preparation_available=_appendix_available(atol),
-        q=q_state,
-    )
+    return DecisionSupportReport(checks=tuple(checks), passed=passed, reason=reason,
+                                 appendix_preparation_available=_appendix_available(atol), q=q_state)

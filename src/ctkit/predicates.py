@@ -44,6 +44,7 @@ from .kernel import (
     _first_overlap,
     _first_span_overlap,
     _holds_mixed,
+    _member_sums,
     _member_weights,
     _product_attribute,
     _pure_rows,
@@ -160,10 +161,11 @@ def _gram_verdict(g, to, g_cand, owners, model, r=np.ones((1, 1))):
     return _gram_feasible(g_in, g_cand, [list(range(a, b)) for a, b in zip(lo, hi)], True, model)
 
 
-def _cloning_verdicts(v: Variable, model):
+def _cloning_verdicts(v: Variable, model, route=...):
     """(name, verdict) of cloning v onto the blank, then onto each member.
 
-    On the Gram route (`_member_gram`) no task is built.  Since
+    On the Gram route (`_member_gram`, formed here unless handed in as
+    route) no task is built.  Since
     <s (x) r|s' (x) r'> = <s|s'> <r|r'>, the inputs x (x) r have the Gram
     matrix G (x) R, where R is the Gram matrix of the receptive's states
     (<r|r> for a lone state r, 1 for the blank |0>), and the candidates
@@ -175,7 +177,7 @@ def _cloning_verdicts(v: Variable, model):
     builds the cloning task of the blank and of each member that does not
     share its verdict; a classical witness names the receptive's label.
     """
-    route = _member_gram(v, model)
+    route = _member_gram(v, model) if route is ... else route
     own = (k for k, r in enumerate(v.attributes) if not _unit_pure(r))  # in turn, as needed
     if route is None:
         tasks = _cloning_tasks(v, (blank_attribute(v.substrate), *(v.attributes[k] for k in own)))
@@ -252,7 +254,7 @@ def _product_variable(v1: Variable, v2: Variable, pairs) -> Variable:
 # Computation / information variables
 
 
-def is_computation_variable(v: Variable, model) -> PredicateReport:
+def is_computation_variable(v: Variable, model, route=...) -> PredicateReport:
     """Every relabeling of v must be a possible task (side effects allowed).
 
     The star transpositions (l0 lk), k = 1..n-1, of the first label l0
@@ -262,9 +264,10 @@ def is_computation_variable(v: Variable, model) -> PredicateReport:
     evidence.  On the Gram route (`_member_gram`) each is decided from the
     member states' Gram matrix G alone: the inputs and the candidates both
     have Gram matrix G, and the inputs of l0 take the states of lk and
-    those of lk the states of l0.
+    those of lk the states of l0.  A caller that holds v's `_member_gram`
+    hands it in as route.
     """
-    route = _member_gram(v, model)
+    route = _member_gram(v, model) if route is ... else route
     first, *rest = v.labels
     checks = {(first, b): _transposition_verdict(route, k, model) if route else is_task_possible(
         permutation_task(v, {first: b, b: first}), model) for k, b in enumerate(rest, 1)}
@@ -292,11 +295,12 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     `_cloning_verdicts`).  The computation check then asks about the n-1
     star transpositions only (see `is_computation_variable`).  On a
     `QuantumModel` with pure-state members both decide from the Gram matrix
-    of the member states (`_member_gram`) and build no task.
+    of the member states (`_member_gram`), formed once, and build no task.
     """
     clone_checks = {}
     clone_ok = None
-    for name, verdict in _cloning_verdicts(v, model):
+    route = _member_gram(v, model)
+    for name, verdict in _cloning_verdicts(v, model, route):
         clone_checks[name] = verdict
         if verdict.status == POSSIBLE:
             clone_ok = name
@@ -304,7 +308,7 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     if clone_ok is None:
         return _report("is_information_variable", v, False,
                        {"cloning": clone_checks, "computation": None})
-    comp = is_computation_variable(v, model)
+    comp = is_computation_variable(v, model, route)
     return _report("is_information_variable", v, comp.verdict,
                    {"cloning": clone_checks, "receptive": clone_ok, "computation": comp})
 
@@ -382,9 +386,13 @@ def span_closure(v: Variable | Attribute) -> Attribute:
     which are its basis when orthonormal to rounding (no SVD), as for a
     variable's orthogonal members; otherwise their `_row_basis`."""
     rows, _ = v._span_block() if isinstance(v, Variable) else _stacked_span_rows((v,))
-    if np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0) > _slack(rows.shape[1]):
-        rows = _row_basis(rows)
-    return _trusted_attribute(v.substrate, _row_states(rows), is_subspace=True)
+    return _trusted_attribute(v.substrate, _row_states(_closure_rows(rows)), is_subspace=True)
+
+
+def _closure_rows(rows: np.ndarray) -> np.ndarray:
+    """`span_closure`'s basis: rows when orthonormal to rounding, else their `_row_basis`."""
+    orthonormal = np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0) <= _slack(rows.shape[1])
+    return rows if orthonormal else _row_basis(rows)
 
 
 def is_observable(v: Variable, model) -> PredicateReport:
@@ -462,34 +470,60 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
         _readonly(rows[np.repeat(keep, counts)]), _readonly(counts[keep])))
 
 
-def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:
+def is_generalised_mixture(z: Attribute, h: Variable, model,
+                           atol: float | None = None) -> PredicateReport:
     """Is z a (possibly trivial) generalised mixture of the variable h?
 
     Non-trivially: z disjoint from and not inside any member, with the span
     projector of h sharp in z, read off the span rows of h: each state's row
     weights sum to 1, and a subspace's overlaps O with the rows have O O^dag = I.
     Classically the span adds nothing beyond the union, so only membership survives.
+
+    When neither z nor a member of h lists a mixed state, one product of
+    z's vectors (its states, or its basis) with h's span block gives the
+    overlaps O.  The member tests run only on the members whose squared
+    overlaps, summed over z's vectors and the member's rows
+    (`_member_sums`), reach the floor: a member state r equal to a state s
+    of z puts |<s|r>|/|r| >= (1 - atol)/|r| of s in the member's span, and
+    a state checked when it was built, or a product of two, has
+    |r| <= (1 + atol)^2; a subspace z, whose rank and containment tests
+    meet a member only where they overlap by nearly 1, takes the floor 1/2.
+    The members not nominated pass every test, so the first hit, its
+    evidence and its witness are the loop's.  When the block is its own
+    closure, O gives the sharpness gap too.  With a mixed state every
+    member is tested and the gap is read state by state.
     """
     report = partial(PredicateReport, "is_generalised_mixture",
                      _subject(z.substrate.id, "z vs", h.labels))
-    for label, attr in h.members:
+    atol = tol() if atol is None else atol
+    members, overlaps = h.members, None
+    if z.substrate.kind == QUANTUM and z.elements and h._span is not None \
+            and not _holds_mixed(z) and z.substrate.dim == h.substrate.dim:
+        rows, counts = h._span
+        overlaps = (attribute_span(z) if z.is_subspace else _pure_rows(z.states)).conj() @ rows.T
+        edge = 0.5 if z.is_subspace else (1.0 - atol) / (1.0 + atol) ** 2 - _slack(rows.shape[1])
+        near = _member_sums((weights := np.abs(overlaps) ** 2).sum(0), counts) >= edge ** 2
+        members = [member for member, kept in zip(members, near) if kept]
+    for label, attr in members:
         if attribute_equal(z, attr):
             return report(True, {"trivial": label})
     if z.substrate.kind == CLASSICAL:
         return report(False, {"reason": "no classical attribute lies in the span "
                                         "of members it is disjoint from"})
-    for label, attr in h.members:
+    for label, attr in members:
         disjoint, witness = attributes_disjoint(z, attr)
         if not disjoint:
             return report(False, {"failed": "not disjoint", "member": label, "witness": witness})
         if attribute_subset(z, attr):
             return report(False, {"failed": "contained in a member", "member": label})
-    rows = attribute_span(span_closure(h))
-    atol = tol()
+    rows = _closure_rows(h._span_block()[0])
+    if overlaps is None or rows is not h._span[0]:  # else the block is the closure's basis
+        overlaps = attribute_span(z).conj() @ rows.T if z.is_subspace else None
     if z.is_subspace:
-        overlaps = attribute_span(z).conj() @ rows.T
         worst = 1.0 if not overlaps.size else \
             float(np.abs(overlaps @ overlaps.conj().T - np.eye(len(overlaps))).max())
+    elif overlaps is not None:
+        worst = float(np.abs(1.0 - weights.sum(1)).max())
     else:
         worst = max(abs(1.0 - float(np.sum(_row_weights(s, rows)))) for s in z.states)
     return report(worst <= atol, {"span_sharpness_gap": worst})

@@ -44,6 +44,7 @@ from .kernel import (
     _first_span_overlap,
     _member_weights,
     _row_weights,
+    _span_gram,
 )
 from .states import (
     MixedState,
@@ -452,16 +453,17 @@ class ControlledMap:
         return _image(state, self._on_rows(state.factor, dims, factors))
 
 
-def completed_basis(rows, counts, dim: int, error, what: str):
+def completed_basis(rows, counts, dim: int, error, what: str, gram=None):
     """Complete the stacked span rows to an orthonormal basis.
 
     Returns (basis, classes): span k's counts[k] rows get class k, the rest
     class len(counts).  Unitarity is checked on the k x k Gram matrix of the
-    rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.  Short
-    of dim rows, the SVD's vh is the basis buffer; dim rows are the basis."""
+    rows, the gram handed in (`kernel._span_gram`) or formed here; the
+    dim x dim basis is held to `states.DENSITY_BYTES` first.  Short of dim
+    rows, the SVD's vh is the basis buffer; dim rows are the basis."""
     _check_bytes(16 * dim * dim, "a {0} x {0} control basis", dim)
     k = rows.shape[0]
-    dev = float(np.abs(rows @ rows.conj().T - np.eye(k)).max(initial=0.0))
+    dev = float(np.abs((rows.conj() @ rows.T if gram is None else gram) - np.eye(k)).max(initial=0.0))
     if dev > 1e-9:
         raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
     # past k orthonormal span rows, vh's rows complete them to a basis
@@ -476,16 +478,16 @@ def completed_basis(rows, counts, dim: int, error, what: str):
 
 
 def controlled_map(rows, counts, maps, dim: int, error=NotMeasurableError,
-                   what: str = "measurer") -> ControlledMap:
+                   what: str = "measurer", gram=None) -> ControlledMap:
     """sum_k P_k (x) maps[k] + P_rest (x) I, for pairwise orthogonal spans.
 
     The next counts[k] rows of rows are orthonormal kets spanning the range
     of P_k (`kernel._stacked_span_rows`); the orthogonal rest of the control
     space acts as the identity.  Raises `error` when the rows or any map are
     not unitary building blocks (a reflector's flag must be a unit vector,
-    the table rows permutations).
+    the table rows permutations).  gram is the rows' Gram matrix, if held.
     """
-    basis, classes = completed_basis(rows, counts, dim, error, what)
+    basis, classes = completed_basis(rows, counts, dim, error, what, gram)
     maps = tuple(t if isinstance(t, FlagReflector) else np.asarray(t) for t in maps)
     target_dim = maps[0].shape[0]
     lost = error(f"{what} construction lost unitarity (a target map is not unitary)")
@@ -622,7 +624,8 @@ def build_measurer(
     """
     atol = tol()
     rows, counts = x._span_block()
-    hit = _first_span_overlap(rows, counts, atol)
+    gram = _span_gram(rows)  # for the orthogonality and the unitarity checks
+    hit = _first_span_overlap(rows, counts, atol, gram)
     if hit is not None:
         i, j, overlap = hit
         raise NotMeasurableError(
@@ -668,7 +671,7 @@ def build_measurer(
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),
-        control=controlled_map(rows, counts, maps, x.substrate.dim),
+        control=controlled_map(rows, counts, maps, x.substrate.dim, gram=gram),
         receptive_index=recv,
     )
 

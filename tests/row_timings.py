@@ -18,7 +18,10 @@ constructor, each built and applied once, `derive_value_mn(2, 5)` and
 `derive_value_mn(31, 64)`, a qubit basis measurer built and applied once,
 `check_decision_support` on `fixtures/qubit.json` and on
 `fixtures/qubit_degenerate.json` (which fails R1 and then asks whether the
-pair is superinformation), the unpredictability certificate of a
+pair is superinformation), `parse_model_spec` plus `check_decision_support`
+on `fixtures/qubit.json` (what the `decision-support` CLI command pays,
+the document parsed afresh), `is_generalised_mixture` of a superposition of
+the standard basis at d = 2, 4 and 8, the unpredictability certificate of a
 four-term state against the standard basis at d = 5, and the two halves
 of a superinformation check at d = 4: `is_information_variable` on the
 standard basis, and `_superinformation_pair` of that basis and its Fourier
@@ -92,11 +95,17 @@ qubit, degenerate = parse_model_spec(sys.argv[2]), parse_model_spec(sys.argv[3])
 def decision_support(doc=qubit, passes=True):
     report = check_decision_support(doc.model, doc.variables["X"], doc.variables["Y"])
     assert report.passed == passes
+def mixture_case(d):
+    h = basis(d)
+    z = extensional_attribute(h.substrate, (normalized(np.arange(1, d + 1) + 1j),))
+    def run():
+        assert is_generalised_mixture(z, h, QuantumModel(h.substrate)).verdict
+    return run
 def certificate(d=5):
     x = basis(d)
     y = extensional_attribute(x.substrate, (normalized([1, 2j, -3, 0, 4]),))
     assert unpredictability_certificate(x, y, QuantumModel(x.substrate)).unpredictable
-from ctkit import is_information_variable
+from ctkit import is_generalised_mixture, is_information_variable
 from ctkit.predicates import _superinformation_pair
 x4, x64 = basis(4), basis(64)
 fourier = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
@@ -120,6 +129,10 @@ for name, run, repeats in [
         ("check_decision_support on the qubit fixture", decision_support, 200),
         ("check_decision_support on the degenerate qubit fixture",
          lambda: decision_support(degenerate, False), 200),
+        ("parse_model_spec + check_decision_support on the qubit fixture",
+         lambda: decision_support(parse_model_spec(sys.argv[2])), 200),
+        *((f"is_generalised_mixture of a superposition against the d={{d}} basis",
+           mixture_case(d), 200) for d in (2, 4, 8)),
         ("unpredictability certificate d=5", certificate, 200),
         ("is_information_variable on the d=4 basis", lambda: information(x4), 200),
         ("_superinformation_pair of the d=4 basis and Fourier pair", superinformation_pair, 200),
