@@ -500,7 +500,7 @@ def is_generalised_mixture(z: Attribute, h: Variable, model,
     if z.substrate.kind == QUANTUM and z.elements and h._span is not None \
             and not _holds_mixed(z) and z.substrate.dim == h.substrate.dim:
         rows, counts = h._span
-        overlaps = (attribute_span(z) if z.is_subspace else _pure_rows(z.states)).conj() @ rows.T
+        overlaps = np.array([v.vector for v in z.elements]).conj() @ rows.T  # pure states or a basis
         edge = 0.5 if z.is_subspace else (1.0 - atol) / (1.0 + atol) ** 2 - _slack(rows.shape[1])
         near = _member_sums((weights := np.abs(overlaps) ** 2).sum(0), counts) >= edge ** 2
         members = [member for member, kept in zip(members, near) if kept]
