@@ -705,9 +705,13 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     def t1():
         z = ys[0]
         part_single = partition_of_unity(z, x)
+        # a mixed member's span depends on tol(), coarsen_variable refuses
+        # subspaces and labels without arithmetic, and products of rows that
+        # are not orthonormal do not span the pair's members orthonormally:
+        # those build the pair variable
         if x._span is None or any(a.is_subspace for a in x.attributes) or not all(
                 isinstance(l, Real) and not isinstance(l, bool) for l in x.labels) \
-                or _closure_rows(rx) is not rx:  # else coarsen_variable would refuse, or SVD
+                or _closure_rows(rx) is not rx:
             part_pair = partition_of_unity(tensor(z, z), coarsen_variable(x, x, mode="sum"))
         else:
             # the summed pair variable's member s is spanned by the orthonormal
