@@ -38,7 +38,6 @@ from .kernel import (
     _member_weights,
     _row_weights,
     _single_state,
-    _slack,
     _trusted_attribute,
     _trusted_variable,
     coarsen_variable,
@@ -46,7 +45,7 @@ from .kernel import (
     product_attribute,
     quantum_substrate,
 )
-from .ensembles import PartitionOfUnity, _convergence, _partition_weights, partition_of_unity
+from .ensembles import PartitionOfUnity, _partition_weights, partition_of_unity, verify_E1_E2
 from .predicates import (
     _closure_rows,
     _product_variable,
@@ -631,8 +630,8 @@ class DecisionSupportReport:
         raise KeyError(name)
 
 
-def _nontrivial_mixture(attr: Attribute, of: Variable, model, atol: float) -> bool:
-    report = is_generalised_mixture(attr, of, model, atol)
+def _nontrivial_mixture(attr: Attribute, of: Variable, model) -> bool:
+    report = is_generalised_mixture(attr, of, model)
     return report.verdict and "trivial" not in report.evidence
 
 
@@ -646,30 +645,13 @@ def _appendix_available(atol: float) -> bool:
         return False
 
 
-def _fixes(s: np.ndarray, states, atol: float) -> bool:
-    """Whether the unitary s fixes each of the pure states, in order, as
-    states_equal(apply_unitary(v, s), v) decides (`apply_unitary` refuses an
-    image whose norm is off by more than atol).  The images of the stacked
-    state vectors, in one product, decide each state whose image's norm is
-    within atol of 1 and whose overlap with it is off 1 - atol, each past
-    rounding; any other state takes that call itself."""
-    images, slack = np.array([v.vector for v in states]) @ s.T, _slack(s.shape[0])
-    for v, image in zip(states, images):
-        overlap, norm = abs(np.vdot(v.vector, image)), np.vdot(image, image).real ** 0.5
-        edge = abs(norm - 1.0) >= atol - slack or abs(overlap - (1.0 - atol)) <= slack
-        if not (states_equal(apply_unitary(v, s), v, atol) if edge else overlap >= 1.0 - atol):
-            return False
-    return True
-
-
 def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportReport:
     """Verify T1 and R1-R4 for the observable pair; failures are verdicts.
 
     The members' span rows serve the checks.  T1 reads the summed pair
     variable's partition off the products of x's rows when they are
     orthonormal (no pair variable, no SVD); R4's diagonal states and the
-    members of its swaps are outer products of the rows; each swap
-    invariance is read off one product (`_fixes`).  tol() is read once."""
+    members of its swaps are outer products of the rows."""
     if getattr(model, "kind", None) == CLASSICAL:
         return DecisionSupportReport(checks=(), passed=False, reason="no complementary observables",
                                      appendix_preparation_available=False)
@@ -704,7 +686,7 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
 
     def t1():
         z = ys[0]
-        part_single = partition_of_unity(z, x)
+        sweep = verify_E1_E2(z, x, (8, 24), Fraction(1, 20), final_bound=0.5)
         # a mixed member's span depends on tol(), coarsen_variable refuses
         # subspaces and labels without arithmetic, and products of rows that
         # are not orthonormal do not span the pair's members orthonormally:
@@ -722,9 +704,8 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
             w = _row_weights(z, rx)
             part_pair = PartitionOfUnity(tuple(zip(ids, _partition_weights(
                 np.bincount(sums, np.outer(w, w).ravel()), atol).tolist())))
-        sweep = _convergence(part_single, (8, 24), Fraction(1, 20), final_bound=0.5)
         return (sweep.verdict, {
-            "single": part_single.as_dict(),
+            "single": sweep.partition.as_dict(),
             "pair_labels": part_pair.labels,
             "sweep_rows": [float(r.approx) for r in sweep.rows],
         })
@@ -732,14 +713,14 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
     def r1():
         for name, v, other, of in (("X", x, y, "Y"), ("Y", y, x, "X")):
             for label, attr in v.members:
-                if not _nontrivial_mixture(attr, other, model, atol):
+                if not _nontrivial_mixture(attr, other, model):
                     return False, f"member {label!r} of {name} is not a non-trivial mixture of {of}"
         return True, "all four members are non-trivial mixtures of the other observable"
 
     def r2():
         s_x, s_y = swap_x(), swap(y.labels, ys)
         for s, states, name in ((s_x, ys, "S_x moves a member of Y"), (s_y, xs, "S_y moves a member of X")):
-            if not _fixes(s, states, atol):
+            if not all(states_equal(apply_unitary(v, s), v, atol) for v in states):
                 return False, name
         return True, "both swaps fix the other observable's members"
 
@@ -761,10 +742,10 @@ def check_decision_support(model, x: Variable, y: Variable) -> DecisionSupportRe
         # the members (l, l) of each observable's product with itself, built alone
         diag_x, diag_y = (_product_variable(v, v, zip(v.members, v.members)) for v in (x, y))
         q_attr = _trusted_attribute(diag_x.substrate, (q_x,))
-        mix_x, mix_y = (_nontrivial_mixture(q_attr, v, model, atol) for v in (diag_x, diag_y))
+        mix_x, mix_y = (_nontrivial_mixture(q_attr, v, model) for v in (diag_x, diag_y))
         swaps = [swap([(l, l) for l in v.labels], _row_states(doubled))
                  for v, doubled in ((x, doubled_x), (y, doubled_y))]
-        inv_x, inv_y = (_fixes(s, (q_x,), atol) for s in swaps)
+        inv_x, inv_y = (states_equal(apply_unitary(q_x, s), q_x, atol) for s in swaps)
         return mix_x and mix_y and inv_x and inv_y, {
             "mixture_of_Sx": mix_x, "mixture_of_Sy": mix_y,
             "swap_xx_invariant": inv_x, "swap_yy_invariant": inv_y}

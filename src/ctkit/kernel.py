@@ -561,23 +561,19 @@ def _first_overlap(attrs) -> tuple[int, int, Any] | None:
     return None
 
 
-def _span_gram(rows: np.ndarray) -> np.ndarray | None:
-    """The Gram matrix rows* rows^T when it is one block of `_nominated_pairs`, else None."""
-    return rows.conj() @ rows.T if 16 * len(rows) ** 2 <= _GRAM_BLOCK_BYTES else None
-
-
-def _first_span_overlap(rows: np.ndarray, counts, atol: float, gram=None) -> tuple[int, int, float] | None:
+def _first_span_overlap(rows: np.ndarray, counts, atol: float) -> tuple[int, int, float] | None:
     """The first pair (i, j, overlap), i < j, of spans with an overlap
     max |<u|v>| above atol, in the order of the loop over i and then j > i;
     None when the spans are pairwise orthogonal.  Span k is the next counts[k]
     orthonormal rows of rows (`_stacked_span_rows`); an empty one overlaps nothing.
-    The rows' Gram matrix (`_span_gram`, handed in by a caller that holds it)
-    tells pairwise orthogonal spans in one test when it fits one block."""
+    When the rows' Gram matrix fits one block of `_nominated_pairs`, one test
+    of it tells pairwise orthogonal spans."""
     if np.count_nonzero(counts) < 2:
         return None
     owner = np.repeat(np.arange(len(counts)), counts)
-    floor, gram = atol - _slack(rows.shape[1]), _span_gram(rows) if gram is None else gram
-    if gram is not None and not (np.abs(gram)[owner[:, None] != owner] >= floor).any():
+    floor = atol - _slack(rows.shape[1])
+    if 16 * len(rows) ** 2 <= _GRAM_BLOCK_BYTES and \
+            not (np.abs(rows.conj() @ rows.T)[owner[:, None] != owner] >= floor).any():
         return None
     for i, j in _nominated_pairs(rows, owner, floor):
         overlap = float(np.abs(rows[owner == i].conj() @ rows[owner == j].T).max())

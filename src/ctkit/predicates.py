@@ -254,7 +254,7 @@ def _product_variable(v1: Variable, v2: Variable, pairs) -> Variable:
 # Computation / information variables
 
 
-def is_computation_variable(v: Variable, model, route=...) -> PredicateReport:
+def is_computation_variable(v: Variable, model) -> PredicateReport:
     """Every relabeling of v must be a possible task (side effects allowed).
 
     The star transpositions (l0 lk), k = 1..n-1, of the first label l0
@@ -264,10 +264,13 @@ def is_computation_variable(v: Variable, model, route=...) -> PredicateReport:
     evidence.  On the Gram route (`_member_gram`) each is decided from the
     member states' Gram matrix G alone: the inputs and the candidates both
     have Gram matrix G, and the inputs of l0 take the states of lk and
-    those of lk the states of l0.  A caller that holds v's `_member_gram`
-    hands it in as route.
+    those of lk the states of l0.
     """
-    route = _member_gram(v, model) if route is ... else route
+    return _computation_report(v, model, _member_gram(v, model))
+
+
+def _computation_report(v: Variable, model, route) -> PredicateReport:
+    """`is_computation_variable` on v's `_member_gram` route (None: the task route)."""
     first, *rest = v.labels
     checks = {(first, b): _transposition_verdict(route, k, model) if route else is_task_possible(
         permutation_task(v, {first: b, b: first}), model) for k, b in enumerate(rest, 1)}
@@ -308,7 +311,7 @@ def is_information_variable(v: Variable, model) -> PredicateReport:
     if clone_ok is None:
         return _report("is_information_variable", v, False,
                        {"cloning": clone_checks, "computation": None})
-    comp = is_computation_variable(v, model, route)
+    comp = _computation_report(v, model, route)
     return _report("is_information_variable", v, comp.verdict,
                    {"cloning": clone_checks, "receptive": clone_ok, "computation": comp})
 
@@ -470,8 +473,7 @@ def restricted_variable(x: Variable, y: Attribute) -> Variable:
         _readonly(rows[np.repeat(keep, counts)]), _readonly(counts[keep])))
 
 
-def is_generalised_mixture(z: Attribute, h: Variable, model,
-                           atol: float | None = None) -> PredicateReport:
+def is_generalised_mixture(z: Attribute, h: Variable, model) -> PredicateReport:
     """Is z a (possibly trivial) generalised mixture of the variable h?
 
     Non-trivially: z disjoint from and not inside any member, with the span
@@ -495,7 +497,7 @@ def is_generalised_mixture(z: Attribute, h: Variable, model,
     """
     report = partial(PredicateReport, "is_generalised_mixture",
                      _subject(z.substrate.id, "z vs", h.labels))
-    atol = tol() if atol is None else atol
+    atol = tol()
     members, overlaps = h.members, None
     if z.substrate.kind == QUANTUM and z.elements and h._span is not None \
             and not _holds_mixed(z) and z.substrate.dim == h.substrate.dim:

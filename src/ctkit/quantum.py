@@ -44,7 +44,6 @@ from .kernel import (
     _first_span_overlap,
     _member_weights,
     _row_weights,
-    _span_gram,
 )
 from .states import (
     MixedState,
@@ -232,9 +231,6 @@ def _choice_search(g_in: np.ndarray, g_cand, options, pair_bad, accept, budget: 
     stack is explicit, so any number of inputs will do.
     """
     n = len(options)
-    if n == 0:
-        accept((), [])
-        return 0
     settled = n  # inputs from here on have one option each
     while settled and len(options[settled - 1]) == 1:
         settled -= 1
@@ -453,17 +449,16 @@ class ControlledMap:
         return _image(state, self._on_rows(state.factor, dims, factors))
 
 
-def completed_basis(rows, counts, dim: int, error, what: str, gram=None):
+def completed_basis(rows, counts, dim: int, error, what: str):
     """Complete the stacked span rows to an orthonormal basis.
 
     Returns (basis, classes): span k's counts[k] rows get class k, the rest
     class len(counts).  Unitarity is checked on the k x k Gram matrix of the
-    rows, the gram handed in (`kernel._span_gram`) or formed here; the
-    dim x dim basis is held to `states.DENSITY_BYTES` first.  Short of dim
-    rows, the SVD's vh is the basis buffer; dim rows are the basis."""
+    rows; the dim x dim basis is held to `states.DENSITY_BYTES` first.  Short
+    of dim rows, the SVD's vh is the basis buffer; dim rows are the basis."""
     _check_bytes(16 * dim * dim, "a {0} x {0} control basis", dim)
     k = rows.shape[0]
-    dev = float(np.abs((rows.conj() @ rows.T if gram is None else gram) - np.eye(k)).max(initial=0.0))
+    dev = float(np.abs(rows.conj() @ rows.T - np.eye(k)).max(initial=0.0))
     if dev > 1e-9:
         raise error(f"{what} construction lost unitarity (deviation {dev:.3g})")
     # past k orthonormal span rows, vh's rows complete them to a basis
@@ -478,16 +473,16 @@ def completed_basis(rows, counts, dim: int, error, what: str, gram=None):
 
 
 def controlled_map(rows, counts, maps, dim: int, error=NotMeasurableError,
-                   what: str = "measurer", gram=None) -> ControlledMap:
+                   what: str = "measurer") -> ControlledMap:
     """sum_k P_k (x) maps[k] + P_rest (x) I, for pairwise orthogonal spans.
 
     The next counts[k] rows of rows are orthonormal kets spanning the range
     of P_k (`kernel._stacked_span_rows`); the orthogonal rest of the control
     space acts as the identity.  Raises `error` when the rows or any map are
     not unitary building blocks (a reflector's flag must be a unit vector,
-    the table rows permutations).  gram is the rows' Gram matrix, if held.
+    the table rows permutations).
     """
-    basis, classes = completed_basis(rows, counts, dim, error, what, gram)
+    basis, classes = completed_basis(rows, counts, dim, error, what)
     maps = tuple(t if isinstance(t, FlagReflector) else np.asarray(t) for t in maps)
     target_dim = maps[0].shape[0]
     lost = error(f"{what} construction lost unitarity (a target map is not unitary)")
@@ -624,8 +619,7 @@ def build_measurer(
     """
     atol = tol()
     rows, counts = x._span_block()
-    gram = _span_gram(rows)  # for the orthogonality and the unitarity checks
-    hit = _first_span_overlap(rows, counts, atol, gram)
+    hit = _first_span_overlap(rows, counts, atol)
     if hit is not None:
         i, j, overlap = hit
         raise NotMeasurableError(
@@ -671,7 +665,7 @@ def build_measurer(
     return MeasurerSpec(
         labels=x.labels,
         flags=tuple(np.asarray(f) for f in flags),
-        control=controlled_map(rows, counts, maps, x.substrate.dim, gram=gram),
+        control=controlled_map(rows, counts, maps, x.substrate.dim),
         receptive_index=recv,
     )
 

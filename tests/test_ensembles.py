@@ -31,7 +31,7 @@ from ctkit import (
     verify_E1_E2,
 )
 from ctkit.cli import main
-from ctkit.ensembles import PartitionOfUnity, exact_probabilities
+from ctkit.ensembles import RENDER_DENOMINATOR_BOUND, PartitionOfUnity, exact_probabilities
 from ctkit.quantum import apply_measurer
 
 import oracle
@@ -125,6 +125,14 @@ def test_single_replica_always_deviates():
     row = deviant_weight(None, 1, EPS, probabilities=list(HALF))
     assert row.exact == 1
     assert row.render_exact() == "2/2"
+
+
+def test_render_past_the_bound_reduces():
+    """A natural denominator past RENDER_DENOMINATOR_BOUND prints reduced."""
+    row = deviant_weight(None, 40, Fraction(1, 20), probabilities=[Fraction(1, 7), Fraction(6, 7)])
+    assert row.natural_denominator == 7 ** 40 > RENDER_DENOMINATOR_BOUND
+    assert row.render_exact() == f"{row.exact.numerator}/{row.exact.denominator}" \
+        != f"{row.numerator}/{row.natural_denominator}"
 
 
 def test_generous_epsilon_clears_everything():

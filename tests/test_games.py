@@ -304,6 +304,25 @@ def test_derive_value_refuses_a_weight_denominator_over_64(qubit):
         derive_value(g)
 
 
+def test_derive_value_refuses_three_payoffs_and_an_irrational_weight(qubit, qutrit):
+    x3 = state_variable(qutrit, [(k, basis_state(3, k)) for k in range(3)])
+    with pytest.raises(DomainError, match="^the derivation covers two-payoff games$"):
+        derive_value(make_game(x3, held(qutrit, basis_state(3, 0))))
+    # 1e-7 is more than 1e-9 from every fraction with denominator <= 10**6
+    x = payoff_variable(qubit, labels=(10, -2))
+    g = make_game(x, held(qubit, ket(np.sqrt(1e-7), np.sqrt(1 - 1e-7))))
+    with pytest.raises(UnsupportedInputError, match="^irrational weights are out of"):
+        derive_value(g)
+
+
+def test_float_payoffs_snap_to_fractions():
+    trace = derive_value_mn(1, 3, (0.5, 0.1))
+    assert trace.final_value == Fraction(7, 30)
+    assert trace.all_checks_pass
+    with pytest.raises(UnsupportedInputError, match="is not rational enough to derive with$"):
+        derive_value_mn(1, 3, (0.5, 0.1234567891234))
+
+
 def test_derive_value_reads_the_game(qubit):
     x = payoff_variable(qubit, labels=(10, -2))
     g = make_game(x, held(qubit, ket(np.sqrt(1 / 3), np.sqrt(2 / 3))))

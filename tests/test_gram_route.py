@@ -198,6 +198,16 @@ def test_an_information_check_on_lone_states_builds_no_composite_objects(make):
         assert built.call_count == 0
 
 
+def test_an_information_check_forms_the_member_gram_once():
+    """The cloning and the computation checks share one `_member_gram`."""
+    sub = quantum_substrate("q", 4)
+    v = basis_variable(sub)
+    with mock.patch.object(predicates, "_member_gram", wraps=predicates._member_gram) as grams:
+        report = is_information_variable(v, QuantumModel(sub))
+    assert report.verdict and report.evidence["computation"].verdict
+    assert grams.call_count == 1
+
+
 def test_the_member_gram_keeps_off_unit_norms_and_refuses_other_routes(qubit):
     short = PureState(np.array([1.0, 1.0]) / np.sqrt(2) * (1 - 0.9 * tol()))
     v = variable(qubit, [(0, extensional_attribute(qubit, [PureState(np.array([1.0, 0.0]))])),

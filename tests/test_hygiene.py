@@ -106,3 +106,20 @@ def test_no_library_weight_goes_through_a_dense_operator(path):
     """Weights are read off span rows (`kernel._row_weights`); the dense
     routes stay public, and `tests/weight_oracle.py` uses them as reference."""
     assert _dense_weight_calls(path.read_text()) == []
+
+
+def test_the_counter_sees_code_lines_and_options():
+    """`tests/code_lines.py` skips blanks, comments and docstrings, and counts
+    the defaulted parameters of public functions and public methods of
+    public classes, but not dataclass fields."""
+    from code_lines import code_lines, options
+
+    source = ('"""Module."""\n\n'
+              "@dataclass\nclass Spec:\n    size: int = 3\n\n"
+              "    def grow(self, by=1, *, to=None, strict):\n        # a comment\n        return by\n\n"
+              "    def _hidden(self, a=1):\n        pass\n\n"
+              "class _Private:\n    def shown(self, a=1):\n        pass\n\n"
+              'def public(a, b=2, *, c=3):\n    """Doc."""\n    def inner(d=4):\n        pass\n\n'
+              "def _private(a=1):\n    pass\n")
+    assert options(source) == 4  # grow: by, to; public: b, c
+    assert code_lines(source) == 15

@@ -136,6 +136,16 @@ def test_long_lines_binary_split_their_bands(probs, n, eps, monkeypatch):
     assert sum(w >= ensembles._SPLIT_TERMS for w in widths) > 10
 
 
+def test_float_rows_agree_across_block_flushes(monkeypatch):
+    # 30 entries a block: the d = 4 walk at n = 60 flushes its lines in
+    # blocks of 10 about 20 times, and each block in slices of 30 entries
+    probs = [0.1, 0.2, 0.3, 0.4]
+    whole = deviant_weight(None, 60, Fraction(1, 30), probabilities=probs).approx
+    monkeypatch.setattr(ensembles, "_FLOAT_BLOCK_BYTES", 80 * 30)
+    blocked = deviant_weight(None, 60, Fraction(1, 30), probabilities=probs).approx
+    assert blocked == pytest.approx(whole, rel=1e-12)
+
+
 def test_dropping_a_skipped_subtree_fails_the_sum_check(monkeypatch):
     # every count vector enters through a computed term, so losing one
     # subtree's closed form must break deviant + within == L**n

@@ -1,5 +1,7 @@
 """Quantum backend: Gram feasibility, measurers, comparers, permutations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,6 +95,16 @@ def test_basis_flip_possible(qubit, qubit_model):
     verdict = is_task_possible(flip, qubit_model)
     assert verdict.status == POSSIBLE
     assert replay_witness(flip, qubit_model, verdict)
+
+
+def test_replay_refuses_a_malformed_witness(qubit, qubit_model):
+    zero, one = basis_state(2, 0), basis_state(2, 1)
+    flip = task(qubit, [(single(qubit, zero), single(qubit, one)),
+                        (single(qubit, one), single(qubit, zero))])
+    verdict = is_task_possible(flip, qubit_model)
+    # not a dict, a choice of the wrong length, an option out of range
+    for witness in ("identity", {"choice": (0,)}, {"choice": (0, 1)}):
+        assert not replay_witness(flip, qubit_model, replace(verdict, witness=witness))
 
 
 def test_overlap_must_be_preserved_without_side_effects(qubit, qubit_model):
